@@ -17,7 +17,7 @@ import time
 from dataclasses import dataclass
 from pathlib import Path
 
-from . import __version__, optimize
+from . import __version__
 from .errors import (
     BudgetExceededError,
     GCentralError,
@@ -30,10 +30,11 @@ from .graph import Graph, format_edge_list, is_connected, load_edge_list, parse_
 from .measures import Measure, Score, evaluate
 from .optimize import (
     DEFAULT_BUDGET,
+    FLOAT_TIE_REL,
     MEASURE_ORDER,
     CrossMeasureReport,
+    check_tie_rel,
     cross_measure_report,
-    set_float_tie_tolerance,
 )
 from .randomwalk import (
     ROUTE_ABSORBING,
@@ -143,7 +144,7 @@ def _manifest(args, start: float, path: Path | None, seed: int | None = None) ->
         command=" ".join(args.argv),
         input_digest=_digest(path) if path is not None else None,
         seed=seed,
-        tolerances={"float_tie_rel": optimize.FLOAT_TIE_REL},
+        tolerances={"float_tie_rel": args.tolerance},
         version=__version__,
         wall_time_s=time.perf_counter() - start,
     )
@@ -218,9 +219,8 @@ def cmd_optimum(args) -> int:
     if not is_connected(g):
         raise InputError("graph is disconnected; optimumset needs a connected graph")
     measures = _parse_measures(args.measures)
-    report = cross_measure_report(
-        g, args.k, budget=args.budget, workers=args.workers, measures=measures
-    )
+    report = cross_measure_report(g, args.k, budget=args.budget, workers=args.workers,
+                                  measures=measures, tie_rel=args.tolerance)
     manifest = _manifest(args, start, path)
     if args.format == "json":
         payload = {"kind": "optimum-report", "manifest": manifest.to_dict()}
@@ -369,8 +369,8 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument(
         "--tolerance",
         type=float,
-        default=None,
-        help="relative tie tolerance for betweenness/random-walk scores",
+        default=FLOAT_TIE_REL,
+        help="relative tie tolerance for betweenness/random-walk scores in this run",
     )
     common.add_argument("-o", "--out", default=None, help="output file (default stdout)")
 
@@ -436,9 +436,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     args.argv = ["gcentral"] + argv
-    if getattr(args, "tolerance", None) is not None:
-        set_float_tie_tolerance(args.tolerance)
     try:
+        check_tie_rel(args.tolerance)
         return args.func(args)
     except (BudgetExceededError, SamplingBudgetError) as exc:
         sys.stderr.write(f"error: {exc}\n")

@@ -7,6 +7,7 @@ freely across threads and worker processes.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
@@ -34,7 +35,7 @@ class Graph:
     Vertex ids are the integers ``0..n-1``.  Edges are stored once as
     ``(u, v)`` pairs with ``u < v``; neighbor queries are symmetric.
     Construction validates simplicity (no self-loops, no duplicates) and
-    weight positivity, then freezes adjacency.
+    positive finite weights and weighted degrees, then freezes adjacency.
     """
 
     __slots__ = ("n", "edges", "weights", "labels", "_adj", "_adj_w", "_hash")
@@ -70,8 +71,8 @@ class Graph:
                 raise InputError(f"duplicate edge {e}")
             seen.add(e)
         for e, w in zip(edge_list, weight_list):
-            if not w > 0:
-                raise InputError(f"non-positive weight {w} on edge {e}")
+            if not 0 < w < math.inf:
+                raise InputError(f"non-positive or non-finite weight {w} on edge {e}")
         if labels is not None:
             labels = tuple(labels)
             if len(labels) != n:
@@ -84,6 +85,11 @@ class Graph:
             adj_w[u].append(w)
             adj[v].append(u)
             adj_w[v].append(w)
+        for v, ws in enumerate(adj_w):
+            if not math.isfinite(sum(ws)):
+                raise InputError(f"weighted degree of vertex {v} overflows")
+        if not math.isfinite(sum(map(sum, adj_w))):
+            raise InputError("total weighted degree overflows")
 
         self.n = n
         self.edges = tuple(edge_list)
@@ -122,7 +128,7 @@ class Graph:
                 return self.labels.index(name)
             except ValueError:
                 pass
-        if name.isdigit() and int(name) < self.n:
+        if name.isascii() and name.isdigit() and int(name) < self.n:
             return int(name)
         raise InputError(f"unknown vertex label {name!r}")
 
@@ -261,8 +267,9 @@ def load_edge_list(
 ) -> Graph:
     """Parse a line-oriented edge list into a canonical :class:`Graph`.
 
-    Lines hold ``u v`` or ``u v w``; ``#`` starts a comment.  If every
-    endpoint token is a nonnegative integer the tokens are vertex ids and
+    Lines hold ``u v`` or ``u v w`` with a positive finite weight ``w``;
+    ``#`` starts a comment.  If every endpoint token is ASCII digits the
+    tokens are vertex ids and
     ``n`` is the largest id plus one.  Otherwise tokens are string names:
     they are interned in first-seen order, unless ``labels`` is given, in
     which case the label list fixes the id of every name.
@@ -290,13 +297,14 @@ def load_edge_list(
                 w = 1.0
             else:
                 raise InputError(f"line {lineno}: expected 'u v [w]', got {body!r}")
-        if w <= 0:
-            raise InputError(f"line {lineno}: non-positive weight {w}")
+        if not 0 < w < math.inf:
+            raise InputError(f"line {lineno}: non-positive or non-finite weight {w}")
         raw.append((parts[0], parts[1], w, lineno))
     if not raw:
         raise InputError("edge list is empty")
 
-    all_numeric = all(a.isdigit() and b.isdigit() for a, b, _, _ in raw)
+    # str.isdigit alone also accepts Unicode digits such as "²", which int() rejects.
+    all_numeric = all(t.isascii() and t.isdigit() for a, b, _, _ in raw for t in (a, b))
     name_to_id: dict[str, int] = {}
     if labels is not None:
         name_to_id = {name: i for i, name in enumerate(labels)}
@@ -352,6 +360,8 @@ def parse_label_file(text: str) -> list[str]:
             idx = int(idx_s)
         except ValueError as exc:
             raise InputError(f"label line {lineno}: bad index {idx_s!r}") from exc
+        if idx < 0:
+            raise InputError(f"label line {lineno}: negative index {idx}")
         if idx in entries:
             raise InputError(f"label line {lineno}: duplicate index {idx}")
         entries[idx] = label.strip()

@@ -1,17 +1,22 @@
 """Exact search for the most central size-k vertex set, by full enumeration.
 
-Subsets are enumerated in colexicographic order and scored independently;
+Subsets are enumerated in colexicographic order and scored in blocks;
 the global optimum is returned together with the *complete* list of tying
 sets, since several measures routinely produce many co-optimal groups.
 
-Ties are exact rational comparisons for degree and closeness, and relative
-1e-9 comparisons for betweenness and random-walk scores, so floating-point
-noise can neither fabricate nor destroy a tie.
+Degree and closeness blocks score as integer numerators over the shared
+denominator n - k, so their ties are exact equalities; betweenness and
+random-walk scores are floats tied within a relative tolerance (default
+1e-9, passed per run as ``tie_rel``), so floating-point noise can neither
+fabricate nor destroy a tie.
 
-Parallel runs partition the subset space by the leading (largest) element;
-workers evaluate disjoint partitions and the results are merged by a pure
-reduction that is independent of scheduling, so output is byte-identical
-for any worker count.
+One reduction, :func:`_absorb`, keeps the scored subsets within a window of
+the best score seen; it folds each scored block into a partition's result
+and folds partition results into the global one.  Parallel runs partition
+the subset space by the leading (largest) element, and since the window
+contains every tie of the final best, the output depends only on the scores,
+so it is byte-identical for any worker count.  :func:`optimumset_decision`
+scans the same blocks against the same tie window.
 """
 
 from __future__ import annotations
@@ -22,7 +27,8 @@ from concurrent.futures import ProcessPoolExecutor
 from contextlib import ExitStack
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
+from itertools import islice
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -42,7 +48,7 @@ __all__ = [
     "cross_measure_report",
     "colex_subsets",
     "score_subset",
-    "set_float_tie_tolerance",
+    "check_tie_rel",
     "MEASURE_ORDER",
     "DEFAULT_BUDGET",
     "FLOAT_TIE_REL",
@@ -50,33 +56,61 @@ __all__ = [
 
 DEFAULT_BUDGET = 10_000_000
 
-#: Relative tolerance classifying two floating-point scores as tied.
+#: Default relative tolerance classifying two floating-point scores as tied.
 FLOAT_TIE_REL = 1e-9
 _FLOAT_TIE_ABS = 1e-12
 
 
-def set_float_tie_tolerance(rel: float) -> None:
-    """Override the relative tie tolerance for betweenness/random-walk scores."""
-    global FLOAT_TIE_REL
+def check_tie_rel(rel: float) -> float:
+    """``rel`` if it is a usable relative tie tolerance, else InputError."""
     if not 0.0 < rel < 1.0:
         raise InputError(f"tie tolerance must lie in (0, 1); got {rel}")
-    FLOAT_TIE_REL = rel
+    return rel
 
 
-def _is_tie(value, best) -> bool:
-    if isinstance(best, Fraction):
-        return value == best
-    return math.isclose(value, best, rel_tol=FLOAT_TIE_REL, abs_tol=_FLOAT_TIE_ABS)
+def _within(values: np.ndarray, best, rel: float, abs_tol: float) -> np.ndarray:
+    """Mask of ``values`` within max(rel * max(|value|, |best|), abs_tol) of ``best``.
+
+    Elementwise ``math.isclose``; with both tolerances 0 it is equality,
+    which also serves integer targets beyond the int64 range.
+    """
+    if not rel and not abs_tol:
+        return values == best
+    scale = rel * np.maximum(np.abs(values), abs(best))
+    return np.abs(values - best) <= np.maximum(scale, abs_tol)
 
 
-def _keep_rel() -> float:
-    # Retention window while scanning a partition; generous multiple of the
-    # tie tolerance so no global tie can be pruned by a tighter local best.
-    return 10.0 * FLOAT_TIE_REL
+@dataclass(frozen=True)
+class _TieWindow:
+    """Which scores of one search tie with its best, and which the scan keeps.
 
+    Exact measures score as integer numerators over one denominator, so
+    their window is 0.  Float measures tie within ``rel`` (``abs_tol`` near
+    0); the scan keeps ten times that, so no tie of the final best can be
+    dropped against a running best that is worse but close.
+    """
 
-def _within_keep_window(value: float, best: float) -> bool:
-    return abs(value - best) <= _keep_rel() * max(1.0, abs(value), abs(best))
+    maximize: bool
+    rel: float
+    abs_tol: float
+
+    @classmethod
+    def of(cls, measure: Measure, tie_rel: float) -> "_TieWindow":
+        check_tie_rel(tie_rel)
+        if measure.exact:
+            return cls(measure.maximize, 0.0, 0.0)
+        return cls(measure.maximize, tie_rel, _FLOAT_TIE_ABS)
+
+    def best(self, values: np.ndarray):
+        return values.max() if self.maximize else values.min()
+
+    def ties(self, values: np.ndarray, best) -> np.ndarray:
+        return _within(values, best, self.rel, self.abs_tol)
+
+    def keep(self, values: np.ndarray, best) -> np.ndarray:
+        # |value - best| <= 10 * rel * max(1, |value|, |best|) whenever
+        # rel >= abs_tol; the floor never drops below ten times abs_tol.
+        return _within(values, best, 10.0 * self.rel, 10.0 * max(self.rel, self.abs_tol))
 
 
 def colex_subsets(n: int, k: int) -> Iterator[tuple[int, ...]]:
@@ -99,18 +133,22 @@ class _SigmaOverflow(Exception):
     pass
 
 
-def _apsp_layers(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """All-pairs hop distances and shortest-path counts by layered matmul.
+def _apsp_layers_batch(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """All-pairs hop distances and shortest-path counts of a stack of
+    adjacency matrices, by layered matmul.
 
     Counts ride in float64, which is exact for integers below 2**53; a
     guard trips to the arbitrary-precision Python route before any count
-    could lose exactness.
+    could lose exactness.  Exact integer counts make a subset's numbers
+    independent of the block it was evaluated in.
     """
-    c = a.shape[0]
-    dist = np.full((c, c), -1, dtype=np.int16)
-    np.fill_diagonal(dist, 0)
-    sigma = np.eye(c)
-    frontier = np.eye(c)
+    big, c, _ = a.shape
+    dist = np.full((big, c, c), -1, dtype=np.int16)
+    idx = np.arange(c)
+    dist[:, idx, idx] = 0
+    sigma = np.zeros((big, c, c))
+    sigma[:, idx, idx] = 1.0
+    frontier = sigma.copy()
     guard = 2.0**53 / (2 * max(c, 2))
     t = 0
     while True:
@@ -150,7 +188,8 @@ class _GraphKernels:
         the float64-exact range (betweenness then takes the big-int route)."""
         if self._dist is None:
             try:
-                self._dist, self._sigma = _apsp_layers(self.adj)
+                dist, sigma = _apsp_layers_batch(self.adj[None])
+                self._dist, self._sigma = dist[0], sigma[0]
             except _SigmaOverflow:
                 dist = [bfs_counts(self.g._adj, u)[0] for u in range(self.g.n)]
                 self._dist = np.asarray(dist, dtype=np.int16)
@@ -181,36 +220,38 @@ def _complements_of(n: int, subsets: np.ndarray) -> np.ndarray:
     return np.nonzero(mask)[1].reshape(big, n - subsets.shape[1])
 
 
-def _score_block_degree(k: _GraphKernels, subsets: np.ndarray, comp: np.ndarray) -> list:
-    c = comp.shape[1]
+# Degree and closeness blocks return integer numerators over the shared
+# denominator c = n - k; betweenness and random walk return float64 scores.
+
+
+def _score_block_degree(k: _GraphKernels, subsets: np.ndarray, comp: np.ndarray) -> np.ndarray:
     touched = k.adj_bool[comp[:, :, None], subsets[:, None, :]].any(axis=2)
-    return [Fraction(int(x), c) for x in touched.sum(axis=1)]
+    return touched.sum(axis=1, dtype=np.int64)
 
 
-def _score_block_closeness(k: _GraphKernels, subsets: np.ndarray, comp: np.ndarray) -> list:
-    c = comp.shape[1]
+def _score_block_closeness(k: _GraphKernels, subsets: np.ndarray, comp: np.ndarray) -> np.ndarray:
     dist, _ = k.dist_sigma()
     d = dist[subsets[:, :, None], comp[:, None, :]].min(axis=1)
-    return [Fraction(int(x), c) for x in d.sum(axis=1, dtype=np.int64)]
+    return d.sum(axis=1, dtype=np.int64)
 
 
-def _score_block_betweenness(k: _GraphKernels, subsets: np.ndarray, comp: np.ndarray) -> list:
+def _score_block_betweenness(k: _GraphKernels, subsets: np.ndarray, comp: np.ndarray) -> np.ndarray:
     big, c = comp.shape
     if c < 2:
         # A single outside vertex leaves no outside pairs: every geodesic
         # between them is vacuously mediated, which is also what the
         # vertex-cover characterization needs (V minus one vertex always
         # covers every edge).
-        return [1.0] * big
+        return np.ones(big)
     dist, sigma = k.dist_sigma()
     if sigma is None:
         # Base-graph counts exceed the float64-exact range; use big integers.
-        return [_measures.group_betweenness(k.g, tuple(s)).value for s in subsets]
+        return np.array([_measures.group_betweenness(k.g, tuple(s)).value for s in subsets])
     a = k.adj[comp[:, :, None], comp[:, None, :]]
     try:
         d_sub, s_sub = _apsp_layers_batch(a)
     except _SigmaOverflow:
-        return [_measures.group_betweenness(k.g, tuple(s)).value for s in subsets]
+        return np.array([_measures.group_betweenness(k.g, tuple(s)).value for s in subsets])
     iu, iv = k.triu(c)
     rows, cols = comp[:, iu], comp[:, iv]
     avoid = np.where(
@@ -220,48 +261,17 @@ def _score_block_betweenness(k: _GraphKernels, subsets: np.ndarray, comp: np.nda
     # math.fsum: correctly rounded, so the score cannot depend on how
     # subsets were grouped into evaluation blocks (numpy reductions pick
     # shape-dependent summation orders).
-    return [2.0 * (pairs - math.fsum(row)) / (c * (c - 1)) for row in avoid]
+    return np.array([2.0 * (pairs - math.fsum(row)) / (c * (c - 1)) for row in avoid])
 
 
-def _score_block_randomwalk(k: _GraphKernels, subsets: np.ndarray, comp: np.ndarray) -> list:
+def _score_block_randomwalk(k: _GraphKernels, subsets: np.ndarray, comp: np.ndarray) -> np.ndarray:
     big, c = comp.shape
     p = k.transition()
     a = -p[comp[:, :, None], comp[:, None, :]]
     idx = np.arange(c)
     a[:, idx, idx] += 1.0
     h = np.linalg.solve(a, np.ones((big, c, 1)))[:, :, 0]
-    return [math.fsum(row) / c for row in h]
-
-
-def _apsp_layers_batch(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Layered distance/count recursion over a stack of adjacency matrices.
-
-    Each (c, c) slice runs the exact same recursion as
-    :func:`_apsp_layers`, so a subset's numbers do not depend on which
-    block it was evaluated in.
-    """
-    big, c, _ = a.shape
-    dist = np.full((big, c, c), -1, dtype=np.int16)
-    idx = np.arange(c)
-    dist[:, idx, idx] = 0
-    sigma = np.zeros((big, c, c))
-    sigma[:, idx, idx] = 1.0
-    frontier = sigma.copy()
-    guard = 2.0**53 / (2 * max(c, 2))
-    t = 0
-    while True:
-        t += 1
-        if frontier.max() > guard:
-            raise _SigmaOverflow
-        nxt = frontier @ a
-        newly = (dist < 0) & (nxt > 0)
-        if not newly.any():
-            break
-        dist[newly] = t
-        sigma[newly] = nxt[newly]
-        nxt *= newly
-        frontier = nxt
-    return dist, sigma
+    return np.array([math.fsum(row) / c for row in h])
 
 
 _BLOCK_SCORERS = {
@@ -274,106 +284,63 @@ _BLOCK_SCORERS = {
 _BLOCK = 512
 
 
-def _score_block(g: Graph, subsets: Sequence[tuple[int, ...]], measure: Measure) -> list:
+def _score_block(g: Graph, subsets: np.ndarray, measure: Measure) -> np.ndarray:
     kernels = _kernels_for(g)
-    arr = np.asarray(subsets, dtype=np.intp)
-    return _BLOCK_SCORERS[measure](kernels, arr, _complements_of(g.n, arr))
+    return _BLOCK_SCORERS[measure](kernels, subsets, _complements_of(g.n, subsets))
 
 
 def score_subset(g: Graph, subset: tuple[int, ...], measure: Measure):
-    """Raw comparable score (Fraction or float) used by the enumerator."""
-    return _score_block(g, [tuple(subset)], measure)[0]
+    """One subset's score as the enumerator ranks it: a Fraction for exact
+    measures, else a float."""
+    value = _score_block(g, np.asarray([subset], dtype=np.intp), measure)[0]
+    return Fraction(int(value), g.n - len(subset)) if measure.exact else float(value)
 
 
 # ---------------------------------------------------------------------------
 # Partitioned enumeration
 
 
-@dataclass
-class _PartialResult:
-    """Windowed optimum over one slice of the subset space."""
+def _blocks(k: int, leading: Iterable[int]) -> Iterator[np.ndarray]:
+    """Size-k subsets with the given largest elements, in colex order, as
+    arrays of at most ``_BLOCK`` rows."""
+    subsets = (rest + (b,) for b in leading for rest in colex_subsets(b, k - 1))
+    while block := list(islice(subsets, _BLOCK)):
+        yield np.asarray(block, dtype=np.intp)
 
-    best: object | None
-    candidates: list[tuple[object, tuple[int, ...]]]
+
+@dataclass
+class _Candidates:
+    """Scored subsets (a block, or what a scan kept) and the count evaluated to get them."""
+
+    values: np.ndarray
+    subsets: np.ndarray
     evaluated: int
 
 
-def _iter_partition_subsets(k: int, leading: Sequence[int]) -> Iterator[tuple[int, ...]]:
-    for b in leading:
-        for rest in colex_subsets(b, k - 1):
-            yield rest + (b,)
+def _absorb(acc: _Candidates | None, rows: _Candidates, ties: _TieWindow) -> _Candidates:
+    """Fold ``rows`` into ``acc``, keeping what lies in the keep window of the joint best.
+
+    Rows are a freshly scored block or another partition's candidates, so
+    the same step scans a partition and merges partitions.
+    """
+    if acc is not None:
+        rows = _Candidates(
+            np.concatenate((acc.values, rows.values)),
+            np.concatenate((acc.subsets, rows.subsets)),
+            acc.evaluated + rows.evaluated,
+        )
+    keep = ties.keep(rows.values, ties.best(rows.values))
+    return _Candidates(rows.values[keep], rows.subsets[keep], rows.evaluated)
 
 
-def _scan_partitions(
-    g: Graph, k: int, measure: Measure, leading: Sequence[int]
-) -> _PartialResult:
-    maximize = measure.maximize
-    exact = measure.exact
-    best = None
-    candidates: list[tuple[object, tuple[int, ...]]] = []
-    evaluated = 0
-
-    def absorb(block: list[tuple[int, ...]]) -> None:
-        nonlocal best, candidates, evaluated
-        values = _score_block(g, block, measure)
-        evaluated += len(block)
-        for value, subset in zip(values, block):
-            if best is None:
-                best = value
-                candidates = [(value, subset)]
-                continue
-            improved = value > best if maximize else value < best
-            if exact:
-                if improved:
-                    best = value
-                    candidates = [(value, subset)]
-                elif value == best:
-                    candidates.append((value, subset))
-            else:
-                if improved:
-                    best = value
-                    candidates = [
-                        (v, s) for v, s in candidates if _within_keep_window(v, best)
-                    ]
-                    candidates.append((value, subset))
-                elif _within_keep_window(value, best):
-                    candidates.append((value, subset))
-
-    block: list[tuple[int, ...]] = []
-    for subset in _iter_partition_subsets(k, leading):
-        block.append(subset)
-        if len(block) == _BLOCK:
-            absorb(block)
-            block = []
-    if block:
-        absorb(block)
-    return _PartialResult(best=best, candidates=candidates, evaluated=evaluated)
-
-
-def _merge_partials(
-    partials: Iterable[_PartialResult], measure: Measure
-) -> _PartialResult:
-    maximize = measure.maximize
-    best = None
-    merged: list[tuple[object, tuple[int, ...]]] = []
-    evaluated = 0
-    for part in partials:
-        evaluated += part.evaluated
-        if part.best is None:
-            continue
-        if best is None or (part.best > best if maximize else part.best < best):
-            best = part.best
-        merged.extend(part.candidates)
-    if best is not None and not measure.exact:
-        merged = [(v, s) for v, s in merged if _within_keep_window(v, best)]
-    return _PartialResult(best=best, candidates=merged, evaluated=evaluated)
-
-
-def _scan_task(args) -> _PartialResult:
-    g, k, measure, leading, tie_rel = args
-    global FLOAT_TIE_REL
-    FLOAT_TIE_REL = tie_rel  # propagate a CLI override into spawned workers
-    return _scan_partitions(g, k, measure, leading)
+def _scan_partitions(task: tuple[Graph, int, Measure, Sequence[int], float]) -> _Candidates:
+    """Windowed optimum over the subsets with the task's leading elements."""
+    g, k, measure, leading, tie_rel = task
+    ties = _TieWindow.of(measure, tie_rel)
+    acc = None
+    for block in _blocks(k, leading):
+        acc = _absorb(acc, _Candidates(_score_block(g, block, measure), block, len(block)), ties)
+    return acc
 
 
 @dataclass(frozen=True)
@@ -465,6 +432,7 @@ def optimumset(
     budget: int = DEFAULT_BUDGET,
     workers: int = 1,
     pool: ProcessPoolExecutor | None = None,
+    tie_rel: float = FLOAT_TIE_REL,
 ) -> OptimumResult:
     """Enumerate every size-k subset and return the optimum with all ties.
 
@@ -477,31 +445,36 @@ def optimumset(
         byte-identical for any value.
     pool : ProcessPoolExecutor, optional
         Reuse an existing pool (its size then caps effective parallelism).
+    tie_rel : float
+        Relative tolerance within which betweenness and random-walk scores
+        tie; in (0, 1).
     """
     if not is_connected(g):
         raise InputError("optimumset requires a connected graph")
     total = _check_enumeration_args(g, k, budget)
+    ties = _TieWindow.of(measure, tie_rel)
     start = time.perf_counter()
-    chunks = _leading_chunks(g.n, k, workers)
-    if (workers <= 1 and pool is None) or len(chunks) == 1:
-        partials = [_scan_partitions(g, k, measure, chunk) for chunk in chunks]
+    tasks = [(g, k, measure, chunk, tie_rel) for chunk in _leading_chunks(g.n, k, workers)]
+    if (workers <= 1 and pool is None) or len(tasks) == 1:
+        partials = map(_scan_partitions, tasks)
+    elif pool is not None:
+        partials = pool.map(_scan_partitions, tasks)
     else:
-        tasks = [(g, k, measure, chunk, FLOAT_TIE_REL) for chunk in chunks]
-        if pool is not None:
-            partials = list(pool.map(_scan_task, tasks))
-        else:
-            with ProcessPoolExecutor(max_workers=workers) as own:
-                partials = list(own.map(_scan_task, tasks))
-    merged = _merge_partials(partials, measure)
+        with ProcessPoolExecutor(max_workers=workers) as own:
+            partials = list(own.map(_scan_partitions, tasks))
+    merged = reduce(lambda acc, part: _absorb(acc, part, ties), partials, None)
     assert merged.evaluated == total
-    best = merged.best
-    ties = sorted(s for v, s in merged.candidates if _is_tie(v, best))
-    score = Score.from_fraction(best) if isinstance(best, Fraction) else Score(value=float(best))
+    best = ties.best(merged.values)
+    optimal = sorted(map(tuple, merged.subsets[ties.ties(merged.values, best)].tolist()))
+    if measure.exact:
+        score = Score.from_fraction(Fraction(int(best), g.n - k))
+    else:
+        score = Score(value=float(best))
     return OptimumResult(
         measure=measure,
         k=k,
         best=score,
-        optimal_sets=tuple(VertexSet(s) for s in ties),
+        optimal_sets=tuple(VertexSet(s) for s in optimal),
         evaluated=merged.evaluated,
         wall_time=time.perf_counter() - start,
     )
@@ -513,35 +486,30 @@ def optimumset_decision(
     measure: Measure,
     alpha: float,
     budget: int = DEFAULT_BUDGET,
+    tie_rel: float = FLOAT_TIE_REL,
 ) -> DecisionResult:
     """First subset (in colexicographic order) scoring exactly ``alpha``.
 
     Exact measures match ``alpha`` as a rational; floating-point measures
-    match within the tie tolerance.
+    match within the tie window of :func:`optimumset`.
     """
     if not is_connected(g):
         raise InputError("optimumset_decision requires a connected graph")
     _check_enumeration_args(g, k, budget)
-    target = Fraction(alpha).limit_denominator(10**12) if measure.exact else float(alpha)
-    block: list[tuple[int, ...]] = []
-
-    def first_match(block: list[tuple[int, ...]]) -> tuple[int, ...] | None:
-        for value, subset in zip(_score_block(g, block, measure), block):
-            if _is_tie(value, target):
-                return subset
-        return None
-
-    for subset in colex_subsets(g.n, k):
-        block.append(subset)
-        if len(block) == _BLOCK:
-            hit = first_match(block)
-            if hit is not None:
-                return DecisionResult(measure=measure, k=k, alpha=alpha, witness=VertexSet(hit))
-            block = []
-    if block:
-        hit = first_match(block)
-        if hit is not None:
-            return DecisionResult(measure=measure, k=k, alpha=alpha, witness=VertexSet(hit))
+    ties = _TieWindow.of(measure, tie_rel)
+    if measure.exact:
+        # Exact scores are numerators over n - k: only an integer one can match.
+        target = Fraction(alpha).limit_denominator(10**12) * (g.n - k)
+        if target.denominator != 1:
+            return DecisionResult(measure=measure, k=k, alpha=alpha, witness=None)
+        target = target.numerator
+    else:
+        target = float(alpha)
+    for block in _blocks(k, range(k - 1, g.n)):
+        hits = np.flatnonzero(ties.ties(_score_block(g, block, measure), target))
+        if hits.size:
+            witness = VertexSet(tuple(block[hits[0]].tolist()))
+            return DecisionResult(measure=measure, k=k, alpha=alpha, witness=witness)
     return DecisionResult(measure=measure, k=k, alpha=alpha, witness=None)
 
 
@@ -586,12 +554,13 @@ def cross_measure_report(
     workers: int = 1,
     pool: ProcessPoolExecutor | None = None,
     measures: Sequence[Measure] = MEASURE_ORDER,
+    tie_rel: float = FLOAT_TIE_REL,
 ) -> CrossMeasureReport:
     """Optimal sets per size and measure, in the layout of the result tables.
 
     For every k in 1..k_max and every requested measure, runs
-    :func:`optimumset`; also reports, per k, the Jaccard overlap between
-    the unions of optimal-set members of every measure pair.
+    :func:`optimumset` (with ``tie_rel``); also reports, per k, the Jaccard
+    overlap between the unions of optimal-set members of every measure pair.
     """
     if not 1 <= k_max < g.n:
         raise InputError(f"k_max must satisfy 1 <= k_max < n; got {k_max}, n={g.n}")
@@ -609,7 +578,9 @@ def cross_measure_report(
             pool = stack.enter_context(ProcessPoolExecutor(max_workers=workers))
         for k in range(1, k_max + 1):
             for m in measures:
-                cells[(k, m)] = optimumset(g, k, m, budget=budget, workers=workers, pool=pool)
+                cells[(k, m)] = optimumset(
+                    g, k, m, budget=budget, workers=workers, pool=pool, tie_rel=tie_rel
+                )
     jaccard: dict[tuple[int, Measure, Measure], float] = {}
     for k in range(1, k_max + 1):
         unions = {m: _optima_union(cells[(k, m)]) for m in measures}

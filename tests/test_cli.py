@@ -19,15 +19,6 @@ def schema() -> dict:
     return json.loads(text)
 
 
-@pytest.fixture(autouse=True)
-def _restore_tie_tolerance():
-    from gcentral import optimize
-
-    saved = optimize.FLOAT_TIE_REL
-    yield
-    optimize.FLOAT_TIE_REL = saved
-
-
 @pytest.fixture()
 def p2_file(tmp_path: Path) -> Path:
     path = tmp_path / "p2.edges"
@@ -303,3 +294,31 @@ class TestExitCodes:
             ["optimum", str(p2_file), "--k", "1", "--tolerance", "1e-9"],
         )
         assert code == 0
+
+    @pytest.mark.parametrize("value", ["2", "nan"])
+    def test_tolerance_out_of_range_exit_2(self, capsys, p2_file, value):
+        code, _, err = run(
+            capsys,
+            ["optimum", str(p2_file), "--k", "1", "--tolerance", value],
+        )
+        assert code == 2
+        assert "tie tolerance" in err
+
+    def test_tolerance_applies_to_its_run_only(self, capsys, p2_file):
+        argv = ["optimum", str(p2_file), "--k", "1", "--format", "json"]
+        code, out, _ = run(capsys, argv + ["--tolerance", "1e-3"])
+        assert code == 0
+        assert json.loads(out)["manifest"]["tolerances"]["float_tie_rel"] == 1e-3
+        code, out, _ = run(capsys, argv)
+        assert code == 0
+        assert '"float_tie_rel": 1e-09' in out
+
+    @pytest.mark.parametrize("body", ["a b inf\n", "a b 1e308\nb c 1e308\n"])
+    def test_unusable_weights_exit_2(self, capsys, tmp_path, body):
+        path = tmp_path / "w.edges"
+        path.write_text(body)
+        code, _, err = run(
+            capsys, ["centrality", str(path), "--weighted", "--set", "a"]
+        )
+        assert code == 2
+        assert "non-finite" in err or "overflows" in err

@@ -59,6 +59,24 @@ class TestLoadEdgeList:
         with pytest.raises(InputError, match="non-positive"):
             load_edge_list("0 1 -2", weighted=True)
 
+    @pytest.mark.parametrize("weight", ["inf", "-inf", "nan"])
+    def test_non_finite_weight_rejected(self, weight):
+        with pytest.raises(InputError, match="line 2: non-positive or non-finite"):
+            load_edge_list(f"a b 1\nb c {weight}\n")
+
+    def test_overflowing_weighted_degree_rejected(self):
+        # Each weight is finite, but b's weighted degree is not.
+        with pytest.raises(InputError, match="vertex 1 overflows"):
+            load_edge_list("a b 1e308\nb c 1e308\n")
+        # Every degree is finite, but their total is not.
+        with pytest.raises(InputError, match="total weighted degree overflows"):
+            load_edge_list("a b 1e308\nb c 1e-300\nc d 1e308\n")
+
+    def test_unicode_digits_are_names(self):
+        # "²".isdigit() is True, but it is not a vertex id.
+        g = load_edge_list("0 ²\n")
+        assert g.n == 2 and g.labels == ("0", "²")
+
     def test_weighted_requires_three_fields(self):
         with pytest.raises(InputError, match="line 1"):
             load_edge_list("0 1", weighted=True)
@@ -98,6 +116,10 @@ class TestLabelFile:
         with pytest.raises(InputError, match="duplicate"):
             parse_label_file("0\ta\n0\tb\n")
 
+    def test_negative_index_rejected(self):
+        with pytest.raises(InputError, match="label line 1: negative index -1"):
+            parse_label_file("-1\tneg\n0\ta\n1\tb\n")
+
     def test_fixture_labels_alphabetical(self, concept_labels):
         assert concept_labels == sorted(concept_labels)
         assert concept_labels[18] == "livingthing"
@@ -112,6 +134,16 @@ class TestGraphInvariants:
     def test_rejects_self_loop(self):
         with pytest.raises(InputError):
             Graph(2, [(1, 1)])
+
+    def test_rejects_non_finite_weight(self):
+        with pytest.raises(InputError, match="non-finite"):
+            Graph(2, [(0, 1)], [float("inf")])
+
+    def test_vertex_by_label_rejects_unicode_digit(self):
+        g = Graph(3, [(0, 1), (1, 2)])
+        assert g.vertex_by_label("2") == 2
+        with pytest.raises(InputError, match="unknown vertex"):
+            g.vertex_by_label("²")
 
     def test_neighbors_symmetric(self):
         g = load_edge_list("0 1\n1 2")
