@@ -13,7 +13,6 @@ from .errors import (
     TruncationError,
 )
 from .graph import (
-    DistanceField,
     Graph,
     PathCounts,
     VertexSet,

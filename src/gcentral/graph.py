@@ -9,14 +9,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable, Iterator, Sequence
+
+import numpy as np
 
 from .errors import InputError
 
 __all__ = [
     "Graph",
     "VertexSet",
-    "DistanceField",
     "PathCounts",
     "as_vertex_set",
     "load_edge_list",
@@ -35,10 +37,13 @@ class Graph:
     Vertex ids are the integers ``0..n-1``.  Edges are stored once as
     ``(u, v)`` pairs with ``u < v``; neighbor queries are symmetric.
     Construction validates simplicity (no self-loops, no duplicates) and
-    positive finite weights and weighted degrees, then freezes adjacency.
+    positive finite weights and weighted degrees, then freezes adjacency:
+    neighbor tuples for the pure-Python traversals, and a read-only CSR
+    layout (row pointers ``_indptr``, neighbor ids ``_indices``, per-slot
+    weights ``_slot_w``, in ``neighbors(v)`` order) for the numpy kernels.
     """
 
-    __slots__ = ("n", "edges", "weights", "labels", "_adj", "_adj_w", "_hash")
+    __slots__ = ("n", "edges", "weights", "labels", "_adj", "_indptr", "_indices", "_slot_w", "_hash")
 
     def __init__(
         self,
@@ -65,11 +70,9 @@ class Graph:
         order = sorted(range(len(edge_list)), key=lambda i: edge_list[i])
         edge_list = [edge_list[i] for i in order]
         weight_list = [weight_list[i] for i in order]
-        seen: set[tuple[int, int]] = set()
-        for e in edge_list:
-            if e in seen:
+        for e, after in zip(edge_list, edge_list[1:]):
+            if e == after:
                 raise InputError(f"duplicate edge {e}")
-            seen.add(e)
         for e, w in zip(edge_list, weight_list):
             if not 0 < w < math.inf:
                 raise InputError(f"non-positive or non-finite weight {w} on edge {e}")
@@ -96,7 +99,11 @@ class Graph:
         self.weights = tuple(weight_list)
         self.labels = labels
         self._adj = tuple(tuple(a) for a in adj)
-        self._adj_w = tuple(tuple(a) for a in adj_w)
+        self._indptr = np.cumsum([0] + [len(a) for a in adj])
+        self._indices = np.fromiter(chain.from_iterable(adj), dtype=np.intp)
+        self._slot_w = np.fromiter(chain.from_iterable(adj_w), dtype=float)
+        for a in (self._indptr, self._indices, self._slot_w):
+            a.flags.writeable = False
         self._hash = hash((n, self.edges, self.weights, self.labels))
 
     @property
@@ -111,7 +118,7 @@ class Graph:
 
     def neighbor_weights(self, v: int) -> tuple[float, ...]:
         """Weights parallel to ``neighbors(v)``."""
-        return self._adj_w[v]
+        return tuple(self._slot_w[self._indptr[v] : self._indptr[v + 1]].tolist())
 
     def is_unweighted(self) -> bool:
         return all(w == 1.0 for w in self.weights)
@@ -208,9 +215,6 @@ class DistanceField:
     source: VertexSet
     dist: tuple[int, ...]
 
-    def total(self) -> int:
-        return sum(self.dist)
-
 
 @dataclass(frozen=True)
 class PathCounts:
@@ -280,23 +284,13 @@ def load_edge_list(
         if not body:
             continue
         parts = body.split()
-        if weighted:
-            if len(parts) != 3:
-                raise InputError(f"line {lineno}: expected 'u v w', got {body!r}")
-            try:
-                w = float(parts[2])
-            except ValueError as exc:
-                raise InputError(f"line {lineno}: bad weight {parts[2]!r}") from exc
-        else:
-            if len(parts) == 3:
-                try:
-                    w = float(parts[2])
-                except ValueError as exc:
-                    raise InputError(f"line {lineno}: bad weight {parts[2]!r}") from exc
-            elif len(parts) == 2:
-                w = 1.0
-            else:
-                raise InputError(f"line {lineno}: expected 'u v [w]', got {body!r}")
+        if len(parts) != 3 and (weighted or len(parts) != 2):
+            form = "'u v w'" if weighted else "'u v [w]'"
+            raise InputError(f"line {lineno}: expected {form}, got {body!r}")
+        try:
+            w = float(parts[2]) if len(parts) == 3 else 1.0
+        except ValueError as exc:
+            raise InputError(f"line {lineno}: bad weight {parts[2]!r}") from exc
         if not 0 < w < math.inf:
             raise InputError(f"line {lineno}: non-positive or non-finite weight {w}")
         raw.append((parts[0], parts[1], w, lineno))
@@ -356,12 +350,12 @@ def parse_label_file(text: str) -> list[str]:
         if "\t" not in body:
             raise InputError(f"label line {lineno}: expected 'index<TAB>label'")
         idx_s, label = body.split("\t", 1)
-        try:
-            idx = int(idx_s)
-        except ValueError as exc:
-            raise InputError(f"label line {lineno}: bad index {idx_s!r}") from exc
-        if idx < 0:
-            raise InputError(f"label line {lineno}: negative index {idx}")
+        # int() would also take signs, spaces, underscores and Unicode digits.
+        if not (idx_s.isascii() and idx_s.isdigit()):
+            negative = idx_s[:1] == "-" and idx_s[1:].isascii() and idx_s[1:].isdigit()
+            what = f"negative index {idx_s}" if negative else f"bad index {idx_s!r}"
+            raise InputError(f"label line {lineno}: {what}")
+        idx = int(idx_s)
         if idx in entries:
             raise InputError(f"label line {lineno}: duplicate index {idx}")
         entries[idx] = label.strip()
@@ -446,4 +440,4 @@ def weighted_degree(g: Graph, u: int) -> float:
     """Sum of incident edge weights; equals the degree when unweighted."""
     if not 0 <= u < g.n:
         raise InputError(f"vertex {u} outside graph")
-    return sum(g._adj_w[u])
+    return sum(g.neighbor_weights(u))

@@ -171,11 +171,8 @@ class _GraphKernels:
 
     def __init__(self, g: Graph):
         self.g = g
-        n = g.n
-        adj = np.zeros((n, n))
-        for u, v in g.edges:
-            adj[u, v] = 1.0
-            adj[v, u] = 1.0
+        adj = np.zeros((g.n, g.n))
+        adj[np.repeat(np.arange(g.n), np.diff(g._indptr)), g._indices] = 1.0
         self.adj = adj
         self.adj_bool = adj > 0
         self._dist: np.ndarray | None = None

@@ -17,13 +17,17 @@ two independent ways, which must agree:
     build that graph's fundamental matrix ``Z = (I - (P - Pinf))^-1`` and
     read hitting times to the merged vertex off ``Z``.  Kept as an
     executable statement of the contraction identity.
+
+One CSR step table (:class:`_StepTable`) serves every walk: the transition
+matrix scatters its probabilities, and Monte Carlo and the sampler in
+:mod:`gcentral.sampling` search its cumulative rows, without an n x n array.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 import numpy as np
 import scipy.linalg
@@ -63,6 +67,42 @@ _FUNDAMENTAL_RESIDUAL = 1e-8
 _ABSORBING_RESIDUAL = 1e-7
 
 
+class _StepTable(NamedTuple):
+    """Per CSR slot of a graph: the owning vertex u, the step probability
+    ``w / w.sum()`` over u's row, the row's cumulative sum normalised by its
+    last entry (ending at exactly 1.0), and that sum shifted by ``2u``."""
+
+    rows: np.ndarray
+    prob: np.ndarray
+    cum: np.ndarray
+    keys: np.ndarray
+
+
+def _step_table(g: Graph) -> _StepTable:
+    deg = np.diff(g._indptr)
+    if not deg.all():
+        raise InputError(f"vertex {int(np.argmin(deg))} is isolated; the walk is undefined")
+    rows = np.repeat(np.arange(g.n), deg)
+    prob, cum = np.empty(rows.size), np.empty(rows.size)
+    # One degree at a time: numpy reduces each row of a 2-D block exactly as
+    # it reduces that row alone, so the bits match a per-vertex loop.
+    for d in np.unique(deg):
+        slots = g._indptr[:-1][deg == d, None] + np.arange(d)
+        w = g._slot_w[slots]
+        prob[slots] = p = w / w.sum(axis=1, keepdims=True)
+        c = np.cumsum(p, axis=1)
+        cum[slots] = c / c[:, -1:]
+    return _StepTable(rows, prob, cum, cum + 2.0 * rows)
+
+
+def _walk_step(g: Graph, keys: np.ndarray, u: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """Next vertices from ``u`` for draws ``r`` in [0, 1): the first slot whose
+    key exceeds ``2u + r``, clamped to the row's last slot for when that sum
+    rounds up to ``2u + 1``."""
+    slot = np.searchsorted(keys, 2.0 * u + r, side="right")
+    return g._indices[np.minimum(slot, g._indptr[u + 1] - 1)]
+
+
 def transition_matrix(g: Graph) -> np.ndarray:
     """Row-stochastic dense transition matrix of the weighted walk.
 
@@ -71,14 +111,9 @@ def transition_matrix(g: Graph) -> np.ndarray:
     P : ndarray, shape (n, n)
         ``P[u, v] = w(uv) / w(u)`` for edges, 0 elsewhere; zero diagonal.
     """
-    n = g.n
-    p = np.zeros((n, n))
-    for u in range(n):
-        nbrs = g.neighbors(u)
-        if not nbrs:
-            raise InputError(f"vertex {u} is isolated; the walk is undefined")
-        w = np.asarray(g.neighbor_weights(u))
-        p[u, list(nbrs)] = w / w.sum()
+    rows, prob, _, _ = _step_table(g)
+    p = np.zeros((g.n, g.n))
+    p[rows, g._indices] = prob
     return p
 
 
@@ -310,20 +345,6 @@ def group_randomwalk(g: Graph, s: VertexSet | Iterable[int]) -> Score:
     return Score(value=sol.mean_outside(g.n))
 
 
-def _cumulative_rows(p: np.ndarray) -> np.ndarray:
-    """Per-row inverse-CDF table flattened for a single searchsorted call.
-
-    Row ``s`` is shifted by ``2 s`` so the key ``2 s + r`` lands inside the
-    block of state ``s``; renormalizing each row by its final cumulative sum
-    pins trailing plateaus at exactly 1.0 so zero-probability vertices are
-    never selected.
-    """
-    cum = np.cumsum(p, axis=1)
-    cum /= cum[:, -1:]
-    n = p.shape[0]
-    return (cum + 2.0 * np.arange(n)[:, None]).ravel()
-
-
 def monte_carlo_hitting(
     g: Graph,
     s: VertexSet | Iterable[int],
@@ -348,7 +369,7 @@ def monte_carlo_hitting(
         max_steps = 100 * g.n * g.n
     n = g.n
     comp = np.array(vs.complement(n), dtype=np.int64)
-    flat = _cumulative_rows(transition_matrix(g))
+    keys = _step_table(g).keys
     is_target = np.zeros(n, dtype=bool)
     is_target[list(vs.members)] = True
 
@@ -357,8 +378,7 @@ def monte_carlo_hitting(
     steps = np.zeros(state.size, dtype=np.int64)
     alive = np.arange(state.size)
     for step in range(1, max_steps + 1):
-        keys = 2.0 * state[alive] + rng.random(alive.size)
-        nxt = np.searchsorted(flat, keys, side="right") - state[alive] * n
+        nxt = _walk_step(g, keys, state[alive], rng.random(alive.size))
         state[alive] = nxt
         hit = is_target[nxt]
         steps[alive[hit]] = step
@@ -403,16 +423,13 @@ def monte_carlo_hitting(
 class BoundCheck:
     """Evaluation of the degree/closeness bound on the group score.
 
-    ``lhs`` is the group random-walk score, ``mid`` the fully determined
+    ``lhs`` is the group random-walk score and ``mid`` the fully determined
     middle expression ``(sum of set distances)(sum of outside degrees) /
-    |outside|``, and ``rhs`` the cubic envelope ``|outside|^3`` reported
-    with its existential constant left at 1 for reference only.  ``holds``
-    checks ``lhs <= mid`` with 1e-9 slack.
+    |outside|``.  ``holds`` checks ``lhs <= mid`` with 1e-9 slack.
     """
 
     lhs: float
     mid: float
-    rhs: float
     holds: bool
 
 
@@ -432,4 +449,4 @@ def check_upper_bound(g: Graph, s: VertexSet | Iterable[int]) -> BoundCheck:
     sum_dist = sum(dist[v] for v in comp)
     sum_deg = sum(g.degree(v) for v in comp)
     mid = sum_dist * sum_deg / len(comp)
-    return BoundCheck(lhs=lhs, mid=mid, rhs=float(len(comp)) ** 3, holds=lhs <= mid + 1e-9)
+    return BoundCheck(lhs=lhs, mid=mid, holds=lhs <= mid + 1e-9)

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import InputError, SamplingBudgetError
 from .graph import Graph, VertexSet
-from .randomwalk import RNG_NAME
+from .randomwalk import RNG_NAME, _step_table
 
 __all__ = [
     "SampleConfig",
@@ -97,18 +97,10 @@ def random_walk_sample(g: Graph, cfg: SampleConfig) -> SampleResult:
         raise InputError(f"graph has {g.n} < target_nodes={cfg.target_nodes} vertices")
     rng = np.random.Generator(np.random.PCG64(cfg.seed))
     start = int(rng.integers(g.n))
-    # Per-vertex cumulative neighbor weights for weighted steps.
-    cum = []
-    for v in range(g.n):
-        w = np.asarray(g.neighbor_weights(v))
-        if w.size == 0:
-            raise InputError(f"vertex {v} is isolated; the walk is undefined")
-        c = np.cumsum(w)
-        c /= c[-1]
-        cum.append(c)
+    cum = _step_table(g).cum
+    bounds = g._indptr.tolist()
 
     visited: set[int] = {start}
-    order = [start]
     current = start
     steps = 0
     while len(visited) < cfg.target_nodes:
@@ -122,11 +114,9 @@ def random_walk_sample(g: Graph, cfg: SampleConfig) -> SampleResult:
         if rng.random() < cfg.restart_probability:
             current = start
             continue
-        nbrs = g.neighbors(current)
-        current = nbrs[int(np.searchsorted(cum[current], rng.random(), side="right"))]
-        if current not in visited:
-            visited.add(current)
-            order.append(current)
+        row = cum[bounds[current] : bounds[current + 1]]
+        current = g.neighbors(current)[int(np.searchsorted(row, rng.random(), side="right"))]
+        visited.add(current)
 
     keep = _largest_component(g, visited)
     original_ids = tuple(sorted(keep))

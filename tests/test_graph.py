@@ -120,6 +120,12 @@ class TestLabelFile:
         with pytest.raises(InputError, match="label line 1: negative index -1"):
             parse_label_file("-1\tneg\n0\ta\n1\tb\n")
 
+    @pytest.mark.parametrize("index", ["\u0661", "+1", " 1", "1 ", "0_1", "1_0", "-0"])
+    def test_index_must_be_ascii_digits(self, index):
+        # int() reads these as 1, 1, 1, 1, 1, 10 and 0.
+        with pytest.raises(InputError, match="label line 2: (bad|negative) index"):
+            parse_label_file(f"0\ta\n{index}\tb\n")
+
     def test_fixture_labels_alphabetical(self, concept_labels):
         assert concept_labels == sorted(concept_labels)
         assert concept_labels[18] == "livingthing"

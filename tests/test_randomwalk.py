@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,6 +14,8 @@ from gcentral.graph import Graph
 from gcentral.randomwalk import (
     ROUTE_ABSORBING,
     ROUTE_CONTRACTION,
+    _step_table,
+    _walk_step,
     check_upper_bound,
     contract,
     fundamental_matrix,
@@ -38,6 +42,13 @@ def k2() -> Graph:
     return Graph(2, [(0, 1)])
 
 
+def weighted_wheel() -> Graph:
+    """Hub 0 of degree 10 with weights 0.15..1.05, a unit rim, and vertex 11 on 1 and 6."""
+    edges = [(0, i) for i in range(1, 11)] + [(i, i % 10 + 1) for i in range(1, 11)]
+    weights = [0.1 * i + 0.05 for i in range(1, 11)] + [1.0] * 10
+    return Graph(12, edges + [(1, 11), (6, 11)], weights + [0.3, 2.5])
+
+
 class TestTransitionMatrix:
     def test_rows_stochastic_zero_diagonal(self):
         rng = np.random.Generator(np.random.PCG64(41))
@@ -55,6 +66,57 @@ class TestTransitionMatrix:
         p = transition_matrix(star_graph(3))
         assert p[0, 1] == pytest.approx(1 / 3)
         assert p[1, 0] == 1.0
+
+    def test_weighted_values_pinned(self):
+        # Exact bits of an earlier release; a change means w / w.sum() moved.
+        p = transition_matrix(weighted_wheel())
+        assert p[0].tolist() == [
+            0.0, 0.025000000000000005, 0.041666666666666664, 0.05833333333333334, 0.075,
+            0.09166666666666667, 0.10833333333333335, 0.12500000000000003,
+            0.1416666666666667, 0.15833333333333335, 0.17500000000000002, 0.0,
+        ]
+        digest = hashlib.sha256(p.tobytes()).hexdigest()
+        assert digest == "011f5e6da71776cf313695474eb7bb4e3e565d6bad4e8b8d6749440438cb66a1"
+
+
+class TestWalkStep:
+    @pytest.mark.parametrize(
+        "g", [path_graph(5), star_graph(6), weighted_wheel()], ids=["path", "star", "wheel"]
+    )
+    def test_extreme_draws_pick_first_and_last_neighbor(self, g):
+        keys = _step_table(g).keys
+        for u in g.vertices():
+            nbrs = g.neighbors(u)
+            for r, want in ((0.0, nbrs[0]), (np.nextafter(1.0, 0.0), nbrs[-1])):
+                # For u >= 1 the key 2u + r rounds up to 2u + 1 at the top draw.
+                step = _walk_step(g, keys, np.array([u]), np.array([r]))
+                assert step.tolist() == [want], (u, r)
+
+    def test_step_table_matches_per_vertex_loop(self):
+        rng = np.random.Generator(np.random.PCG64(47))
+        star = Graph(201, [(0, i) for i in range(1, 201)], list(rng.uniform(0.1, 9.0, 200)))
+        dense = random_connected_graph(rng, 40, extra_edge_prob=0.5, weighted=True)
+        for g in (weighted_wheel(), star, dense):
+            table = _step_table(g)
+            for u in g.vertices():
+                w = np.asarray(g.neighbor_weights(u))
+                p = w / w.sum()
+                c = np.cumsum(p)
+                row = slice(g._indptr[u], g._indptr[u + 1])
+                assert np.array_equal(table.prob[row], p)
+                assert np.array_equal(table.cum[row], c / c[-1])
+                assert table.cum[row][-1] == 1.0
+
+    def test_monte_carlo_allocates_no_dense_table(self):
+        # A dense n x n inverse-CDF table took about 206 MB here.
+        g = star_graph(3000)
+        tracemalloc.start()
+        try:
+            monte_carlo_hitting(g, [0], walks_per_source=1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
 
 
 class TestStationary:
@@ -293,6 +355,27 @@ class TestMonteCarlo:
         assert a.h == b.h and a.stderr == b.stderr
         c = monte_carlo_hitting(path_graph(4), [3], walks_per_source=2_000, seed=18)
         assert a.h != c.h
+
+    def test_seeded_values_pinned(self):
+        # Exact outputs of an earlier release: the walk stream and the step
+        # lookup must not move for an existing seed.
+        sol = monte_carlo_hitting(path_graph(4), [3], walks_per_source=2_000, seed=17)
+        assert sol.h == (9.155, 8.154, 5.178, 0.0)
+        assert sol.stderr == (0.15459281020954446, 0.15302892185944045, 0.14776019266794635, 0.0)
+
+    def test_weighted_seeded_values_pinned(self):
+        sol = monte_carlo_hitting(weighted_wheel(), [0, 11], walks_per_source=300, seed=23)
+        assert sol.h == (
+            0.0, 5.02, 5.653333333333333, 5.526666666666666, 4.64, 3.7666666666666666,
+            2.3033333333333332, 3.183333333333333, 3.3266666666666667, 3.3966666666666665,
+            3.85, 0.0,
+        )
+        assert sol.stderr == (
+            0.0, 0.2438971949296206, 0.2509279693103921, 0.2351684485267104,
+            0.21167485214906842, 0.1779878450457244, 0.15115300695801226,
+            0.15150367342760607, 0.17207458218966795, 0.16820240059511818,
+            0.2369033313522566, 0.0,
+        )
 
     def test_truncation_error(self):
         with pytest.raises(TruncationError):

@@ -67,6 +67,20 @@ class TestRandomWalkSample:
         assert digest == "529e780679a6756963748ccf038ed0439aaa2e0c1109061b39e085c064c849bb"
         assert a.original_ids[:5] == (3, 4, 18, 36, 39)
 
+    def test_weighted_sample_pinned(self):
+        # Exact output of an earlier release on a weighted graph whose
+        # vertices all have degree 6 or more.
+        rng = np.random.Generator(np.random.PCG64(20261019))
+        g = random_connected_graph(rng, 60, extra_edge_prob=0.15, weighted=True)
+        assert min(g.degree(v) for v in g.vertices()) >= 5
+        result = random_walk_sample(g, SampleConfig(target_nodes=25, seed=5))
+        assert result.original_ids == (
+            0, 2, 4, 7, 8, 13, 14, 15, 19, 20, 21, 22, 23, 24, 25, 28, 31, 34, 40, 41,
+            46, 47, 48, 49, 53,
+        )
+        digest = hashlib.sha256(format_edge_list(result.graph).encode()).hexdigest()
+        assert digest == "3f0873af275129e54738da2127fb0a93346bc7e8b39e867e60658861f3c77c24"
+
     def test_different_seed_changes_sample(self):
         rng = np.random.Generator(np.random.PCG64(20240903))
         g = random_connected_graph(rng, 200, extra_edge_prob=0.02)
