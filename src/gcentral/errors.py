@@ -1,14 +1,23 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and the memory limit.
 
 Each maps to a CLI exit code: input problems exit 2, enumeration budget
-overruns exit 3, numerical failures exit 4.
+and memory overruns exit 3, numerical failures exit 4.
 """
 
 from __future__ import annotations
 
+import copyreg
+
+#: Bytes one search process or one Monte Carlo run may allocate for its arrays.
+MEMORY_LIMIT = 1 << 30
+
 
 class GCentralError(Exception):
     """Base class for all package-specific errors."""
+
+    def __reduce__(self):
+        # Rebuilt without __init__, so an error raised in a pool worker unpickles.
+        return copyreg.__newobj__, (type(self), *self.args), self.__dict__
 
 
 class InputError(GCentralError):
@@ -16,11 +25,21 @@ class InputError(GCentralError):
 
 
 class BudgetExceededError(GCentralError):
-    """Subset enumeration would exceed the configured budget."""
+    """A run would exceed the subset budget, or the memory limit (``subsets`` None)."""
 
-    def __init__(self, message: str, subsets: int):
+    def __init__(self, message: str, subsets: int | None = None):
         super().__init__(message)
         self.subsets = subsets
+
+
+def check_memory(needed: int, what: str) -> int:
+    """Bytes left under MEMORY_LIMIT after ``needed``; BudgetExceededError if none."""
+    if needed > MEMORY_LIMIT:
+        raise BudgetExceededError(
+            f"{what} needs about {needed / 2**20:.0f} MiB, above the "
+            f"{MEMORY_LIMIT / 2**20:.0f} MiB memory limit"
+        )
+    return MEMORY_LIMIT - needed
 
 
 class NumericalError(GCentralError):

@@ -4,11 +4,12 @@ Subsets are enumerated in colexicographic order and scored in blocks;
 the global optimum is returned together with the *complete* list of tying
 sets, since several measures routinely produce many co-optimal groups.
 
-Degree and closeness blocks score as integer numerators over the shared
-denominator n - k, so their ties are exact equalities; betweenness and
-random-walk scores are floats tied within a relative tolerance (default
-1e-9, passed per run as ``tie_rel``), so floating-point noise can neither
-fabricate nor destroy a tie.
+Each search builds the arrays its measure reads once (:func:`_block_scorer`).
+Degree and closeness score from the members' rows as integer numerators
+over n - k, so their ties are exact equalities; betweenness and random walk
+score from the complement as floats tied within a relative tolerance
+(default 1e-9, passed per run as ``tie_rel``), so floating-point noise can
+neither fabricate nor destroy a tie.
 
 One reduction, :func:`_absorb`, keeps the scored subsets within a window of
 the best score seen; it folds each scored block into a partition's result
@@ -27,13 +28,13 @@ from concurrent.futures import ProcessPoolExecutor
 from contextlib import ExitStack
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, reduce
+from functools import reduce
 from itertools import islice
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .errors import BudgetExceededError, InputError
+from .errors import BudgetExceededError, InputError, check_memory
 from .graph import Graph, VertexSet, bfs_counts, is_connected
 from .measures import Measure, Score
 from . import measures as _measures
@@ -124,9 +125,9 @@ def colex_subsets(n: int, k: int) -> Iterator[tuple[int, ...]]:
 
 
 # ---------------------------------------------------------------------------
-# Evaluation kernels.  Dense numpy implementations of the same complement-
-# route semantics as gcentral.measures; the reference implementations there
-# stay the normative ones and the test suite pins the two together.
+# Evaluation kernels.  Dense numpy implementations of the measures in
+# gcentral.measures; the reference implementations there stay the normative
+# ones and the test suite pins the two together.
 
 
 class _SigmaOverflow(Exception):
@@ -166,47 +167,20 @@ def _apsp_layers_batch(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return dist, sigma
 
 
-class _GraphKernels:
-    """Per-graph dense arrays shared by every subset evaluation."""
-
-    def __init__(self, g: Graph):
-        self.g = g
-        adj = np.zeros((g.n, g.n))
-        adj[np.repeat(np.arange(g.n), np.diff(g._indptr)), g._indices] = 1.0
-        self.adj = adj
-        self.adj_bool = adj > 0
-        self._dist: np.ndarray | None = None
-        self._sigma: np.ndarray | None = None
-        self._p: np.ndarray | None = None
-        self._triu: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-
-    def dist_sigma(self) -> tuple[np.ndarray, np.ndarray | None]:
-        """Base distances and path counts; counts are None when they exceed
-        the float64-exact range (betweenness then takes the big-int route)."""
-        if self._dist is None:
-            try:
-                dist, sigma = _apsp_layers_batch(self.adj[None])
-                self._dist, self._sigma = dist[0], sigma[0]
-            except _SigmaOverflow:
-                dist = [bfs_counts(self.g._adj, u)[0] for u in range(self.g.n)]
-                self._dist = np.asarray(dist, dtype=np.int16)
-                self._sigma = None
-        return self._dist, self._sigma
-
-    def transition(self) -> np.ndarray:
-        if self._p is None:
-            self._p = transition_matrix(self.g)
-        return self._p
-
-    def triu(self, c: int) -> tuple[np.ndarray, np.ndarray]:
-        if c not in self._triu:
-            self._triu[c] = np.triu_indices(c, 1)
-        return self._triu[c]
+def _adjacency(g: Graph, dtype) -> np.ndarray:
+    a = np.zeros((g.n, g.n), dtype=dtype)
+    a[np.repeat(np.arange(g.n), np.diff(g._indptr)), g._indices] = 1
+    return a
 
 
-@lru_cache(maxsize=8)
-def _kernels_for(g: Graph) -> _GraphKernels:
-    return _GraphKernels(g)
+def _dist_sigma(g: Graph, adj: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+    """Base distances and path counts; counts are None past the float64-exact range."""
+    try:
+        dist, sigma = _apsp_layers_batch(adj[None])
+        return dist[0], sigma[0]
+    except _SigmaOverflow:
+        dist = [bfs_counts(g._adj, u)[0] for u in range(g.n)]
+        return np.asarray(dist, dtype=np.int16), None
 
 
 def _complements_of(n: int, subsets: np.ndarray) -> np.ndarray:
@@ -217,79 +191,90 @@ def _complements_of(n: int, subsets: np.ndarray) -> np.ndarray:
     return np.nonzero(mask)[1].reshape(big, n - subsets.shape[1])
 
 
-# Degree and closeness blocks return integer numerators over the shared
-# denominator c = n - k; betweenness and random walk return float64 scores.
+_BLOCK = 512
 
 
-def _score_block_degree(k: _GraphKernels, subsets: np.ndarray, comp: np.ndarray) -> np.ndarray:
-    touched = k.adj_bool[comp[:, :, None], subsets[:, None, :]].any(axis=2)
-    return touched.sum(axis=1, dtype=np.int64)
-
-
-def _score_block_closeness(k: _GraphKernels, subsets: np.ndarray, comp: np.ndarray) -> np.ndarray:
-    dist, _ = k.dist_sigma()
-    d = dist[subsets[:, :, None], comp[:, None, :]].min(axis=1)
-    return d.sum(axis=1, dtype=np.int64)
-
-
-def _score_block_betweenness(k: _GraphKernels, subsets: np.ndarray, comp: np.ndarray) -> np.ndarray:
-    big, c = comp.shape
-    if c < 2:
+def _block_scorer(g: Graph, k: int, measure: Measure) -> tuple[Callable[[np.ndarray], np.ndarray], int]:
+    """The function scoring a block of size-k subsets, built once per search,
+    and the rows a block may take: as many as fit under the memory limit
+    beside the per-graph arrays, up to ``_BLOCK``.  Both are sized from their
+    dtypes before anything is allocated.  Degree and closeness score as
+    integer numerators over c = n - k; betweenness and random walk as floats.
+    """
+    n, c, slots = g.n, g.n - k, g._indices.size
+    if measure is Measure.BETWEENNESS and c < 2:
         # A single outside vertex leaves no outside pairs: every geodesic
         # between them is vacuously mediated, which is also what the
         # vertex-cover characterization needs (V minus one vertex always
         # covers every edge).
-        return np.ones(big)
-    dist, sigma = k.dist_sigma()
-    if sigma is None:
-        # Base-graph counts exceed the float64-exact range; use big integers.
-        return np.array([_measures.group_betweenness(k.g, tuple(s)).value for s in subsets])
-    a = k.adj[comp[:, :, None], comp[:, None, :]]
-    try:
-        d_sub, s_sub = _apsp_layers_batch(a)
-    except _SigmaOverflow:
-        return np.array([_measures.group_betweenness(k.g, tuple(s)).value for s in subsets])
-    iu, iv = k.triu(c)
-    rows, cols = comp[:, iu], comp[:, iv]
-    avoid = np.where(
-        d_sub[:, iu, iv] == dist[rows, cols], s_sub[:, iu, iv] / sigma[rows, cols], 0.0
-    )
-    pairs = iu.size
-    # math.fsum: correctly rounded, so the score cannot depend on how
-    # subsets were grouped into evaluation blocks (numpy reductions pick
-    # shape-dependent summation orders).
-    return np.array([2.0 * (pairs - math.fsum(row)) / (c * (c - 1)) for row in avoid])
+        return (lambda subsets: np.ones(len(subsets))), _BLOCK
+    # Bytes per graph and per block row.  A layered all-pairs pass holds 45
+    # per vertex pair: five float64 and one int16 array and three bool masks.
+    graph_bytes, row_bytes = {
+        Measure.DEGREE: (n * n + 8 * slots, (k + 1) * n),
+        Measure.CLOSENESS: (45 * n * n + 8 * slots, 2 * (k + 1) * n),
+        # Per row: the complement's layered pass, then the pair gathers.
+        Measure.BETWEENNESS: (45 * n * n + 8 * slots + 9 * c * c, 48 * c * c),
+        # The transition matrix and its step table; the system and the solver's copy.
+        Measure.RANDOMWALK: (8 * n * n + 32 * slots, 16 * c * c),
+    }[measure]
+    left = check_memory(graph_bytes + row_bytes, f"the {measure.value} search at k={k} on {n} vertices")
+    block_rows = min(_BLOCK, 1 + left // row_bytes)
 
+    if measure is Measure.DEGREE:
+        touches = _adjacency(g, bool)
 
-def _score_block_randomwalk(k: _GraphKernels, subsets: np.ndarray, comp: np.ndarray) -> np.ndarray:
-    big, c = comp.shape
-    p = k.transition()
-    a = -p[comp[:, :, None], comp[:, None, :]]
-    idx = np.arange(c)
-    a[:, idx, idx] += 1.0
-    h = np.linalg.solve(a, np.ones((big, c, 1)))[:, :, 0]
-    return np.array([math.fsum(row) / c for row in h])
+        def score(subsets: np.ndarray) -> np.ndarray:
+            # Vertices next to a member, members cleared: the outside ones reached.
+            reached = touches[subsets].any(axis=1)
+            reached[np.arange(len(subsets))[:, None], subsets] = False
+            return reached.sum(axis=1, dtype=np.int64)
 
+    elif measure is Measure.RANDOMWALK:
+        p = transition_matrix(g)
+        idx = np.arange(c)
 
-_BLOCK_SCORERS = {
-    Measure.DEGREE: _score_block_degree,
-    Measure.CLOSENESS: _score_block_closeness,
-    Measure.BETWEENNESS: _score_block_betweenness,
-    Measure.RANDOMWALK: _score_block_randomwalk,
-}
+        def score(subsets: np.ndarray) -> np.ndarray:
+            comp = _complements_of(n, subsets)
+            a = -p[comp[:, :, None], comp[:, None, :]]
+            a[:, idx, idx] += 1.0
+            h = np.linalg.solve(a, np.ones((len(comp), c, 1)))[:, :, 0]
+            return np.array([math.fsum(row) / c for row in h])
 
-_BLOCK = 512
+    else:
+        adj = _adjacency(g, float)
+        dist, sigma = _dist_sigma(g, adj)
+        if measure is Measure.CLOSENESS:
+            # A member is at distance 0, so the sum over all vertices is the outside sum.
+            return (lambda subsets: dist[subsets].min(axis=1).sum(axis=1, dtype=np.int64)), block_rows
+        iu, iv = np.triu_indices(c, 1)
 
+        def score(subsets: np.ndarray) -> np.ndarray:
+            if sigma is None:
+                # Base-graph counts exceed the float64-exact range; use big integers.
+                return np.array([_measures.group_betweenness(g, tuple(s)).value for s in subsets])
+            comp = _complements_of(n, subsets)
+            try:
+                d_sub, s_sub = _apsp_layers_batch(adj[comp[:, :, None], comp[:, None, :]])
+            except _SigmaOverflow:
+                return np.array([_measures.group_betweenness(g, tuple(s)).value for s in subsets])
+            rows, cols = comp[:, iu], comp[:, iv]
+            avoid = np.where(
+                d_sub[:, iu, iv] == dist[rows, cols], s_sub[:, iu, iv] / sigma[rows, cols], 0.0
+            )
+            # math.fsum: correctly rounded, so the score cannot depend on how
+            # subsets were grouped into evaluation blocks (numpy reductions
+            # pick shape-dependent summation orders).
+            return np.array([2.0 * (iu.size - math.fsum(row)) / (c * (c - 1)) for row in avoid])
 
-def _score_block(g: Graph, subsets: np.ndarray, measure: Measure) -> np.ndarray:
-    kernels = _kernels_for(g)
-    return _BLOCK_SCORERS[measure](kernels, subsets, _complements_of(g.n, subsets))
+    return score, block_rows
 
 
 def score_subset(g: Graph, subset: tuple[int, ...], measure: Measure):
     """One subset's score as the enumerator ranks it: a Fraction for exact
     measures, else a float."""
-    value = _score_block(g, np.asarray([subset], dtype=np.intp), measure)[0]
+    score, _ = _block_scorer(g, len(subset), measure)
+    value = score(np.asarray([subset], dtype=np.intp))[0]
     return Fraction(int(value), g.n - len(subset)) if measure.exact else float(value)
 
 
@@ -297,11 +282,11 @@ def score_subset(g: Graph, subset: tuple[int, ...], measure: Measure):
 # Partitioned enumeration
 
 
-def _blocks(k: int, leading: Iterable[int]) -> Iterator[np.ndarray]:
+def _blocks(k: int, leading: Iterable[int], rows: int) -> Iterator[np.ndarray]:
     """Size-k subsets with the given largest elements, in colex order, as
-    arrays of at most ``_BLOCK`` rows."""
+    arrays of at most ``rows`` rows."""
     subsets = (rest + (b,) for b in leading for rest in colex_subsets(b, k - 1))
-    while block := list(islice(subsets, _BLOCK)):
+    while block := list(islice(subsets, rows)):
         yield np.asarray(block, dtype=np.intp)
 
 
@@ -334,9 +319,10 @@ def _scan_partitions(task: tuple[Graph, int, Measure, Sequence[int], float]) -> 
     """Windowed optimum over the subsets with the task's leading elements."""
     g, k, measure, leading, tie_rel = task
     ties = _TieWindow.of(measure, tie_rel)
+    score, rows = _block_scorer(g, k, measure)
     acc = None
-    for block in _blocks(k, leading):
-        acc = _absorb(acc, _Candidates(_score_block(g, block, measure), block, len(block)), ties)
+    for block in _blocks(k, leading, rows):
+        acc = _absorb(acc, _Candidates(score(block), block, len(block)), ties)
     return acc
 
 
@@ -355,7 +341,7 @@ class OptimumResult:
     def extra_count(self) -> int:
         return max(0, len(self.optimal_sets) - 2)
 
-    def to_json_dict(self, include_timing: bool = False) -> dict:
+    def to_json_dict(self) -> dict:
         out: dict = {
             "measure": self.measure.value,
             "k": self.k,
@@ -365,8 +351,6 @@ class OptimumResult:
         }
         if self.best.exact is not None:
             out["best"]["exact"] = f"{self.best.exact_num}/{self.best.exact_den}"
-        if include_timing:
-            out["wall_time_s"] = round(self.wall_time, 6)
         return out
 
 
@@ -378,14 +362,6 @@ class DecisionResult:
     k: int
     alpha: float
     witness: VertexSet | None
-
-    def to_json_dict(self) -> dict:
-        return {
-            "measure": self.measure.value,
-            "k": self.k,
-            "alpha": self.alpha,
-            "witness": list(self.witness.members) if self.witness is not None else None,
-        }
 
 
 def _check_enumeration_args(g: Graph, k: int, budget: int) -> int:
@@ -502,8 +478,9 @@ def optimumset_decision(
         target = target.numerator
     else:
         target = float(alpha)
-    for block in _blocks(k, range(k - 1, g.n)):
-        hits = np.flatnonzero(ties.ties(_score_block(g, block, measure), target))
+    score, rows = _block_scorer(g, k, measure)
+    for block in _blocks(k, range(k - 1, g.n), rows):
+        hits = np.flatnonzero(ties.ties(score(block), target))
         if hits.size:
             witness = VertexSet(tuple(block[hits[0]].tolist()))
             return DecisionResult(measure=measure, k=k, alpha=alpha, witness=witness)
@@ -561,12 +538,7 @@ def cross_measure_report(
     """
     if not 1 <= k_max < g.n:
         raise InputError(f"k_max must satisfy 1 <= k_max < n; got {k_max}, n={g.n}")
-    worst_k = max(range(1, k_max + 1), key=lambda k: math.comb(g.n, k))
-    worst = math.comb(g.n, worst_k)
-    if worst > budget:
-        raise BudgetExceededError(
-            f"C({g.n}, {worst_k}) = {worst} subsets exceeds budget {budget}", subsets=worst
-        )
+    _check_enumeration_args(g, max(range(1, k_max + 1), key=lambda k: math.comb(g.n, k)), budget)
     measures = tuple(measures)
     start = time.perf_counter()
     cells: dict[tuple[int, Measure], OptimumResult] = {}

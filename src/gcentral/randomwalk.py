@@ -32,7 +32,7 @@ from typing import Iterable, NamedTuple
 import numpy as np
 import scipy.linalg
 
-from .errors import InputError, NumericalError, TruncationError
+from .errors import InputError, NumericalError, TruncationError, check_memory
 from .graph import Graph, VertexSet, as_vertex_set, multi_source_distances
 from .measures import Score
 
@@ -65,6 +65,9 @@ RNG_NAME = "numpy.random.PCG64"
 
 _FUNDAMENTAL_RESIDUAL = 1e-8
 _ABSORBING_RESIDUAL = 1e-7
+# Bytes per Monte Carlo walk at the peak of a step, its int64 and float64
+# arrays together (about 73 by tracemalloc on a 1,000-vertex sparse graph).
+_WALK_BYTES = 80
 
 
 class _StepTable(NamedTuple):
@@ -359,7 +362,8 @@ def monte_carlo_hitting(
     ``max_steps`` (default ``100 n^2``) are excluded from the averages and
     counted per source; if more than 1% of all walks are truncated a
     :class:`~gcentral.errors.TruncationError` is raised instead of
-    returning biased means.  Deterministic for a fixed seed.
+    returning biased means; walks past the memory limit raise
+    BudgetExceededError before they start.  Deterministic for a fixed seed.
     """
     vs = as_vertex_set(s)
     vs.check_proper(g)
@@ -369,6 +373,8 @@ def monte_carlo_hitting(
         max_steps = 100 * g.n * g.n
     n = g.n
     comp = np.array(vs.complement(n), dtype=np.int64)
+    walks = comp.size * walks_per_source
+    check_memory(walks * _WALK_BYTES, f"a run of {walks} Monte Carlo walks")
     keys = _step_table(g).keys
     is_target = np.zeros(n, dtype=bool)
     is_target[list(vs.members)] = True

@@ -9,8 +9,14 @@ from pathlib import Path
 import jsonschema
 import pytest
 
+from gcentral import errors
 from gcentral.cli import ingest_triples, main
 from gcentral.graph import load_edge_list
+
+# `optimum --k 4 --format json` on both fixtures with labels.tsv, as the
+# program wrote it before the search's scoring layer was rebuilt, less the
+# manifest's command and wall time.
+PINNED_REPORTS = json.loads((Path(__file__).parent / "data" / "fixture_reports_k4.json").read_text())
 
 
 @pytest.fixture(scope="session")
@@ -119,6 +125,26 @@ class TestOptimum:
         code, _, err = run(capsys, ["optimum", str(path), "--k", "10"])
         assert code == 3
         assert "C(60, 10)" in err and "75394027566" in err
+
+    @pytest.mark.parametrize("name", ["novice.edges", "expert.edges"])
+    def test_fixture_report_pinned(self, capsys, fixture_paths, name):
+        novice, expert, labels = fixture_paths
+        graph = {"novice.edges": novice, "expert.edges": expert}[name]
+        code, out, _ = run(
+            capsys,
+            ["optimum", str(graph), "--labels", str(labels), "--k", "4",
+             "--format", "json", "--workers", "1"],
+        )
+        assert code == 0
+        got, want = json.loads(out), PINNED_REPORTS[name]
+        del got["manifest"]["command"], got["manifest"]["wall_time_s"]
+
+        def walk_values(report):
+            # Random-walk scores come from LAPACK solves; everything else is exact.
+            return [r["best"].pop("value") for r in report["rows"] if r["measure"] == "randomwalk"]
+
+        assert walk_values(got) == pytest.approx(walk_values(want), rel=1e-12)
+        assert got == want
 
     def test_json_validates_against_schema(self, capsys, fixture_paths, schema):
         _, expert, labels = fixture_paths
@@ -312,6 +338,32 @@ class TestExitCodes:
         code, out, _ = run(capsys, argv)
         assert code == 0
         assert '"float_tie_rel": 1e-09' in out
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_search_past_memory_limit_exit_3(self, capsys, tmp_path, monkeypatch, workers):
+        path = tmp_path / "c3000.edges"
+        path.write_text("\n".join(f"{i} {(i + 1) % 3000}" for i in range(3000)) + "\n")
+        # Degree's boolean adjacency fits; closeness's all-pairs pass does not.
+        monkeypatch.setattr(errors, "MEMORY_LIMIT", 32 << 20)
+        code, out, err = run(capsys, ["optimum", str(path), "--k", "1", "--workers", workers])
+        assert code == 3
+        assert out == ""
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert err.startswith("error: the closeness search at k=1 on 3000 vertices needs")
+        assert err.endswith("above the 32 MiB memory limit\n")
+
+    def test_monte_carlo_past_memory_limit_exit_3(self, capsys, tmp_path, monkeypatch):
+        path = tmp_path / "p200.edges"
+        path.write_text("\n".join(f"{i} {i + 1}" for i in range(199)) + "\n")
+        monkeypatch.setattr(errors, "MEMORY_LIMIT", 1 << 20)
+        code, _, err = run(
+            capsys, ["hitting", str(path), "--set", "0", "--route", "montecarlo"]
+        )
+        assert code == 3
+        assert err == (
+            "error: a run of 1990000 Monte Carlo walks needs about 152 MiB, "
+            "above the 1 MiB memory limit\n"
+        )
 
     @pytest.mark.parametrize("body", ["a b inf\n", "a b 1e308\nb c 1e308\n"])
     def test_unusable_weights_exit_2(self, capsys, tmp_path, body):

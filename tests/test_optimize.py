@@ -4,13 +4,20 @@ from __future__ import annotations
 
 import itertools
 import json
+import pickle
 from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from gcentral.errors import BudgetExceededError, InputError
+from gcentral import errors
+from gcentral.errors import (
+    BudgetExceededError,
+    InputError,
+    SamplingBudgetError,
+    TruncationError,
+)
 from gcentral.graph import Graph
 from gcentral.measures import Measure
 from gcentral.optimize import (
@@ -145,13 +152,12 @@ class TestOverflowFallback:
                 for b in range(width):
                     edges.append((layer * width + a, (layer + 1) * width + b))
         g = Graph(width * layers, edges)
-        from gcentral.optimize import _kernels_for
+        from gcentral.optimize import _adjacency, _dist_sigma
         from gcentral.graph import shortest_path_counts
 
         # 19 hops end to end with 18 freely chosen intermediate layers.
         assert max(shortest_path_counts(g, 0).sigma) == width ** (layers - 2)
-        kernels = _kernels_for(g)
-        dist, sigma = kernels.dist_sigma()
+        dist, sigma = _dist_sigma(g, _adjacency(g, float))
         assert sigma is None
         assert dist[0][g.n - 1] == layers - 1
         s = (8, 9)
@@ -163,6 +169,47 @@ class TestOverflowFallback:
         from gcentral.measures import group_closeness
 
         assert score_subset(g, s, Measure.CLOSENESS) == group_closeness(g, s).exact
+
+
+class TestMemoryGuard:
+    @pytest.mark.parametrize(
+        "cls, attrs",
+        [
+            (BudgetExceededError, {"subsets": 84}),
+            (BudgetExceededError, {}),
+            (TruncationError, {"truncated": 3, "total": 20}),
+            (SamplingBudgetError, {"distinct_visited": 4}),
+        ],
+    )
+    def test_errors_survive_pickling(self, cls, attrs):
+        # What a pool worker raises reaches the parent pickled.
+        err = cls("the run went past its limit", **attrs)
+        back = pickle.loads(pickle.dumps(err))
+        assert type(back) is type(err)
+        assert str(back) == str(err) and back.args == err.args
+        assert vars(back) == vars(err)
+
+    @pytest.mark.parametrize("measure", MEASURE_ORDER)
+    def test_smallest_blocks_give_the_same_result(self, novice, monkeypatch, measure):
+        from gcentral.optimize import _block_scorer
+
+        want = optimumset(novice, 3, measure).to_json_dict()
+        limit = 1024
+        monkeypatch.setattr(errors, "MEMORY_LIMIT", limit)
+        while True:
+            try:
+                _, rows = _block_scorer(novice, 3, measure)
+                break
+            except BudgetExceededError:
+                limit *= 2
+                monkeypatch.setattr(errors, "MEMORY_LIMIT", limit)
+        assert rows < 512
+        assert optimumset(novice, 3, measure, workers=2).to_json_dict() == want
+        # Half that limit cannot hold the per-graph arrays and one row.
+        monkeypatch.setattr(errors, "MEMORY_LIMIT", limit // 2)
+        with pytest.raises(BudgetExceededError, match="memory limit") as exc:
+            optimumset(novice, 3, measure)
+        assert exc.value.subsets is None
 
 
 class TestWorkers:
