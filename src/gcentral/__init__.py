@@ -14,7 +14,6 @@ from .errors import (
 )
 from .graph import (
     Graph,
-    PathCounts,
     VertexSet,
     as_vertex_set,
     format_edge_list,
@@ -23,7 +22,6 @@ from .graph import (
     multi_source_distances,
     parse_label_file,
     shortest_path_counts,
-    weighted_degree,
 )
 from .measures import (
     Measure,
@@ -38,15 +36,11 @@ from .randomwalk import (
     ROUTE_ABSORBING,
     ROUTE_CONTRACTION,
     ROUTE_MONTE_CARLO,
-    BoundCheck,
-    ContractedGraph,
     HittingSolution,
     check_upper_bound,
     contract,
     fundamental_matrix,
     group_randomwalk,
-    hitting_time_matrix,
-    hitting_time_pair,
     hitting_time_set,
     monte_carlo_hitting,
     stationary,

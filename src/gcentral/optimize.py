@@ -4,12 +4,20 @@ Subsets are enumerated in colexicographic order and scored in blocks;
 the global optimum is returned together with the *complete* list of tying
 sets, since several measures routinely produce many co-optimal groups.
 
-Each search builds the arrays its measure reads once (:func:`_block_scorer`).
+Each search builds the arrays its measure reads once (:func:`_scorers`).
 Degree and closeness score from the members' rows as integer numerators
 over n - k, so their ties are exact equalities; betweenness and random walk
 score from the complement as floats tied within a relative tolerance
 (default 1e-9, passed per run as ``tie_rel``), so floating-point noise can
 neither fabricate nor destroy a tie.
+
+For k >= 2, betweenness and random walk screen the subsets in groups: those
+sharing their last k - 1 elements are scored together from one pass over
+that prefix's complement (a Schur complement of one inverse for random
+walk, the path counts through each extension for betweenness).  What the
+screen leaves in the keep window is re-scored by the block scorer, the only
+exact kernel, which also serves k = 1, single subsets, the decision scan and
+the big-integer fallbacks; every reported value comes from it.
 
 One reduction, :func:`_absorb`, keeps the scored subsets within a window of
 the best score seen; it folds each scored block into a partition's result
@@ -30,12 +38,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from itertools import islice
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import BudgetExceededError, InputError, check_memory
-from .graph import Graph, VertexSet, bfs_counts, is_connected
+from .graph import Graph, VertexSet, is_connected
 from .measures import Measure, Score
 from . import measures as _measures
 from .randomwalk import transition_matrix
@@ -173,14 +181,34 @@ def _adjacency(g: Graph, dtype) -> np.ndarray:
     return a
 
 
+def _hop_distances(g: Graph) -> np.ndarray:
+    """All-pairs hop distances by layered matmul, without path counts.
+
+    The frontier is the float32 0/1 indicator of the newest layer, so
+    ``frontier @ adj`` counts neighbours in it, exactly below 2**24 vertices.
+    """
+    adj = _adjacency(g, np.float32)
+    dist = np.full((g.n, g.n), -1, dtype=np.int16)
+    np.fill_diagonal(dist, 0)
+    frontier = np.eye(g.n, dtype=np.float32)
+    t = 0
+    while True:
+        t += 1
+        newly = frontier @ adj > 0
+        newly &= dist < 0
+        if not newly.any():
+            return dist
+        dist[newly] = t
+        frontier = newly.astype(np.float32)
+
+
 def _dist_sigma(g: Graph, adj: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
     """Base distances and path counts; counts are None past the float64-exact range."""
     try:
         dist, sigma = _apsp_layers_batch(adj[None])
         return dist[0], sigma[0]
     except _SigmaOverflow:
-        dist = [bfs_counts(g._adj, u)[0] for u in range(g.n)]
-        return np.asarray(dist, dtype=np.int16), None
+        return _hop_distances(g), None
 
 
 def _complements_of(n: int, subsets: np.ndarray) -> np.ndarray:
@@ -192,12 +220,30 @@ def _complements_of(n: int, subsets: np.ndarray) -> np.ndarray:
 
 
 _BLOCK = 512
+_PREFIXES = 64
 
 
-def _block_scorer(g: Graph, k: int, measure: Measure) -> tuple[Callable[[np.ndarray], np.ndarray], int]:
-    """The function scoring a block of size-k subsets, built once per search,
-    and the rows a block may take: as many as fit under the memory limit
-    beside the per-graph arrays, up to ``_BLOCK``.  Both are sized from their
+class _Scorers(NamedTuple):
+    """How one search scores its subsets.
+
+    ``block`` scores a block of size-k subsets, at most ``rows`` of them,
+    exactly.  ``screen``, where the measure has one, takes at most
+    ``prefixes`` (k - 1)-subsets P and returns, for every position j of
+    P's sorted complement, a float value of P plus that vertex, off from
+    the exact one by rounding only (see :func:`_scan_partitions`).
+    """
+
+    block: Callable[[np.ndarray], np.ndarray]
+    rows: int
+    screen: Callable[[np.ndarray], np.ndarray] | None = None
+    prefixes: int = 0
+
+
+def _scorers(g: Graph, k: int, measure: Measure) -> _Scorers:
+    """The scorers of one size-k search, built once per search from the
+    arrays its measure reads, with the rows a block and the prefixes a screen
+    call may take: as many as fit under the memory limit beside the per-graph
+    arrays, up to ``_BLOCK`` and ``_PREFIXES``.  All are sized from their
     dtypes before anything is allocated.  Degree and closeness score as
     integer numerators over c = n - k; betweenness and random walk as floats.
     """
@@ -207,19 +253,26 @@ def _block_scorer(g: Graph, k: int, measure: Measure) -> tuple[Callable[[np.ndar
         # between them is vacuously mediated, which is also what the
         # vertex-cover characterization needs (V minus one vertex always
         # covers every edge).
-        return (lambda subsets: np.ones(len(subsets))), _BLOCK
-    # Bytes per graph and per block row.  A layered all-pairs pass holds 45
-    # per vertex pair: five float64 and one int16 array and three bool masks.
-    graph_bytes, row_bytes = {
-        Measure.DEGREE: (n * n + 8 * slots, (k + 1) * n),
-        Measure.CLOSENESS: (45 * n * n + 8 * slots, 2 * (k + 1) * n),
-        # Per row: the complement's layered pass, then the pair gathers.
-        Measure.BETWEENNESS: (45 * n * n + 8 * slots + 9 * c * c, 48 * c * c),
-        # The transition matrix and its step table; the system and the solver's copy.
-        Measure.RANDOMWALK: (8 * n * n + 32 * slots, 16 * c * c),
+        return _Scorers(lambda subsets: np.ones(len(subsets)), _BLOCK)
+    # Bytes per graph, per block row and per screened prefix.  A layered
+    # all-pairs pass with path counts holds 45 per vertex pair (five float64
+    # and one int16 array and three bool masks), one without them 16.
+    graph_bytes, row_bytes, prefix_bytes = {
+        Measure.DEGREE: (n * n + 8 * slots, (k + 1) * n, 0),
+        Measure.CLOSENESS: (16 * n * n + 8 * slots, 2 * (k + 1) * n, 0),
+        # Per row: the complement's layered pass, then the pair gathers.  Per
+        # prefix: that pass on the prefix's complement, then the layer sums'
+        # float64 arrays (59 in all by tracemalloc on a 6 x 7 torus).
+        Measure.BETWEENNESS: (45 * n * n + 8 * slots + 9 * c * c, 48 * c * c, 72 * (c + 1) ** 2),
+        # The transition matrix and its step table; the system and the
+        # solver's copy.  Per prefix: the system, its inverse and the
+        # inverter's identity and copy.
+        Measure.RANDOMWALK: (8 * n * n + 32 * slots, 16 * c * c, 40 * (c + 1) ** 2),
     }[measure]
     left = check_memory(graph_bytes + row_bytes, f"the {measure.value} search at k={k} on {n} vertices")
     block_rows = min(_BLOCK, 1 + left // row_bytes)
+    # k = 1 has no prefix to extend (and for random walk, I - P is singular).
+    prefixes = min(_PREFIXES, left // prefix_bytes) if prefix_bytes and k > 1 else 0
 
     if measure is Measure.DEGREE:
         touches = _adjacency(g, bool)
@@ -230,9 +283,16 @@ def _block_scorer(g: Graph, k: int, measure: Measure) -> tuple[Callable[[np.ndar
             reached[np.arange(len(subsets))[:, None], subsets] = False
             return reached.sum(axis=1, dtype=np.int64)
 
-    elif measure is Measure.RANDOMWALK:
+        return _Scorers(score, block_rows)
+
+    if measure is Measure.CLOSENESS:
+        dist = _hop_distances(g)
+        # A member is at distance 0, so the sum over all vertices is the outside sum.
+        return _Scorers(lambda subsets: dist[subsets].min(axis=1).sum(axis=1, dtype=np.int64), block_rows)
+
+    if measure is Measure.RANDOMWALK:
         p = transition_matrix(g)
-        idx = np.arange(c)
+        idx, idx1 = np.arange(c), np.arange(c + 1)
 
         def score(subsets: np.ndarray) -> np.ndarray:
             comp = _complements_of(n, subsets)
@@ -241,40 +301,73 @@ def _block_scorer(g: Graph, k: int, measure: Measure) -> tuple[Callable[[np.ndar
             h = np.linalg.solve(a, np.ones((len(comp), c, 1)))[:, :, 0]
             return np.array([math.fsum(row) / c for row in h])
 
-    else:
-        adj = _adjacency(g, float)
-        dist, sigma = _dist_sigma(g, adj)
-        if measure is Measure.CLOSENESS:
-            # A member is at distance 0, so the sum over all vertices is the outside sum.
-            return (lambda subsets: dist[subsets].min(axis=1).sum(axis=1, dtype=np.int64)), block_rows
-        iu, iv = np.triu_indices(c, 1)
+        def screen(prefixes: np.ndarray) -> np.ndarray:
+            # With G = (I - Q)^-1 on the prefix's complement, removing vertex
+            # v leaves the hitting-time sum sum(G) - rowsum_v colsum_v / G_vv
+            # (a Schur complement).
+            comp = _complements_of(n, prefixes)
+            a = -p[comp[:, :, None], comp[:, None, :]]
+            a[:, idx1, idx1] += 1.0
+            inv = np.linalg.inv(a)
+            rows, cols = inv.sum(axis=2), inv.sum(axis=1)
+            return (rows.sum(axis=1, keepdims=True) - rows * cols / inv[:, idx1, idx1]) / c
 
-        def score(subsets: np.ndarray) -> np.ndarray:
-            if sigma is None:
-                # Base-graph counts exceed the float64-exact range; use big integers.
-                return np.array([_measures.group_betweenness(g, tuple(s)).value for s in subsets])
-            comp = _complements_of(n, subsets)
-            try:
-                d_sub, s_sub = _apsp_layers_batch(adj[comp[:, :, None], comp[:, None, :]])
-            except _SigmaOverflow:
-                return np.array([_measures.group_betweenness(g, tuple(s)).value for s in subsets])
-            rows, cols = comp[:, iu], comp[:, iv]
-            avoid = np.where(
-                d_sub[:, iu, iv] == dist[rows, cols], s_sub[:, iu, iv] / sigma[rows, cols], 0.0
-            )
-            # math.fsum: correctly rounded, so the score cannot depend on how
-            # subsets were grouped into evaluation blocks (numpy reductions
-            # pick shape-dependent summation orders).
-            return np.array([2.0 * (iu.size - math.fsum(row)) / (c * (c - 1)) for row in avoid])
+        return _Scorers(score, block_rows, screen if prefixes else None, prefixes)
 
-    return score, block_rows
+    adj = _adjacency(g, float)
+    dist, sigma = _dist_sigma(g, adj)
+    iu, iv = np.triu_indices(c, 1)
+    diameter = int(dist.max())
+    idx1 = np.arange(c + 1)
+
+    def score(subsets: np.ndarray) -> np.ndarray:
+        if sigma is None:
+            # Base-graph counts exceed the float64-exact range; use big integers.
+            return np.array([_measures.group_betweenness(g, tuple(s)).value for s in subsets])
+        comp = _complements_of(n, subsets)
+        try:
+            d_sub, s_sub = _apsp_layers_batch(adj[comp[:, :, None], comp[:, None, :]])
+        except _SigmaOverflow:
+            return np.array([_measures.group_betweenness(g, tuple(s)).value for s in subsets])
+        rows, cols = comp[:, iu], comp[:, iv]
+        avoid = np.where(
+            d_sub[:, iu, iv] == dist[rows, cols], s_sub[:, iu, iv] / sigma[rows, cols], 0.0
+        )
+        # math.fsum: correctly rounded, so the score cannot depend on how
+        # subsets were grouped into evaluation blocks (numpy reductions
+        # pick shape-dependent summation orders).
+        return np.array([2.0 * (iu.size - math.fsum(row)) / (c * (c - 1)) for row in avoid])
+
+    def screen(prefixes: np.ndarray) -> np.ndarray:
+        # On the prefix's complement C', a pair (s, t) at its base distance D
+        # loses, with vertex v, the sigma'(s,v) sigma'(v,t) paths through v
+        # that have d'(s,v) = l and d'(v,t) = D - l.  Summed over pairs with
+        # weight 1 / sigma(s,t), that is the diagonal of X_l^T W_D X_(D-l),
+        # one c' x c' matmul per layer pair; the sum is symmetric in l and
+        # D - l, so l runs to D / 2 only.
+        comp = _complements_of(n, prefixes)
+        pair = comp[:, :, None], comp[:, None, :]
+        d_sub, s_sub = _apsp_layers_batch(adj[pair])
+        w = np.where(d_sub == dist[pair], 1.0 / sigma[pair], 0.0)
+        w[:, idx1, idx1] = 0.0
+        avoid = w * s_sub
+        through = np.zeros(comp.shape)
+        for d in range(2, diameter + 1):
+            w_d = np.where(d_sub == d, w, 0.0)
+            for step in range(1, d // 2 + 1):
+                ends = w_d @ np.where(d_sub == d - step, s_sub, 0.0)
+                term = (np.where(d_sub == step, s_sub, 0.0) * ends).sum(axis=1)
+                through += term if 2 * step < d else term / 2
+        avoided = avoid.sum(axis=(1, 2))[:, None] / 2 - avoid.sum(axis=2) - through
+        return 2.0 * (iu.size - avoided) / (c * (c - 1))
+
+    return _Scorers(score, block_rows, screen if prefixes and sigma is not None else None, prefixes)
 
 
 def score_subset(g: Graph, subset: tuple[int, ...], measure: Measure):
     """One subset's score as the enumerator ranks it: a Fraction for exact
     measures, else a float."""
-    score, _ = _block_scorer(g, len(subset), measure)
-    value = score(np.asarray([subset], dtype=np.intp))[0]
+    value = _scorers(g, len(subset), measure).block(np.asarray([subset], dtype=np.intp))[0]
     return Fraction(int(value), g.n - len(subset)) if measure.exact else float(value)
 
 
@@ -315,14 +408,64 @@ def _absorb(acc: _Candidates | None, rows: _Candidates, ties: _TieWindow) -> _Ca
     return _Candidates(rows.values[keep], rows.subsets[keep], rows.evaluated)
 
 
+def _exact_scores(scorers: _Scorers, subsets: np.ndarray) -> np.ndarray:
+    """The block scorer's values of ``subsets``, taken a block at a time."""
+    return np.concatenate(
+        [scorers.block(subsets[i : i + scorers.rows]) for i in range(0, len(subsets), scorers.rows)]
+    )
+
+
+def _screened_scan(scorers: _Scorers, k: int, leading: Sequence[int], ties: _TieWindow) -> _Candidates | None:
+    """Windowed optimum over the subsets with the given leading elements,
+    screened prefix by prefix and confirmed by the block scorer; None if a
+    kept value moved past the tie window when confirmed.
+
+    A group is the subsets sharing their last k - 1 elements, the prefix P:
+    they are (v, *P) for every v below P's smallest element, contiguous in
+    colex order, and they sit at the first positions of P's complement.
+    """
+    acc = None
+    for prefixes in _blocks(k - 1, leading, scorers.prefixes):
+        prefixes = prefixes[prefixes[:, 0] > 0]
+        if not len(prefixes):
+            continue
+        sizes = prefixes[:, 0]
+        owner = np.repeat(np.arange(len(prefixes)), sizes)
+        first = np.arange(owner.size) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+        subsets = np.column_stack((first, prefixes[owner]))
+        try:
+            values = scorers.screen(prefixes)[owner, first]
+        except _SigmaOverflow:
+            values = _exact_scores(scorers, subsets)
+        acc = _absorb(acc, _Candidates(values, subsets, len(subsets)), ties)
+    exact = _exact_scores(scorers, acc.subsets)
+    if not ties.ties(exact, acc.values).all():
+        return None
+    return _absorb(None, _Candidates(exact, acc.subsets, acc.evaluated), ties)
+
+
 def _scan_partitions(task: tuple[Graph, int, Measure, Sequence[int], float]) -> _Candidates:
-    """Windowed optimum over the subsets with the task's leading elements."""
+    """Windowed optimum over the subsets with the task's leading elements.
+
+    Where the measure has a screen, the scan keeps what lies in the keep
+    window of the screened values and re-scores that with the block scorer,
+    so every reported value comes from the block scorer.  The screen is off
+    by rounding only (measured: at most 2.5e-14 relative for random walk, on
+    a 60-vertex path, and 4e-16 for betweenness), far inside the keep
+    window's margin of nine tie windows; a kept value that moves by more
+    than one tie window on confirmation sends the partition back through
+    the block scorer.
+    """
     g, k, measure, leading, tie_rel = task
     ties = _TieWindow.of(measure, tie_rel)
-    score, rows = _block_scorer(g, k, measure)
+    scorers = _scorers(g, k, measure)
+    if scorers.screen is not None:
+        acc = _screened_scan(scorers, k, leading, ties)
+        if acc is not None:
+            return acc
     acc = None
-    for block in _blocks(k, leading, rows):
-        acc = _absorb(acc, _Candidates(score(block), block, len(block)), ties)
+    for block in _blocks(k, leading, scorers.rows):
+        acc = _absorb(acc, _Candidates(scorers.block(block), block, len(block)), ties)
     return acc
 
 
@@ -478,9 +621,9 @@ def optimumset_decision(
         target = target.numerator
     else:
         target = float(alpha)
-    score, rows = _block_scorer(g, k, measure)
-    for block in _blocks(k, range(k - 1, g.n), rows):
-        hits = np.flatnonzero(ties.ties(score(block), target))
+    scorers = _scorers(g, k, measure)
+    for block in _blocks(k, range(k - 1, g.n), scorers.rows):
+        hits = np.flatnonzero(ties.ties(scorers.block(block), target))
         if hits.size:
             witness = VertexSet(tuple(block[hits[0]].tolist()))
             return DecisionResult(measure=measure, k=k, alpha=alpha, witness=witness)

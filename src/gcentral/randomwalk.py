@@ -68,6 +68,8 @@ _ABSORBING_RESIDUAL = 1e-7
 # Bytes per Monte Carlo walk at the peak of a step, its int64 and float64
 # arrays together (about 73 by tracemalloc on a 1,000-vertex sparse graph).
 _WALK_BYTES = 80
+# Bytes per CSR slot of the step table: four int64 or float64 arrays.
+_SLOT_BYTES = 32
 
 
 class _StepTable(NamedTuple):
@@ -113,7 +115,10 @@ def transition_matrix(g: Graph) -> np.ndarray:
     -------
     P : ndarray, shape (n, n)
         ``P[u, v] = w(uv) / w(u)`` for edges, 0 elsewhere; zero diagonal.
+
+    Raises BudgetExceededError, before allocating, past the memory limit.
     """
+    check_memory(8 * g.n * g.n + _SLOT_BYTES * g._indices.size, f"the transition matrix of {g.n} vertices")
     rows, prob, _, _ = _step_table(g)
     p = np.zeros((g.n, g.n))
     p[rows, g._indices] = prob
@@ -138,11 +143,14 @@ def fundamental_matrix(g: Graph) -> np.ndarray:
     LU with one step of iterative refinement; raises
     :class:`~gcentral.errors.NumericalError` if the max-norm residual of
     ``(I - P + Pinf) Z - I`` is not below 1e-8 (disconnected or degenerate
-    input surfaces here).
+    input surfaces here), and BudgetExceededError, before allocating, past
+    the memory limit.
     """
+    n = g.n
+    # Seven n x n float64 arrays at the peak (tracemalloc, n = 300 and 1,000).
+    check_memory(56 * n * n + _SLOT_BYTES * g._indices.size, f"the fundamental matrix of {n} vertices")
     p = transition_matrix(g)
     pi = stationary(g)
-    n = g.n
     m = np.eye(n) - p + np.tile(pi, (n, 1))
     try:
         lu, piv = scipy.linalg.lu_factor(m)
@@ -279,6 +287,11 @@ class HittingSolution:
 
 def _solve_absorbing(g: Graph, vs: VertexSet) -> np.ndarray:
     comp = vs.complement(g.n)
+    # The transition matrix, then three c x c arrays: Q, I - Q and its LU factors.
+    check_memory(
+        8 * g.n * g.n + _SLOT_BYTES * g._indices.size + 24 * len(comp) ** 2,
+        f"the absorbing solve on {g.n} vertices",
+    )
     p = transition_matrix(g)
     q = p[np.ix_(comp, comp)]
     a = np.eye(len(comp)) - q

@@ -17,6 +17,10 @@ from gcentral.graph import load_edge_list
 # program wrote it before the search's scoring layer was rebuilt, less the
 # manifest's command and wall time.
 PINNED_REPORTS = json.loads((Path(__file__).parent / "data" / "fixture_reports_k4.json").read_text())
+# The same for the 6x7 torus, captured before the search screened subsets by
+# prefix: random walk to k = 3 (84 ties at k = 3) and betweenness to k = 2
+# (42 ties), where the keep window holds the most rows.
+PINNED_TORUS = json.loads((Path(__file__).parent / "data" / "torus_reports.json").read_text())
 
 
 @pytest.fixture(scope="session")
@@ -46,6 +50,21 @@ def run(capsys, argv: list[str]) -> tuple[int, str, str]:
     code = main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def assert_matches_pinned(out: str, want: dict) -> None:
+    """``optimum --format json`` output equals a pinned report: every field
+    exactly, except random-walk values (LAPACK solves, 1e-12 relative) and
+    the manifest's command and wall time."""
+    got = json.loads(out)
+    del got["manifest"]["command"], got["manifest"]["wall_time_s"]
+    want = json.loads(json.dumps(want))
+
+    def walk_values(report):
+        return [r["best"].pop("value") for r in report["rows"] if r["measure"] == "randomwalk"]
+
+    assert walk_values(got) == pytest.approx(walk_values(want), rel=1e-12)
+    assert got == want
 
 
 class TestCentrality:
@@ -136,15 +155,27 @@ class TestOptimum:
              "--format", "json", "--workers", "1"],
         )
         assert code == 0
-        got, want = json.loads(out), PINNED_REPORTS[name]
-        del got["manifest"]["command"], got["manifest"]["wall_time_s"]
+        assert_matches_pinned(out, PINNED_REPORTS[name])
 
-        def walk_values(report):
-            # Random-walk scores come from LAPACK solves; everything else is exact.
-            return [r["best"].pop("value") for r in report["rows"] if r["measure"] == "randomwalk"]
-
-        assert walk_values(got) == pytest.approx(walk_values(want), rel=1e-12)
-        assert got == want
+    @pytest.mark.parametrize("case", ["randomwalk-k3", "betweenness-k2"])
+    def test_torus_report_pinned(self, capsys, tmp_path, case):
+        rows, cols = 6, 7
+        edges = set()
+        for r in range(rows):
+            for c in range(cols):
+                u = r * cols + c
+                for v in (((r + 1) % rows) * cols + c, r * cols + (c + 1) % cols):
+                    edges.add((min(u, v), max(u, v)))
+        path = tmp_path / "torus.edges"
+        path.write_text("".join(f"{u} {v}\n" for u, v in sorted(edges)))
+        measure, k = case.split("-k")
+        code, out, _ = run(
+            capsys,
+            ["optimum", str(path), "--k", k, "--measures", measure,
+             "--format", "json", "--workers", "1"],
+        )
+        assert code == 0
+        assert_matches_pinned(out, PINNED_TORUS[case])
 
     def test_json_validates_against_schema(self, capsys, fixture_paths, schema):
         _, expert, labels = fixture_paths
@@ -364,6 +395,26 @@ class TestExitCodes:
             "error: a run of 1990000 Monte Carlo walks needs about 152 MiB, "
             "above the 1 MiB memory limit\n"
         )
+
+    @pytest.mark.parametrize(
+        "argv, what",
+        [
+            (["hitting", "--set", "0", "--route", "absorbing"], "absorbing solve on"),
+            (["hitting", "--set", "0", "--route", "contraction"], "fundamental matrix of"),
+            (["centrality", "--set", "0", "--measures", "randomwalk"], "absorbing solve on"),
+        ],
+    )
+    def test_dense_walk_past_memory_limit_exit_3(self, capsys, tmp_path, monkeypatch, argv, what):
+        path = tmp_path / "p400.edges"
+        path.write_text("\n".join(f"{i} {i + 1}" for i in range(399)) + "\n")
+        # Every analytic walk route allocates several 400 x 400 float64 arrays.
+        monkeypatch.setattr(errors, "MEMORY_LIMIT", 1 << 20)
+        code, out, err = run(capsys, [argv[0], str(path), *argv[1:]])
+        assert code == 3
+        assert out == ""
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert err.startswith(f"error: the {what} 400 vertices needs about ")
+        assert err.endswith("above the 1 MiB memory limit\n")
 
     @pytest.mark.parametrize("body", ["a b inf\n", "a b 1e308\nb c 1e308\n"])
     def test_unusable_weights_exit_2(self, capsys, tmp_path, body):

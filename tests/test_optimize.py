@@ -191,14 +191,14 @@ class TestMemoryGuard:
 
     @pytest.mark.parametrize("measure", MEASURE_ORDER)
     def test_smallest_blocks_give_the_same_result(self, novice, monkeypatch, measure):
-        from gcentral.optimize import _block_scorer
+        from gcentral.optimize import _scorers
 
         want = optimumset(novice, 3, measure).to_json_dict()
         limit = 1024
         monkeypatch.setattr(errors, "MEMORY_LIMIT", limit)
         while True:
             try:
-                _, rows = _block_scorer(novice, 3, measure)
+                rows = _scorers(novice, 3, measure).rows
                 break
             except BudgetExceededError:
                 limit *= 2
@@ -210,6 +210,87 @@ class TestMemoryGuard:
         with pytest.raises(BudgetExceededError, match="memory limit") as exc:
             optimumset(novice, 3, measure)
         assert exc.value.subsets is None
+
+
+    def test_closeness_distances_fit_without_path_counts(self, monkeypatch):
+        # The distance-only pass holds 16 bytes per vertex pair; the pass with
+        # path counts that closeness used to run held 45, past this limit.
+        g = cycle_graph(300)
+        monkeypatch.setattr(errors, "MEMORY_LIMIT", 30 * 300 * 300)
+        r = optimumset(g, 1, Measure.CLOSENESS)
+        assert r.evaluated == 300 and len(r.optimal_sets) == 300
+        assert r.best.exact == oracles.group_score_oracle(g, (0,), Measure.CLOSENESS)
+
+
+class TestPrefixScreen:
+    """The grouped screen of random walk and betweenness against the block scorer."""
+
+    @staticmethod
+    def screened_and_exact(g, k, measure):
+        from gcentral.optimize import _complements_of, _scorers
+
+        scorers = _scorers(g, k, measure)
+        prefixes = np.asarray(list(colex_subsets(g.n, k - 1)), dtype=np.intp)
+        comp = _complements_of(g.n, prefixes)
+        # Every prefix plus every vertex outside it, as the screen lays them out.
+        subsets = np.sort(
+            np.column_stack((np.repeat(prefixes, comp.shape[1], axis=0), comp.reshape(-1))), axis=1
+        )
+        exact = np.concatenate(
+            [scorers.block(subsets[i : i + scorers.rows]) for i in range(0, len(subsets), scorers.rows)]
+        )
+        return scorers.screen(prefixes).reshape(-1), exact
+
+    @pytest.mark.parametrize("measure", [Measure.RANDOMWALK, Measure.BETWEENNESS])
+    def test_screen_matches_block_scorer(self, measure):
+        rng = np.random.Generator(np.random.PCG64(61))
+        for trial in range(12):
+            n = int(rng.integers(4, 11))
+            g = random_connected_graph(rng, n, weighted=bool(trial % 2))
+            for k in sorted({2, 3, n - 2, n - 1} - {1}):
+                if measure is Measure.BETWEENNESS and k == n - 1:
+                    continue  # one outside vertex: the constant score, no screen
+                screened, exact = self.screened_and_exact(g, k, measure)
+                assert screened == pytest.approx(exact, rel=1e-12, abs=1e-15), (trial, k)
+
+    @pytest.mark.parametrize("measure", [Measure.RANDOMWALK, Measure.BETWEENNESS])
+    def test_moved_screen_rescans_with_block_scorer(self, novice, monkeypatch, measure):
+        from gcentral import optimize
+
+        want = optimumset(novice, 3, measure).to_json_dict()
+        build, scored = optimize._scorers, []
+
+        def moved(g, k, m):
+            s = build(g, k, m)
+
+            def block(subsets):
+                scored.append(len(subsets))
+                return s.block(subsets)
+
+            # Off by ten tie windows: every confirmed row moves past one.
+            return s._replace(block=block, screen=lambda prefixes: s.screen(prefixes) * (1 + 1e-8))
+
+        monkeypatch.setattr(optimize, "_scorers", moved)
+        got = optimumset(novice, 3, measure)
+        assert got.to_json_dict() == want
+        # The confirmation, then the whole partition through the block scorer.
+        assert sum(scored) > got.evaluated
+
+    def test_prefix_pass_overflow_uses_block_scorer(self, expert, monkeypatch):
+        from gcentral import optimize
+
+        want = optimumset(expert, 3, Measure.BETWEENNESS).to_json_dict()
+        layers, tripped = optimize._apsp_layers_batch, []
+
+        def overflow_on_prefixes(a):
+            if a.shape[1] == expert.n - 2:  # a prefix's complement at k = 3
+                tripped.append(len(a))
+                raise optimize._SigmaOverflow
+            return layers(a)
+
+        monkeypatch.setattr(optimize, "_apsp_layers_batch", overflow_on_prefixes)
+        assert optimumset(expert, 3, Measure.BETWEENNESS).to_json_dict() == want
+        assert tripped
 
 
 class TestWorkers:
