@@ -30,7 +30,6 @@ from .measures import (
     group_betweenness,
     group_closeness,
     group_degree,
-    sigma_through_set,
 )
 from .randomwalk import (
     ROUTE_ABSORBING,

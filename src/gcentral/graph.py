@@ -3,6 +3,14 @@
 A :class:`Graph` is immutable after construction: every operation in this
 package is a pure function of (graph, arguments), so graphs can be shared
 freely across threads and worker processes.
+
+Every distance and connectivity question is answered by
+:mod:`scipy.sparse.csgraph` on the graph's one CSR matrix: here
+(:func:`is_connected`, :func:`multi_source_distances`), in
+:mod:`gcentral.optimize` (all-pairs hop distances) and in
+:mod:`gcentral.sampling` (largest component).  The one hand-written
+traversal is :func:`bfs_counts`, for the exact big-integer path counts of
+:func:`shortest_path_counts` and the betweenness reference.
 """
 
 from __future__ import annotations
@@ -13,6 +21,8 @@ from itertools import chain
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
+import scipy.sparse
+from scipy.sparse import csgraph
 
 from .errors import InputError
 
@@ -37,13 +47,15 @@ class Graph:
     Vertex ids are the integers ``0..n-1``.  Edges are stored once as
     ``(u, v)`` pairs with ``u < v``; neighbor queries are symmetric.
     Construction validates simplicity (no self-loops, no duplicates) and
-    positive finite weights and weighted degrees, then freezes adjacency:
-    neighbor tuples for the pure-Python traversals, and a read-only CSR
-    layout (row pointers ``_indptr``, neighbor ids ``_indices``, per-slot
-    weights ``_slot_w``, in ``neighbors(v)`` order) for the numpy kernels.
+    positive finite weights and weighted degrees, then freezes adjacency in
+    one read-only CSR layout: row pointers ``_indptr``, neighbor ids
+    ``_indices`` (ascending within a row) and per-slot weights ``_slot_w``,
+    with the weighted adjacency matrix ``_csr`` over those arrays.  The
+    matrix is symmetric, so csgraph's default directed traversal of it is
+    the undirected one.
     """
 
-    __slots__ = ("n", "edges", "weights", "labels", "_adj", "_indptr", "_indices", "_slot_w", "_hash")
+    __slots__ = ("n", "edges", "weights", "labels", "_indptr", "_indices", "_slot_w", "_csr", "_hash")
 
     def __init__(
         self,
@@ -98,23 +110,28 @@ class Graph:
         self.edges = tuple(edge_list)
         self.weights = tuple(weight_list)
         self.labels = labels
-        self._adj = tuple(tuple(a) for a in adj)
         self._indptr = np.cumsum([0] + [len(a) for a in adj])
         self._indices = np.fromiter(chain.from_iterable(adj), dtype=np.intp)
         self._slot_w = np.fromiter(chain.from_iterable(adj_w), dtype=float)
+        self._freeze()
+
+    def _freeze(self) -> None:
+        """Make the CSR arrays read-only, build the matrix over them, and hash."""
         for a in (self._indptr, self._indices, self._slot_w):
             a.flags.writeable = False
-        self._hash = hash((n, self.edges, self.weights, self.labels))
+        csr = (self._slot_w, self._indices, self._indptr)
+        self._csr = scipy.sparse.csr_array(csr, shape=(self.n, self.n))
+        self._hash = hash((self.n, self.edges, self.weights, self.labels))
 
     @property
     def m(self) -> int:
         return len(self.edges)
 
     def neighbors(self, v: int) -> tuple[int, ...]:
-        return self._adj[v]
+        return tuple(self._indices[self._indptr[v] : self._indptr[v + 1]].tolist())
 
     def degree(self, v: int) -> int:
-        return len(self._adj[v])
+        return int(self._indptr[v + 1] - self._indptr[v])
 
     def neighbor_weights(self, v: int) -> tuple[float, ...]:
         """Weights parallel to ``neighbors(v)``."""
@@ -159,12 +176,16 @@ class Graph:
         kind = "unweighted" if self.is_unweighted() else "weighted"
         return f"Graph(n={self.n}, m={self.m}, {kind})"
 
-    # Pickle support: __slots__ without __dict__ needs explicit state.
+    # Pickle support: __slots__ without __dict__ needs explicit state.  The
+    # state was validated where it was pickled, so unpickling skips
+    # validation; the hash is recomputed because str hashes are salted per
+    # process.
     def __getstate__(self):
-        return (self.n, self.edges, self.weights, self.labels)
+        return (self.n, self.edges, self.weights, self.labels, self._indptr, self._indices, self._slot_w)
 
     def __setstate__(self, state):
-        self.__init__(state[0], state[1], state[2], state[3])
+        self.n, self.edges, self.weights, self.labels, self._indptr, self._indices, self._slot_w = state
+        self._freeze()
 
 
 @dataclass(frozen=True)
@@ -231,6 +252,12 @@ class PathCounts:
 UNREACHED = -1
 
 
+def neighbor_lists(g: Graph) -> list[list[int]]:
+    """Every vertex's neighbor ids as a Python list, the adjacency :func:`bfs_counts` walks."""
+    bounds, ids = g._indptr.tolist(), g._indices.tolist()
+    return [ids[a:b] for a, b in zip(bounds, bounds[1:])]
+
+
 def bfs_counts(
     adj: Sequence[Sequence[int]],
     source: int,
@@ -238,8 +265,10 @@ def bfs_counts(
 ) -> tuple[list[int], list[int]]:
     """Single-source BFS with shortest-path counting, skipping ``banned`` vertices.
 
-    Returns (dist, sigma) lists over all vertex ids; banned or unreachable
-    vertices keep dist == -1 and sigma == 0.
+    The package's one hand-written traversal, kept because its counts are
+    exact Python integers, which csgraph cannot give.  Returns (dist, sigma)
+    lists over all vertex ids; banned or unreachable vertices keep
+    dist == -1 and sigma == 0.
     """
     n = len(adj)
     dist = [UNREACHED] * n
@@ -385,54 +414,27 @@ def format_edge_list(g: Graph, use_labels: bool = False) -> str:
 
 def is_connected(g: Graph) -> bool:
     """True iff a single component spans every vertex."""
-    if g.n == 1:
-        return True
-    seen = bytearray(g.n)
-    seen[0] = 1
-    stack = [0]
-    count = 1
-    adj = g._adj
-    while stack:
-        u = stack.pop()
-        for v in adj[u]:
-            if not seen[v]:
-                seen[v] = 1
-                count += 1
-                stack.append(v)
-    return count == g.n
+    return csgraph.breadth_first_order(g._csr, 0, return_predecessors=False).size == g.n
 
 
 def multi_source_distances(g: Graph, s: VertexSet | Iterable[int]) -> DistanceField:
-    """Hop distance from every vertex to the nearest member of ``s``.
+    """Hop distance from every vertex to the nearest member of ``s``; -1 if none is reachable.
 
     Weights are ignored: distances here are purely combinatorial.
     """
     vs = as_vertex_set(s)
     if vs.members[-1] >= g.n:
         raise InputError(f"vertex {vs.members[-1]} outside graph")
-    dist = [UNREACHED] * g.n
-    queue: list[int] = []
-    for v in vs.members:
-        dist[v] = 0
-        queue.append(v)
-    head = 0
-    adj = g._adj
-    while head < len(queue):
-        u = queue[head]
-        head += 1
-        du1 = dist[u] + 1
-        for v in adj[u]:
-            if dist[v] == UNREACHED:
-                dist[v] = du1
-                queue.append(v)
-    return DistanceField(source=vs, dist=tuple(dist))
+    dist = csgraph.dijkstra(g._csr, unweighted=True, indices=vs.members, min_only=True)
+    dist[np.isinf(dist)] = UNREACHED
+    return DistanceField(source=vs, dist=tuple(dist.astype(int).tolist()))
 
 
 def shortest_path_counts(g: Graph, u: int) -> PathCounts:
     """Distances and exact shortest-path counts from source ``u``."""
     if not 0 <= u < g.n:
         raise InputError(f"vertex {u} outside graph")
-    dist, sigma = bfs_counts(g._adj, u)
+    dist, sigma = bfs_counts(neighbor_lists(g), u)
     return PathCounts(source=u, dist=tuple(dist), sigma=tuple(sigma))
 
 

@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import Iterable
 
 from .errors import InputError
-from .graph import Graph, VertexSet, as_vertex_set, bfs_counts, multi_source_distances
+from .graph import Graph, VertexSet, as_vertex_set, bfs_counts, multi_source_distances, neighbor_lists
 
 __all__ = [
     "Measure",
@@ -22,7 +22,6 @@ __all__ = [
     "group_degree",
     "group_closeness",
     "group_betweenness",
-    "sigma_through_set",
     "evaluate",
 ]
 
@@ -80,17 +79,13 @@ class Score:
         return f"{self.value:.6f}"
 
 
-def _check_proper(g: Graph, s: VertexSet) -> None:
-    s.check_proper(g)
-
-
 def group_degree(g: Graph, s: VertexSet | Iterable[int]) -> Score:
     """Fraction of non-members adjacent to the set; 1 iff the set dominates.
 
     Multiple ties from one outside vertex into the set count once.
     """
     vs = as_vertex_set(s)
-    _check_proper(g, vs)
+    vs.check_proper(g)
     inside = set(vs.members)
     covered = 0
     outside = 0
@@ -106,37 +101,12 @@ def group_degree(g: Graph, s: VertexSet | Iterable[int]) -> Score:
 def group_closeness(g: Graph, s: VertexSet | Iterable[int]) -> Score:
     """Mean hop distance from non-members to the set; 1 iff the set dominates."""
     vs = as_vertex_set(s)
-    _check_proper(g, vs)
+    vs.check_proper(g)
     field = multi_source_distances(g, vs)
     if min(field.dist) < 0:
         raise InputError("graph is disconnected; group closeness is undefined")
     outside = g.n - len(vs)
     return Score.from_fraction(Fraction(sum(field.dist), outside))
-
-
-def sigma_through_set(
-    g: Graph, u: int, v: int, s: VertexSet | Iterable[int]
-) -> tuple[int, int]:
-    """Count shortest u-v paths that meet the set, and all shortest u-v paths.
-
-    Uses the complement route: paths avoiding the set are exactly the
-    shortest paths of the original length that survive in the graph with the
-    set's vertices removed.  If u and v fall apart or drift farther there,
-    every shortest path crosses the set.
-    """
-    vs = as_vertex_set(s)
-    if u in vs or v in vs:
-        raise InputError("endpoints must lie outside the set")
-    if u == v:
-        raise InputError("endpoints must differ")
-    dist, sigma = bfs_counts(g._adj, u)
-    total = sigma[v]
-    if total == 0:
-        raise InputError(f"no path between {u} and {v}; graph is disconnected")
-    banned = frozenset(vs.members)
-    dist_sub, sigma_sub = bfs_counts(g._adj, u, banned)
-    avoiding = sigma_sub[v] if dist_sub[v] == dist[v] else 0
-    return total - avoiding, total
 
 
 def group_betweenness(g: Graph, s: VertexSet | Iterable[int]) -> Score:
@@ -146,13 +116,13 @@ def group_betweenness(g: Graph, s: VertexSet | Iterable[int]) -> Score:
     by the number of outside pairs.  Value 1 iff the set is a vertex cover.
     """
     vs = as_vertex_set(s)
-    _check_proper(g, vs)
+    vs.check_proper(g)
     comp = vs.complement(g.n)
     c = len(comp)
     if c < 2:
         raise InputError("group betweenness needs at least two outside vertices")
     banned = frozenset(vs.members)
-    adj = g._adj
+    adj = neighbor_lists(g)
     bc = 0.0
     for i, u in enumerate(comp):
         dist, sigma = bfs_counts(adj, u)

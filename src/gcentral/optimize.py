@@ -41,6 +41,7 @@ from itertools import islice
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
+from scipy.sparse.csgraph import shortest_path
 
 from .errors import BudgetExceededError, InputError, check_memory
 from .graph import Graph, VertexSet, is_connected
@@ -182,24 +183,10 @@ def _adjacency(g: Graph, dtype) -> np.ndarray:
 
 
 def _hop_distances(g: Graph) -> np.ndarray:
-    """All-pairs hop distances by layered matmul, without path counts.
-
-    The frontier is the float32 0/1 indicator of the newest layer, so
-    ``frontier @ adj`` counts neighbours in it, exactly below 2**24 vertices.
-    """
-    adj = _adjacency(g, np.float32)
-    dist = np.full((g.n, g.n), -1, dtype=np.int16)
-    np.fill_diagonal(dist, 0)
-    frontier = np.eye(g.n, dtype=np.float32)
-    t = 0
-    while True:
-        t += 1
-        newly = frontier @ adj > 0
-        newly &= dist < 0
-        if not newly.any():
-            return dist
-        dist[newly] = t
-        frontier = newly.astype(np.float32)
+    """All-pairs hop distances as int16, -1 between components."""
+    dist = shortest_path(g._csr, unweighted=True)
+    dist[np.isinf(dist)] = -1
+    return dist.astype(np.int16)
 
 
 def _dist_sigma(g: Graph, adj: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
@@ -256,10 +243,11 @@ def _scorers(g: Graph, k: int, measure: Measure) -> _Scorers:
         return _Scorers(lambda subsets: np.ones(len(subsets)), _BLOCK)
     # Bytes per graph, per block row and per screened prefix.  A layered
     # all-pairs pass with path counts holds 45 per vertex pair (five float64
-    # and one int16 array and three bool masks), one without them 16.
+    # and one int16 array and three bool masks); csgraph's distances, cast
+    # to int16, hold 10 (8 + 2, by tracemalloc at n = 300 to 3,000).
     graph_bytes, row_bytes, prefix_bytes = {
         Measure.DEGREE: (n * n + 8 * slots, (k + 1) * n, 0),
-        Measure.CLOSENESS: (16 * n * n + 8 * slots, 2 * (k + 1) * n, 0),
+        Measure.CLOSENESS: (10 * n * n + 8 * slots, 2 * (k + 1) * n, 0),
         # Per row: the complement's layered pass, then the pair gathers.  Per
         # prefix: that pass on the prefix's complement, then the layer sums'
         # float64 arrays (59 in all by tracemalloc on a 6 x 7 torus).

@@ -15,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.sparse.csgraph import connected_components
 
 from .errors import InputError, SamplingBudgetError
 from .graph import Graph, VertexSet
@@ -114,44 +115,42 @@ def random_walk_sample(g: Graph, cfg: SampleConfig) -> SampleResult:
         if rng.random() < cfg.restart_probability:
             current = start
             continue
-        row = cum[bounds[current] : bounds[current + 1]]
-        current = g.neighbors(current)[int(np.searchsorted(row, rng.random(), side="right"))]
+        lo = bounds[current]
+        row = cum[lo : bounds[current + 1]]
+        current = int(g._indices[lo + int(np.searchsorted(row, rng.random(), side="right"))])
         visited.add(current)
 
-    keep = _largest_component(g, visited)
-    original_ids = tuple(sorted(keep))
-    idmap = {v: i for i, v in enumerate(original_ids)}
-    edges = []
-    weights = []
-    for (u, v), w in zip(g.edges, g.weights):
-        if u in keep and v in keep:
-            edges.append((idmap[u], idmap[v]))
-            weights.append(w)
-    labels = [g.label(v) for v in original_ids] if g.labels is not None else None
-    sample = Graph(len(original_ids), edges, weights, labels)
+    sample, original_ids = _induced(g, sorted(visited))
+    keep = _largest_component(sample)
+    if len(keep) < sample.n:
+        sample, original_ids = _induced(g, [original_ids[i] for i in keep])
     return SampleResult(
         graph=sample, original_ids=original_ids, visited=len(visited), seed=cfg.seed
     )
 
 
-def _largest_component(g: Graph, vertices: set[int]) -> set[int]:
-    remaining = set(vertices)
-    best: set[int] = set()
-    while remaining:
-        seed = min(remaining)
-        comp = {seed}
-        stack = [seed]
-        while stack:
-            u = stack.pop()
-            for v in g.neighbors(u):
-                if v in vertices and v not in comp:
-                    comp.add(v)
-                    stack.append(v)
-        remaining -= comp
-        # min(comp) breaks size ties toward the lowest vertex id.
-        if len(comp) > len(best) or (len(comp) == len(best) and min(comp) < min(best)):
-            best = comp
-    return best
+def _induced(g: Graph, ids: list[int]) -> tuple[Graph, tuple[int, ...]]:
+    """The subgraph of ``g`` induced by the ascending ``ids``, renumbered in their order."""
+    idmap = {v: i for i, v in enumerate(ids)}
+    edges = []
+    weights = []
+    for (u, v), w in zip(g.edges, g.weights):
+        if u in idmap and v in idmap:
+            edges.append((idmap[u], idmap[v]))
+            weights.append(w)
+    labels = [g.label(v) for v in ids] if g.labels is not None else None
+    return Graph(len(ids), edges, weights, labels), tuple(ids)
+
+
+def _largest_component(g: Graph) -> list[int]:
+    """Ascending vertices of the largest component of ``g``; of equal-size
+    components, the one holding the lowest vertex id."""
+    # The matrix is symmetric, so its strong components are its components,
+    # and csgraph finds those without building the transpose that "weak" needs.
+    _, label = connected_components(g._csr, connection="strong")
+    # argmax over each vertex's component size: the lowest vertex of a largest one.
+    best = label[np.bincount(label)[label].argmax()]
+    return np.flatnonzero(label == best).tolist()
 
 
 @dataclass(frozen=True)

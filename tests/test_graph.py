@@ -167,6 +167,31 @@ class TestGraphInvariants:
         h = pickle.loads(pickle.dumps(g))
         assert g == h and h.neighbors(1) == (0, 2)
 
+    def test_pickle_keeps_hash_and_read_only_arrays(self):
+        import pickle
+
+        g = Graph(4, [(0, 1), (1, 2), (2, 3)], [1.0, 2.0, 0.5], ["a", "b", "c", "d"])
+        h = pickle.loads(pickle.dumps(g))
+        assert h == g and hash(h) == hash(g)
+        for name in ("_indptr", "_indices", "_slot_w"):
+            assert not getattr(h, name).flags.writeable
+            assert np.array_equal(getattr(h, name), getattr(g, name))
+        assert (h._csr != g._csr).nnz == 0
+        assert is_connected(h) and multi_source_distances(h, [0]).dist == (0, 1, 2, 3)
+
+    def test_unpickle_skips_validation(self, monkeypatch):
+        import pickle
+
+        data = pickle.dumps(Graph(3, [(0, 1), (1, 2)], [1.0, 2.0]))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("unpickling re-ran Graph.__init__")
+
+        monkeypatch.setattr(Graph, "__init__", refuse)
+        h = pickle.loads(data)
+        assert h.edges == ((0, 1), (1, 2)) and h.weights == (1.0, 2.0)
+        assert weighted_degree(h, 1) == 3.0 and is_connected(h)
+
 
 class TestVertexSet:
     def test_canonicalization(self):

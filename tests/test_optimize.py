@@ -213,13 +213,15 @@ class TestMemoryGuard:
 
 
     def test_closeness_distances_fit_without_path_counts(self, monkeypatch):
-        # The distance-only pass holds 16 bytes per vertex pair; the pass with
-        # path counts that closeness used to run held 45, past this limit.
+        # csgraph's distances cast to int16 hold 10 bytes per vertex pair.
+        # The pass with path counts that closeness once ran held 45, past
+        # both limits, and the layered distance-only pass 16, past the second.
         g = cycle_graph(300)
-        monkeypatch.setattr(errors, "MEMORY_LIMIT", 30 * 300 * 300)
-        r = optimumset(g, 1, Measure.CLOSENESS)
-        assert r.evaluated == 300 and len(r.optimal_sets) == 300
-        assert r.best.exact == oracles.group_score_oracle(g, (0,), Measure.CLOSENESS)
+        for bytes_per_pair in (30, 13):
+            monkeypatch.setattr(errors, "MEMORY_LIMIT", bytes_per_pair * 300 * 300)
+            r = optimumset(g, 1, Measure.CLOSENESS)
+            assert r.evaluated == 300 and len(r.optimal_sets) == 300
+            assert r.best.exact == oracles.group_score_oracle(g, (0,), Measure.CLOSENESS)
 
 
 class TestPrefixScreen:

@@ -113,6 +113,18 @@ class TestRandomWalkSample:
             assert is_connected(result.graph)
             assert result.graph.n <= 20
 
+    def test_largest_component_ties_go_to_lowest_vertex(self):
+        from gcentral.graph import Graph
+        from gcentral.sampling import _largest_component
+
+        # Components {0}, {1, 2}, {3}, {4, 5}, {6}: {1, 2} holds the lowest id
+        # of the two largest.
+        assert _largest_component(Graph(7, [(1, 2), (4, 5)])) == [1, 2]
+        # {0, 3} holds the lowest id although {1, 2} ends lower.
+        assert _largest_component(Graph(4, [(0, 3), (1, 2)])) == [0, 3]
+        assert _largest_component(Graph(6, [(0, 5), (2, 3), (3, 4)])) == [2, 3, 4]
+        assert _largest_component(path_graph(3)) == [0, 1, 2]
+
     def test_mapping_lines_with_labels(self):
         g = path_graph(5).relabel(["a", "b", "c", "d", "e"])
         result = random_walk_sample(g, SampleConfig(target_nodes=3, seed=5))
