@@ -276,12 +276,9 @@ def cmd_sample(args) -> int:
     header = f"# manifest: {json.dumps(manifest.to_dict(), sort_keys=True)}\n"
     edge_path.write_text(header + format_edge_list(result.graph), encoding="utf-8")
     map_path.write_text("\n".join(result.mapping_lines(g)) + "\n", encoding="utf-8")
-    note = ""
-    if result.reduced_to_component:
-        note = f"; induced subgraph was disconnected, kept largest component of {result.visited} visited"
     sys.stderr.write(
         f"sampled {result.graph.n} vertices / {result.graph.m} edges "
-        f"(seed {args.seed}, rng {result.rng}){note} -> {edge_path}, {map_path}\n"
+        f"(seed {args.seed}, rng {result.rng}) -> {edge_path}, {map_path}\n"
     )
     return 0
 

@@ -11,6 +11,10 @@ import copyreg
 #: Bytes one search process or one Monte Carlo run may allocate for its arrays.
 MEMORY_LIMIT = 1 << 30
 
+#: Source-slot visits (outside vertices times CSR slots) one group
+#: betweenness score may make: about a minute of path counting.
+PATH_COUNT_LIMIT = 600_000_000
+
 
 class GCentralError(Exception):
     """Base class for all package-specific errors."""

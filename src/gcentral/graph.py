@@ -6,11 +6,13 @@ freely across threads and worker processes.
 
 Every distance and connectivity question is answered by
 :mod:`scipy.sparse.csgraph` on the graph's one CSR matrix: here
-(:func:`is_connected`, :func:`multi_source_distances`), in
-:mod:`gcentral.optimize` (all-pairs hop distances) and in
-:mod:`gcentral.sampling` (largest component).  The one hand-written
-traversal is :func:`bfs_counts`, for the exact big-integer path counts of
-:func:`shortest_path_counts` and the betweenness reference.
+(:func:`is_connected`, :func:`multi_source_distances`) and in
+:mod:`gcentral.optimize` (all-pairs hop distances).  Exact shortest-path
+counts, which csgraph does not give, come from :func:`geodesic_counts`:
+one numpy pass over the CSR arrays that runs breadth-first layers from a
+block of sources at once, counting all geodesics and those avoiding a
+vertex set (for group betweenness and :func:`shortest_path_counts`), in
+float64 while that is exact and on Python ints past it.
 """
 
 from __future__ import annotations
@@ -18,18 +20,19 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import chain
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 import scipy.sparse
 from scipy.sparse import csgraph
 
-from .errors import InputError
+from .errors import InputError, check_memory
 
 __all__ = [
     "Graph",
     "VertexSet",
     "PathCounts",
+    "GeodesicCounts",
     "as_vertex_set",
     "load_edge_list",
     "parse_label_file",
@@ -37,6 +40,7 @@ __all__ = [
     "is_connected",
     "multi_source_distances",
     "shortest_path_counts",
+    "geodesic_counts",
     "weighted_degree",
 ]
 
@@ -252,45 +256,106 @@ class PathCounts:
 UNREACHED = -1
 
 
-def neighbor_lists(g: Graph) -> list[list[int]]:
-    """Every vertex's neighbor ids as a Python list, the adjacency :func:`bfs_counts` walks."""
-    bounds, ids = g._indptr.tolist(), g._indices.tolist()
-    return [ids[a:b] for a, b in zip(bounds, bounds[1:])]
+class GeodesicCounts(NamedTuple):
+    """Hop distances and geodesic counts from a block of sources, one row
+    per source, one column per vertex.
 
-
-def bfs_counts(
-    adj: Sequence[Sequence[int]],
-    source: int,
-    banned: frozenset[int] = frozenset(),
-) -> tuple[list[int], list[int]]:
-    """Single-source BFS with shortest-path counting, skipping ``banned`` vertices.
-
-    The package's one hand-written traversal, kept because its counts are
-    exact Python integers, which csgraph cannot give.  Returns (dist, sigma)
-    lists over all vertex ids; banned or unreachable vertices keep
-    dist == -1 and sigma == 0.
+    ``sigma`` counts every shortest path, ``avoiding`` those with no
+    interior vertex in the avoided set.  Counts are float64 (exact integers
+    below 2**53) or, past that range, Python ints in an object array.
+    Unreached vertices keep dist == -1 and zero counts.
     """
-    n = len(adj)
-    dist = [UNREACHED] * n
-    sigma = [0] * n
-    dist[source] = 0
-    sigma[source] = 1
-    queue = [source]
-    head = 0
-    while head < len(queue):
-        u = queue[head]
-        head += 1
-        du1 = dist[u] + 1
-        su = sigma[u]
-        for v in adj[u]:
-            if v in banned:
-                continue
-            if dist[v] == UNREACHED:
-                dist[v] = du1
-                queue.append(v)
-            if dist[v] == du1:
-                sigma[v] += su
-    return dist, sigma
+
+    dist: np.ndarray
+    sigma: np.ndarray
+    avoiding: np.ndarray
+
+
+#: Sources one counting pass takes at once, fewer if the memory limit says so.
+_SOURCE_BLOCK = 256
+# Bytes per source row, per vertex and per CSR slot: the dense rows (the
+# distance, the two counts, the dedup scratch) with the caller's per-pair
+# arrays, and one level's expansion, which can read every slot.  These are
+# the object route's, which adds the counts' ints and the quotients' floats
+# to the float64 route's.  Measured by tracemalloc: float64 65 per vertex
+# (3,000-vertex path) and 45 per slot (3,000-leaf star); objects 220 per
+# vertex (8 x 40 layered graph).
+_ROW_BYTES = (240, 48)
+
+
+def _count_pass(g: Graph, sources: np.ndarray, avoided: np.ndarray, dtype) -> GeodesicCounts | None:
+    """Breadth-first layers from every source at once, counting geodesics.
+
+    Only the (source, vertex) pairs reached at the current level are
+    expanded, through the CSR slots of their vertex; a pair's counts are
+    the sums over its predecessors on the layer before.  A vertex in
+    ``avoided`` (a bool mask) passes on its total count but not its
+    avoiding one.  In float64 the pass gives up (None) as soon as a count
+    reaches 2**53, where sums could round.
+    """
+    n, b = g.n, len(sources)
+    dist = np.full(b * n, UNREACHED, dtype=np.int32)
+    sigma = np.zeros(b * n, dtype=dtype)
+    avoiding = np.zeros(b * n, dtype=dtype)
+    owner = np.empty(b * n, dtype=np.intp)
+    degree = np.diff(g._indptr)
+    # A pair (source row r, vertex v) is the flat index r * n + v.
+    base = np.arange(b) * n
+    vertex = np.asarray(sources, dtype=np.intp)
+    key = base + vertex
+    dist[key] = 0
+    sigma[key] = avoiding[key] = 1
+    level = 0
+    while key.size:
+        level += 1
+        reach = degree[vertex]
+        # Every CSR slot of every frontier pair, and the pair it came from.
+        src = np.repeat(np.arange(key.size), reach)
+        slot = np.arange(src.size) + (g._indptr[vertex] - (np.cumsum(reach) - reach))[src]
+        step = base[src] + g._indices[slot]
+        fresh = dist[step] == UNREACHED
+        src, step = src[fresh], step[fresh]
+        through = np.where(avoided[vertex], 0, avoiding[key])
+        np.add.at(sigma, step, sigma[key][src])
+        np.add.at(avoiding, step, through[src])
+        base, key = base[src], step
+        # One entry per reached pair: the candidate each key last saw.
+        order = np.arange(key.size)
+        owner[key] = order
+        unique = owner[key] == order
+        key, base = key[unique], base[unique]
+        vertex = key - base
+        dist[key] = level
+        if dtype is float and key.size and sigma[key].max() >= 2.0**53:
+            return None
+    shape = (b, n)
+    return GeodesicCounts(dist.reshape(shape), sigma.reshape(shape), avoiding.reshape(shape))
+
+
+def geodesic_counts(g: Graph, sources: Sequence[int], avoided: Iterable[int] = ()) -> Iterator[GeodesicCounts]:
+    """Distances, geodesic counts and the counts avoiding ``avoided`` (as
+    interior vertices) from every source, in blocks of consecutive sources.
+
+    Blocks are sized against the memory limit, for the object route,
+    before anything is allocated; BudgetExceededError if one source does
+    not fit.  Counts run in float64 until a pass trips its exactness guard;
+    that block and every later one then run on Python ints.
+    """
+    per_vertex, per_slot = _ROW_BYTES
+    row_bytes = per_vertex * g.n + per_slot * g._indices.size
+    left = check_memory(row_bytes, f"counting shortest paths on {g.n} vertices")
+    rows = min(_SOURCE_BLOCK, 1 + left // row_bytes)
+    mask = np.zeros(g.n, dtype=bool)
+    mask[list(avoided)] = True
+    sources = np.asarray(sources, dtype=np.intp)
+    dtype = float
+    for i in range(0, len(sources), rows):
+        block = sources[i : i + rows]
+        counts = _count_pass(g, block, mask, dtype)
+        if counts is None:
+            dtype = object
+            counts = _count_pass(g, block, mask, dtype)
+        yield counts
 
 
 def load_edge_list(
@@ -434,8 +499,9 @@ def shortest_path_counts(g: Graph, u: int) -> PathCounts:
     """Distances and exact shortest-path counts from source ``u``."""
     if not 0 <= u < g.n:
         raise InputError(f"vertex {u} outside graph")
-    dist, sigma = bfs_counts(neighbor_lists(g), u)
-    return PathCounts(source=u, dist=tuple(dist), sigma=tuple(sigma))
+    counts = next(geodesic_counts(g, [u]))
+    sigma = tuple(map(int, counts.sigma[0].tolist()))
+    return PathCounts(source=u, dist=tuple(counts.dist[0].tolist()), sigma=sigma)
 
 
 def weighted_degree(g: Graph, u: int) -> float:

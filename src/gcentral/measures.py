@@ -1,9 +1,11 @@
 """The four group-centrality scores for vertex subsets of a connected graph.
 
 Degree and closeness are computed in exact rational arithmetic so ties are
-exact; betweenness combines exact integer path counts per pair with a
-floating-point sum; the random-walk score lives in :mod:`gcentral.randomwalk`
-and is re-exported through :func:`evaluate`.
+exact.  Betweenness counts, for every outside pair, its geodesics and those
+avoiding the set in one vectorised pass from blocks of outside sources
+(:func:`gcentral.graph.geodesic_counts`), and adds the pairs' exact integer
+ratios into one float in pair order.  The random-walk score lives in
+:mod:`gcentral.randomwalk` and is re-exported through :func:`evaluate`.
 """
 
 from __future__ import annotations
@@ -13,8 +15,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
-from .errors import InputError
-from .graph import Graph, VertexSet, as_vertex_set, bfs_counts, multi_source_distances, neighbor_lists
+import numpy as np
+
+from . import errors
+from .errors import BudgetExceededError, InputError
+from .graph import Graph, VertexSet, as_vertex_set, geodesic_counts, multi_source_distances
 
 __all__ = [
     "Measure",
@@ -112,27 +117,38 @@ def group_closeness(g: Graph, s: VertexSet | Iterable[int]) -> Score:
 def group_betweenness(g: Graph, s: VertexSet | Iterable[int]) -> Score:
     """Mean fraction, over outside pairs, of their geodesics meeting the set.
 
-    Exact integer path counts per pair, summed in floating point, normalized
-    by the number of outside pairs.  Value 1 iff the set is a vertex cover.
+    Exact integer path counts per pair, summed in floating point in pair
+    order, normalized by the number of outside pairs.  Value 1 iff the set
+    is a vertex cover.  Refused (BudgetExceededError) when the outside
+    vertices times the CSR slots pass ``errors.PATH_COUNT_LIMIT``.
     """
     vs = as_vertex_set(s)
     vs.check_proper(g)
-    comp = vs.complement(g.n)
+    comp = np.asarray(vs.complement(g.n))
     c = len(comp)
     if c < 2:
         raise InputError("group betweenness needs at least two outside vertices")
-    banned = frozenset(vs.members)
-    adj = neighbor_lists(g)
+    work = c * g._indices.size
+    if work > errors.PATH_COUNT_LIMIT:
+        raise BudgetExceededError(
+            f"group betweenness from {c} outside vertices over {g._indices.size} CSR slots "
+            f"needs about {work:.2e} path-count steps, above the limit of {errors.PATH_COUNT_LIMIT:.2e}"
+        )
     bc = 0.0
-    for i, u in enumerate(comp):
-        dist, sigma = bfs_counts(adj, u)
-        dist_sub, sigma_sub = bfs_counts(adj, u, banned)
-        for v in comp[i + 1 :]:
-            total = sigma[v]
-            if total == 0:
-                raise InputError("graph is disconnected; group betweenness is undefined")
-            avoiding = sigma_sub[v] if dist_sub[v] == dist[v] else 0
-            bc += (total - avoiding) / total
+    first = 0
+    for block in geodesic_counts(g, comp, vs.members):
+        # The outside pairs (u, v), u < v, with u from this block, in the
+        # order of a double loop over the complement.
+        rows = len(block.sigma)
+        later = np.arange(c) > np.arange(first, first + rows)[:, None]
+        first += rows
+        total = block.sigma[:, comp][later]
+        if (total == 0).any():
+            raise InputError("graph is disconnected; group betweenness is undefined")
+        # Each fraction is a correctly rounded ratio of exact integers; the
+        # sequential sum, carried from block to block, is the double loop's.
+        through = np.asarray((total - block.avoiding[:, comp][later]) / total, dtype=float)
+        bc = float(np.add.accumulate(np.concatenate(([bc], through)))[-1])
     return Score(value=2.0 * bc / (c * (c - 1)))
 
 

@@ -1,9 +1,10 @@
 """Random-walk graph sampling and the clique/star separating family.
 
 Sampling walks the source graph (with restarts) until a target number of
-distinct vertices has been visited, then returns the induced subgraph,
-reduced to its largest connected component since every downstream measure
-needs connectivity.
+distinct vertices has been visited, then returns the induced subgraph.
+Every step moves along an edge from a visited vertex and every restart
+returns to the start, so the visited vertices always induce a connected
+graph, which every downstream measure needs.
 
 The separating family attaches m cliques and m stars of size n to a hub;
 its point is that the random-walk score prefers the clique-attachment set
@@ -15,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse.csgraph import connected_components
 
 from .errors import InputError, SamplingBudgetError
 from .graph import Graph, VertexSet
@@ -60,9 +60,8 @@ class SampleConfig:
 class SampleResult:
     """Induced sample with the mapping back to source-graph vertex ids.
 
-    ``visited`` counts the distinct vertices the walk touched; when the
-    induced subgraph fell apart, ``graph.n < visited`` and only the largest
-    connected component was kept.
+    ``visited`` counts the distinct vertices the walk touched, all of them
+    in ``graph``.
     """
 
     graph: Graph
@@ -70,10 +69,6 @@ class SampleResult:
     visited: int
     seed: int
     rng: str = RNG_NAME
-
-    @property
-    def reduced_to_component(self) -> bool:
-        return self.graph.n < self.visited
 
     def mapping_lines(self, source: Graph) -> list[str]:
         lines = []
@@ -91,8 +86,7 @@ def random_walk_sample(g: Graph, cfg: SampleConfig) -> SampleResult:
     The walk starts at a seed-chosen vertex, restarts there with the
     configured probability, and records distinct visits until
     ``cfg.target_nodes`` vertices are collected.  The induced subgraph is
-    restricted to its largest connected component.  Deterministic for a
-    fixed seed.
+    connected (see the module docstring).  Deterministic for a fixed seed.
     """
     if g.n < cfg.target_nodes:
         raise InputError(f"graph has {g.n} < target_nodes={cfg.target_nodes} vertices")
@@ -121,9 +115,6 @@ def random_walk_sample(g: Graph, cfg: SampleConfig) -> SampleResult:
         visited.add(current)
 
     sample, original_ids = _induced(g, sorted(visited))
-    keep = _largest_component(sample)
-    if len(keep) < sample.n:
-        sample, original_ids = _induced(g, [original_ids[i] for i in keep])
     return SampleResult(
         graph=sample, original_ids=original_ids, visited=len(visited), seed=cfg.seed
     )
@@ -140,17 +131,6 @@ def _induced(g: Graph, ids: list[int]) -> tuple[Graph, tuple[int, ...]]:
             weights.append(w)
     labels = [g.label(v) for v in ids] if g.labels is not None else None
     return Graph(len(ids), edges, weights, labels), tuple(ids)
-
-
-def _largest_component(g: Graph) -> list[int]:
-    """Ascending vertices of the largest component of ``g``; of equal-size
-    components, the one holding the lowest vertex id."""
-    # The matrix is symmetric, so its strong components are its components,
-    # and csgraph finds those without building the transpose that "weak" needs.
-    _, label = connected_components(g._csr, connection="strong")
-    # argmax over each vertex's component size: the lowest vertex of a largest one.
-    best = label[np.bincount(label)[label].argmax()]
-    return np.flatnonzero(label == best).tolist()
 
 
 @dataclass(frozen=True)

@@ -115,6 +115,47 @@ def sigma_through_oracle(
     return through, len(paths)
 
 
+def bfs_counts(g: Graph, source: int, banned: frozenset[int] = frozenset()) -> tuple[list[int], list[int]]:
+    """Single-source BFS with exact shortest-path counts, skipping ``banned``
+    vertices; banned or unreachable vertices keep dist -1 and count 0."""
+    dist = [-1] * g.n
+    sigma = [0] * g.n
+    dist[source] = 0
+    sigma[source] = 1
+    q = deque([source])
+    while q:
+        u = q.popleft()
+        for v in g.neighbors(u):
+            if v in banned:
+                continue
+            if dist[v] < 0:
+                dist[v] = dist[u] + 1
+                q.append(v)
+            if dist[v] == dist[u] + 1:
+                sigma[v] += sigma[u]
+    return dist, sigma
+
+
+def betweenness_reference(g: Graph, members: tuple[int, ...]) -> float:
+    """Group betweenness by one double loop over the outside pairs, in order.
+
+    The paths avoiding the set are the shortest paths of the original length
+    that survive with the set removed; each pair's fraction is a ratio of
+    exact integers, added into one float in pair order.
+    """
+    inside = frozenset(members)
+    outside = [v for v in range(g.n) if v not in inside]
+    total = 0.0
+    for i, u in enumerate(outside):
+        dist, sigma = bfs_counts(g, u)
+        dist_sub, sigma_sub = bfs_counts(g, u, inside)
+        for v in outside[i + 1 :]:
+            avoiding = sigma_sub[v] if dist_sub[v] == dist[v] else 0
+            total += (sigma[v] - avoiding) / sigma[v]
+    c = len(outside)
+    return 2.0 * total / (c * (c - 1))
+
+
 def hitting_times_oracle(g: Graph, members: tuple[int, ...]) -> dict[int, float]:
     """Expected absorption steps from hand-built first-step equations."""
     inside = set(members)

@@ -416,6 +416,30 @@ class TestExitCodes:
         assert err.startswith(f"error: the {what} 400 vertices needs about ")
         assert err.endswith("above the 1 MiB memory limit\n")
 
+    def test_betweenness_past_work_limit_exit_3(self, capsys, tmp_path, monkeypatch):
+        path = tmp_path / "p400.edges"
+        path.write_text("\n".join(f"{i} {i + 1}" for i in range(399)) + "\n")
+        # 399 outside vertices times 798 CSR slots.
+        monkeypatch.setattr(errors, "PATH_COUNT_LIMIT", 399 * 798 - 1)
+        code, out, err = run(capsys, ["centrality", str(path), "--set", "0", "--measures", "all"])
+        assert code == 3
+        assert out == ""
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert err == (
+            "error: group betweenness from 399 outside vertices over 798 CSR slots needs "
+            "about 3.18e+05 path-count steps, above the limit of 3.18e+05\n"
+        )
+
+    def test_path_counts_past_memory_limit_exit_3(self, capsys, tmp_path, monkeypatch):
+        path = tmp_path / "p5000.edges"
+        path.write_text("\n".join(f"{i} {i + 1}" for i in range(4999)) + "\n")
+        # One source's rows of the counting pass take about 1.6 MiB.
+        monkeypatch.setattr(errors, "MEMORY_LIMIT", 1 << 20)
+        code, out, err = run(capsys, ["centrality", str(path), "--set", "0", "--measures", "betweenness"])
+        assert code == 3
+        assert out == ""
+        assert err == "error: counting shortest paths on 5000 vertices needs about 2 MiB, above the 1 MiB memory limit\n"
+
     @pytest.mark.parametrize("body", ["a b inf\n", "a b 1e308\nb c 1e308\n"])
     def test_unusable_weights_exit_2(self, capsys, tmp_path, body):
         path = tmp_path / "w.edges"

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from gcentral.errors import InputError
-from gcentral.graph import Graph, bfs_counts, neighbor_lists
+from gcentral.graph import Graph, geodesic_counts
 from gcentral.measures import (
     Measure,
     group_betweenness,
@@ -85,14 +85,12 @@ class TestGroupBetweenness:
 
 def sigma_through_set(g: Graph, u: int, v: int, s) -> tuple[int, int]:
     """Shortest u-v paths meeting ``s``, and all shortest u-v paths, by the
-    complement route of ``group_betweenness``: the paths avoiding ``s`` are
-    the shortest paths of the original length that survive with ``s`` banned.
+    counting pass of ``group_betweenness``: all geodesics from ``u``, less
+    those with no interior vertex in ``s``.
     """
-    adj = neighbor_lists(g)
-    dist, sigma = bfs_counts(adj, u)
-    dist_sub, sigma_sub = bfs_counts(adj, u, frozenset(s))
-    avoiding = sigma_sub[v] if dist_sub[v] == dist[v] else 0
-    return sigma[v] - avoiding, sigma[v]
+    counts = next(geodesic_counts(g, [u], s))
+    total, avoiding = int(counts.sigma[0, v]), int(counts.avoiding[0, v])
+    return total - avoiding, total
 
 
 class TestSigmaThroughSet:
