@@ -332,14 +332,17 @@ def _count_pass(g: Graph, sources: np.ndarray, avoided: np.ndarray, dtype) -> Ge
     return GeodesicCounts(dist.reshape(shape), sigma.reshape(shape), avoiding.reshape(shape))
 
 
-def geodesic_counts(g: Graph, sources: Sequence[int], avoided: Iterable[int] = ()) -> Iterator[GeodesicCounts]:
+def geodesic_counts(
+    g: Graph, sources: Sequence[int], avoided: Iterable[int] = (), *, _dtype=float
+) -> Iterator[GeodesicCounts]:
     """Distances, geodesic counts and the counts avoiding ``avoided`` (as
     interior vertices) from every source, in blocks of consecutive sources.
 
     Blocks are sized against the memory limit, for the object route,
     before anything is allocated; BudgetExceededError if one source does
     not fit.  Counts run in float64 until a pass trips its exactness guard;
-    that block and every later one then run on Python ints.
+    that block and every later one then run on Python ints.  A caller that
+    knows the counts pass 2**53 starts on Python ints with ``_dtype=object``.
     """
     per_vertex, per_slot = _ROW_BYTES
     row_bytes = per_vertex * g.n + per_slot * g._indices.size
@@ -348,7 +351,7 @@ def geodesic_counts(g: Graph, sources: Sequence[int], avoided: Iterable[int] = (
     mask = np.zeros(g.n, dtype=bool)
     mask[list(avoided)] = True
     sources = np.asarray(sources, dtype=np.intp)
-    dtype = float
+    dtype = _dtype
     for i in range(0, len(sources), rows):
         block = sources[i : i + rows]
         counts = _count_pass(g, block, mask, dtype)

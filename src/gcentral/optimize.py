@@ -12,12 +12,14 @@ score from the complement as floats tied within a relative tolerance
 neither fabricate nor destroy a tie.
 
 For k >= 2, betweenness and random walk screen the subsets in groups: those
-sharing their last k - 1 elements are scored together from one pass over
-that prefix's complement (a Schur complement of one inverse for random
-walk, the path counts through each extension for betweenness).  What the
-screen leaves in the keep window is re-scored by the block scorer, the only
-exact kernel, which also serves k = 1, single subsets, the decision scan and
-the big-integer fallbacks; every reported value comes from it.
+sharing their last k - t elements, the parent, are scored together from one
+pass over the parent's complement.  Random walk extends each parent by t = 2
+vertices from k = 3 on (t = 1 at k = 2): one inverse G per parent, and each
+extension T scores from a Schur complement of the t x t block G[T, T].
+Betweenness extends by t = 1 vertex, from the path counts through it.  What
+the screen leaves in the keep window is re-scored by the block scorer, the
+only exact kernel, which also serves k = 1, single subsets, the decision
+scan and the big-integer fallbacks; every reported value comes from it.
 
 One reduction, :func:`_absorb`, keeps the scored subsets within a window of
 the best score seen; it folds each scored block into a partition's result
@@ -37,7 +39,7 @@ from contextlib import ExitStack
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from itertools import islice
+from itertools import chain, islice
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -207,7 +209,7 @@ def _complements_of(n: int, subsets: np.ndarray) -> np.ndarray:
 
 
 _BLOCK = 512
-_PREFIXES = 64
+_PARENTS = 64
 
 
 class _Scorers(NamedTuple):
@@ -215,24 +217,29 @@ class _Scorers(NamedTuple):
 
     ``block`` scores a block of size-k subsets, at most ``rows`` of them,
     exactly.  ``screen``, where the measure has one, takes at most
-    ``prefixes`` (k - 1)-subsets P and returns, for every position j of
-    P's sorted complement, a float value of P plus that vertex, off from
-    the exact one by rounding only (see :func:`_scan_partitions`).
+    ``parents`` (k - t)-subsets P, t = ``depth``, and one row per extension:
+    the index of its parent and t positions in that parent's sorted
+    complement.  It returns a float value of each parent plus the vertices
+    at those positions, off from the exact one by rounding only (see
+    :func:`_scan_partitions`).
     """
 
     block: Callable[[np.ndarray], np.ndarray]
     rows: int
-    screen: Callable[[np.ndarray], np.ndarray] | None = None
-    prefixes: int = 0
+    screen: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray] | None = None
+    parents: int = 0
+    depth: int = 1
 
 
 def _scorers(g: Graph, k: int, measure: Measure) -> _Scorers:
     """The scorers of one size-k search, built once per search from the
-    arrays its measure reads, with the rows a block and the prefixes a screen
+    arrays its measure reads, with the rows a block and the parents a screen
     call may take: as many as fit under the memory limit beside the per-graph
-    arrays, up to ``_BLOCK`` and ``_PREFIXES``.  All are sized from their
+    arrays, up to ``_BLOCK`` and ``_PARENTS``.  All are sized from their
     dtypes before anything is allocated.  Degree and closeness score as
     integer numerators over c = n - k; betweenness and random walk as floats.
+    Random walk screens two-vertex extensions from k = 3 on, betweenness
+    one-vertex extensions.
     """
     n, c, slots = g.n, g.n - k, g._indices.size
     if measure is Measure.BETWEENNESS and c < 2:
@@ -241,26 +248,39 @@ def _scorers(g: Graph, k: int, measure: Measure) -> _Scorers:
         # vertex-cover characterization needs (V minus one vertex always
         # covers every edge).
         return _Scorers(lambda subsets: np.ones(len(subsets)), _BLOCK)
-    # Bytes per graph, per block row and per screened prefix.  A layered
+    depth = min(2, k - 1) if measure is Measure.RANDOMWALK else 1
+    # A parent's complement has c + depth vertices, and at most as many
+    # extensions below its smallest element as depth-subsets of them.
+    width, extensions = c + depth, math.comb(c + depth, depth)
+    # Bytes per graph, per block row and per screened parent.  A layered
     # all-pairs pass with path counts holds 45 per vertex pair (five float64
     # and one int16 array and three bool masks); csgraph's distances, cast
     # to int16, hold 10 (8 + 2, by tracemalloc at n = 300 to 3,000).
-    graph_bytes, row_bytes, prefix_bytes = {
+    graph_bytes, row_bytes, parent_bytes = {
         Measure.DEGREE: (n * n + 8 * slots, (k + 1) * n, 0),
         Measure.CLOSENESS: (10 * n * n + 8 * slots, 2 * (k + 1) * n, 0),
         # Per row: the complement's layered pass, then the pair gathers.  Per
-        # prefix: that pass on the prefix's complement, then the layer sums'
+        # parent: that pass on the parent's complement, then the layer sums'
         # float64 arrays (59 in all by tracemalloc on a 6 x 7 torus).
-        Measure.BETWEENNESS: (45 * n * n + 8 * slots + 9 * c * c, 48 * c * c, 72 * (c + 1) ** 2),
-        # The transition matrix and its step table; the system and the
-        # solver's copy.  Per prefix: the system, its inverse and the
-        # inverter's identity and copy.
-        Measure.RANDOMWALK: (8 * n * n + 32 * slots, 16 * c * c, 40 * (c + 1) ** 2),
+        Measure.BETWEENNESS: (45 * n * n + 8 * slots + 9 * c * c, 48 * c * c, 72 * width**2),
+        # The transition matrix, its step table and the screen's table of
+        # extensions; the system and the solver's copy.  Per parent: the
+        # system, its inverse and the inverter's identity and copy, then per
+        # extension its subset row twice (the batch and the keep window's
+        # concatenation) and 128 for the gathers, the small solves and the
+        # window's masks.  By tracemalloc a batch peaked at under 0.67 of
+        # this on a 6 x 7 torus at k = 3 to 5 and on a 300-vertex graph at
+        # k = 2 and 3.
+        Measure.RANDOMWALK: (
+            8 * n * n + 32 * slots + 8 * depth * math.comb(n, depth),
+            16 * c * c,
+            40 * width**2 + (16 * k + 128) * extensions,
+        ),
     }[measure]
     left = check_memory(graph_bytes + row_bytes, f"the {measure.value} search at k={k} on {n} vertices")
     block_rows = min(_BLOCK, 1 + left // row_bytes)
-    # k = 1 has no prefix to extend (and for random walk, I - P is singular).
-    prefixes = min(_PREFIXES, left // prefix_bytes) if prefix_bytes and k > 1 else 0
+    # k = 1 has no parent to extend (and for random walk, I - P is singular).
+    parents = min(_PARENTS, left // parent_bytes) if parent_bytes and k > 1 else 0
 
     if measure is Measure.DEGREE:
         touches = _adjacency(g, bool)
@@ -280,7 +300,7 @@ def _scorers(g: Graph, k: int, measure: Measure) -> _Scorers:
 
     if measure is Measure.RANDOMWALK:
         p = transition_matrix(g)
-        idx, idx1 = np.arange(c), np.arange(c + 1)
+        idx, idx_t = np.arange(c), np.arange(width)
 
         def score(subsets: np.ndarray) -> np.ndarray:
             comp = _complements_of(n, subsets)
@@ -289,18 +309,24 @@ def _scorers(g: Graph, k: int, measure: Measure) -> _Scorers:
             h = np.linalg.solve(a, np.ones((len(comp), c, 1)))[:, :, 0]
             return np.array([math.fsum(row) / c for row in h])
 
-        def screen(prefixes: np.ndarray) -> np.ndarray:
-            # With G = (I - Q)^-1 on the prefix's complement, removing vertex
-            # v leaves the hitting-time sum sum(G) - rowsum_v colsum_v / G_vv
-            # (a Schur complement).
-            comp = _complements_of(n, prefixes)
+        def screen(parents: np.ndarray, owner: np.ndarray, ext: np.ndarray) -> np.ndarray:
+            # With G = (I - Q)^-1 on the parent's complement, r and c its row
+            # and column sums, removing the vertices T leaves the hitting-time
+            # sum sum(G) - c_T^T G[T, T]^-1 r_T (a Schur complement).  G[T, T]
+            # is never singular: by Jacobi's complementary-minor identity its
+            # determinant is det((I - Q) off T) / det(I - Q), a ratio of
+            # principal minors of the M-matrix I - Q, so positive.
+            comp = _complements_of(n, parents)
             a = -p[comp[:, :, None], comp[:, None, :]]
-            a[:, idx1, idx1] += 1.0
+            a[:, idx_t, idx_t] += 1.0
             inv = np.linalg.inv(a)
             rows, cols = inv.sum(axis=2), inv.sum(axis=1)
-            return (rows.sum(axis=1, keepdims=True) - rows * cols / inv[:, idx1, idx1]) / c
+            at = owner[:, None], ext
+            m_t = inv[owner[:, None, None], ext[:, :, None], ext[:, None, :]]
+            q = (cols[at] * np.linalg.solve(m_t, rows[at][:, :, None])[:, :, 0]).sum(axis=1)
+            return (rows.sum(axis=1)[owner] - q) / c
 
-        return _Scorers(score, block_rows, screen if prefixes else None, prefixes)
+        return _Scorers(score, block_rows, screen if parents else None, parents, depth)
 
     adj = _adjacency(g, float)
     dist, sigma = _dist_sigma(g, adj)
@@ -310,8 +336,10 @@ def _scorers(g: Graph, k: int, measure: Measure) -> _Scorers:
 
     def score(subsets: np.ndarray) -> np.ndarray:
         if sigma is None:
-            # Base-graph counts exceed the float64-exact range; use big integers.
-            return np.array([_measures.group_betweenness(g, tuple(s)).value for s in subsets])
+            # Base-graph counts pass the float64-exact range (or near it):
+            # count on big integers from the start, skipping a float pass
+            # that would most likely give up.
+            return np.array([_measures.group_betweenness(g, tuple(s), _dtype=object).value for s in subsets])
         comp = _complements_of(n, subsets)
         try:
             d_sub, s_sub = _apsp_layers_batch(adj[comp[:, :, None], comp[:, None, :]])
@@ -326,14 +354,14 @@ def _scorers(g: Graph, k: int, measure: Measure) -> _Scorers:
         # pick shape-dependent summation orders).
         return np.array([2.0 * (iu.size - math.fsum(row)) / (c * (c - 1)) for row in avoid])
 
-    def screen(prefixes: np.ndarray) -> np.ndarray:
-        # On the prefix's complement C', a pair (s, t) at its base distance D
+    def screen(parents: np.ndarray, owner: np.ndarray, ext: np.ndarray) -> np.ndarray:
+        # On the parent's complement C', a pair (s, t) at its base distance D
         # loses, with vertex v, the sigma'(s,v) sigma'(v,t) paths through v
         # that have d'(s,v) = l and d'(v,t) = D - l.  Summed over pairs with
         # weight 1 / sigma(s,t), that is the diagonal of X_l^T W_D X_(D-l),
         # one c' x c' matmul per layer pair; the sum is symmetric in l and
         # D - l, so l runs to D / 2 only.
-        comp = _complements_of(n, prefixes)
+        comp = _complements_of(n, parents)
         pair = comp[:, :, None], comp[:, None, :]
         d_sub, s_sub = _apsp_layers_batch(adj[pair])
         w = np.where(d_sub == dist[pair], 1.0 / sigma[pair], 0.0)
@@ -347,9 +375,9 @@ def _scorers(g: Graph, k: int, measure: Measure) -> _Scorers:
                 term = (np.where(d_sub == step, s_sub, 0.0) * ends).sum(axis=1)
                 through += term if 2 * step < d else term / 2
         avoided = avoid.sum(axis=(1, 2))[:, None] / 2 - avoid.sum(axis=2) - through
-        return 2.0 * (iu.size - avoided) / (c * (c - 1))
+        return (2.0 * (iu.size - avoided) / (c * (c - 1)))[owner, ext[:, 0]]
 
-    return _Scorers(score, block_rows, screen if prefixes and sigma is not None else None, prefixes)
+    return _Scorers(score, block_rows, screen if parents and sigma is not None else None, parents)
 
 
 def score_subset(g: Graph, subset: tuple[int, ...], measure: Measure):
@@ -405,24 +433,30 @@ def _exact_scores(scorers: _Scorers, subsets: np.ndarray) -> np.ndarray:
 
 def _screened_scan(scorers: _Scorers, k: int, leading: Sequence[int], ties: _TieWindow) -> _Candidates | None:
     """Windowed optimum over the subsets with the given leading elements,
-    screened prefix by prefix and confirmed by the block scorer; None if a
+    screened parent by parent and confirmed by the block scorer; None if a
     kept value moved past the tie window when confirmed.
 
-    A group is the subsets sharing their last k - 1 elements, the prefix P:
-    they are (v, *P) for every v below P's smallest element, contiguous in
-    colex order, and they sit at the first positions of P's complement.
+    A group is the subsets sharing their last k - t elements, the parent P,
+    t = ``scorers.depth``: they are (*T, *P) for every t-subset T below P's
+    smallest element, contiguous in colex order, and T's vertices are their
+    own positions in P's sorted complement.  In colex order the t-subsets of
+    range(m) are the first ones of any longer run, so one table of
+    extensions serves every parent.
     """
+    t = scorers.depth
+    table = np.fromiter(chain.from_iterable(colex_subsets(max(leading), t)), dtype=np.intp).reshape(-1, t)
     acc = None
-    for prefixes in _blocks(k - 1, leading, scorers.prefixes):
-        prefixes = prefixes[prefixes[:, 0] > 0]
-        if not len(prefixes):
+    for parents in _blocks(k - t, leading, scorers.parents):
+        sizes = np.searchsorted(table[:, -1], parents[:, 0])
+        has = sizes > 0
+        parents, sizes = parents[has], sizes[has]
+        if not len(parents):
             continue
-        sizes = prefixes[:, 0]
-        owner = np.repeat(np.arange(len(prefixes)), sizes)
-        first = np.arange(owner.size) - np.repeat(np.cumsum(sizes) - sizes, sizes)
-        subsets = np.column_stack((first, prefixes[owner]))
+        owner = np.repeat(np.arange(len(parents)), sizes)
+        ext = table[np.arange(owner.size) - np.repeat(np.cumsum(sizes) - sizes, sizes)]
+        subsets = np.column_stack((ext, parents[owner]))
         try:
-            values = scorers.screen(prefixes)[owner, first]
+            values = scorers.screen(parents, owner, ext)
         except _SigmaOverflow:
             values = _exact_scores(scorers, subsets)
         acc = _absorb(acc, _Candidates(values, subsets, len(subsets)), ties)
@@ -438,11 +472,11 @@ def _scan_partitions(task: tuple[Graph, int, Measure, Sequence[int], float]) -> 
     Where the measure has a screen, the scan keeps what lies in the keep
     window of the screened values and re-scores that with the block scorer,
     so every reported value comes from the block scorer.  The screen is off
-    by rounding only (measured: at most 2.5e-14 relative for random walk, on
-    a 60-vertex path, and 4e-16 for betweenness), far inside the keep
-    window's margin of nine tie windows; a kept value that moves by more
-    than one tie window on confirmation sends the partition back through
-    the block scorer.
+    by rounding only (measured: at most 2.6e-14 relative for random walk,
+    with one- and two-vertex extensions on a 60-vertex path, and 4e-16 for
+    betweenness), far inside the keep window's margin of nine tie windows;
+    a kept value that moves by more than one tie window on confirmation
+    sends the partition back through the block scorer.
     """
     g, k, measure, leading, tie_rel = task
     ties = _TieWindow.of(measure, tie_rel)

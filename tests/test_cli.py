@@ -19,7 +19,9 @@ from gcentral.graph import load_edge_list
 PINNED_REPORTS = json.loads((Path(__file__).parent / "data" / "fixture_reports_k4.json").read_text())
 # The same for the 6x7 torus, captured before the search screened subsets by
 # prefix: random walk to k = 3 (84 ties at k = 3) and betweenness to k = 2
-# (42 ties), where the keep window holds the most rows.
+# (42 ties), where the keep window holds the most rows.  Random walk to k = 4
+# (42 ties at k = 4), the first size screened mostly by vertex pairs, was
+# captured before the search screened by pairs.
 PINNED_TORUS = json.loads((Path(__file__).parent / "data" / "torus_reports.json").read_text())
 
 
@@ -157,7 +159,7 @@ class TestOptimum:
         assert code == 0
         assert_matches_pinned(out, PINNED_REPORTS[name])
 
-    @pytest.mark.parametrize("case", ["randomwalk-k3", "betweenness-k2"])
+    @pytest.mark.parametrize("case", ["randomwalk-k3", "randomwalk-k4", "betweenness-k2"])
     def test_torus_report_pinned(self, capsys, tmp_path, case):
         rows, cols = 6, 7
         edges = set()

@@ -29,7 +29,7 @@ from gcentral.optimize import (
     score_subset,
 )
 
-from conftest import cycle_graph, path_graph, random_connected_graph
+from conftest import cycle_graph, path_graph, random_connected_graph, star_graph
 import oracles
 
 
@@ -170,6 +170,35 @@ class TestOverflowFallback:
 
         assert score_subset(g, s, Measure.CLOSENESS) == group_closeness(g, s).exact
 
+    def test_big_integer_route_skips_the_float_pass(self, monkeypatch):
+        # 36 complete-bipartite layers of width 3: 3**34 > 2**53 paths end to
+        # end, so every subset's betweenness counts on Python ints.
+        width, layers = 3, 36
+        g = Graph(
+            width * layers,
+            [(l * width + a, (l + 1) * width + b) for l in range(layers - 1) for a in range(width) for b in range(width)],
+        )
+        from gcentral import graph, measures
+        from gcentral.optimize import _adjacency, _dist_sigma
+
+        assert _dist_sigma(g, _adjacency(g, float))[1] is None
+        count_pass, dtypes = graph._count_pass, []
+
+        def spy(g, sources, avoided, dtype):
+            dtypes.append(dtype)
+            return count_pass(g, sources, avoided, dtype)
+
+        monkeypatch.setattr(graph, "_count_pass", spy)
+        # Each call starting on float64 counts, as when the route began there.
+        reference = measures.group_betweenness
+        monkeypatch.setattr(measures, "group_betweenness", lambda g, s, _dtype=float: reference(g, s))
+        want = json.dumps(optimumset(g, 1, Measure.BETWEENNESS).to_json_dict())
+        assert float in dtypes
+        monkeypatch.setattr(measures, "group_betweenness", reference)
+        dtypes.clear()
+        assert json.dumps(optimumset(g, 1, Measure.BETWEENNESS).to_json_dict()) == want
+        assert dtypes and float not in dtypes
+
 
 class TestMemoryGuard:
     @pytest.mark.parametrize(
@@ -205,6 +234,16 @@ class TestMemoryGuard:
                 monkeypatch.setattr(errors, "MEMORY_LIMIT", limit)
         assert rows < 512
         assert optimumset(novice, 3, measure, workers=2).to_json_dict() == want
+        if measure in (Measure.BETWEENNESS, Measure.RANDOMWALK):
+            # The smallest limit with a screen: one parent per batch.
+            low, high = limit, 1 << 30
+            while high - low > 1:
+                mid = (low + high) // 2
+                monkeypatch.setattr(errors, "MEMORY_LIMIT", mid)
+                low, high = (low, mid) if _scorers(novice, 3, measure).parents else (mid, high)
+            monkeypatch.setattr(errors, "MEMORY_LIMIT", high)
+            assert _scorers(novice, 3, measure).parents == 1
+            assert optimumset(novice, 3, measure).to_json_dict() == want
         # Half that limit cannot hold the per-graph arrays and one row.
         monkeypatch.setattr(errors, "MEMORY_LIMIT", limit // 2)
         with pytest.raises(BudgetExceededError, match="memory limit") as exc:
@@ -228,23 +267,29 @@ class TestPrefixScreen:
     """The grouped screen of random walk and betweenness against the block scorer."""
 
     @staticmethod
-    def screened_and_exact(g, k, measure):
+    def screened_and_exact(g, k, measure, parents=None):
         from gcentral.optimize import _complements_of, _scorers
 
         scorers = _scorers(g, k, measure)
-        prefixes = np.asarray(list(colex_subsets(g.n, k - 1)), dtype=np.intp)
-        comp = _complements_of(g.n, prefixes)
-        # Every prefix plus every vertex outside it, as the screen lays them out.
-        subsets = np.sort(
-            np.column_stack((np.repeat(prefixes, comp.shape[1], axis=0), comp.reshape(-1))), axis=1
-        )
+        t = scorers.depth
+        if parents is None:
+            parents = np.asarray(list(colex_subsets(g.n, k - t)), dtype=np.intp)
+        comp = _complements_of(g.n, parents)
+        # Every parent plus every t-subset of its complement, given to the
+        # screen by position in that complement.
+        ext = np.asarray(list(colex_subsets(comp.shape[1], t)), dtype=np.intp)
+        owner = np.repeat(np.arange(len(parents)), len(ext))
+        ext = np.tile(ext, (len(parents), 1))
+        subsets = np.sort(np.column_stack((parents[owner], comp[owner[:, None], ext])), axis=1)
         exact = np.concatenate(
             [scorers.block(subsets[i : i + scorers.rows]) for i in range(0, len(subsets), scorers.rows)]
         )
-        return scorers.screen(prefixes).reshape(-1), exact
+        return scorers.screen(parents, owner, ext), exact
 
     @pytest.mark.parametrize("measure", [Measure.RANDOMWALK, Measure.BETWEENNESS])
     def test_screen_matches_block_scorer(self, measure):
+        from gcentral.optimize import _scorers
+
         rng = np.random.Generator(np.random.PCG64(61))
         for trial in range(12):
             n = int(rng.integers(4, 11))
@@ -252,31 +297,72 @@ class TestPrefixScreen:
             for k in sorted({2, 3, n - 2, n - 1} - {1}):
                 if measure is Measure.BETWEENNESS and k == n - 1:
                     continue  # one outside vertex: the constant score, no screen
+                # Random walk extends by two vertices from k = 3 on.
+                depth = 2 if measure is Measure.RANDOMWALK and k >= 3 else 1
+                assert _scorers(g, k, measure).depth == depth
                 screened, exact = self.screened_and_exact(g, k, measure)
                 assert screened == pytest.approx(exact, rel=1e-12, abs=1e-15), (trial, k)
+
+    @staticmethod
+    def stress_graph(case):
+        if case == "path60":
+            return path_graph(60)
+        if case == "star30":
+            return star_graph(30)
+        g = random_connected_graph(np.random.Generator(np.random.PCG64(67)), 20)
+        edges = [(u, v) for u in range(g.n) for v in g.neighbors(u) if u < v]
+        weights = np.random.Generator(np.random.PCG64(71)).permutation(10.0 ** np.linspace(-3.0, 3.0, len(edges)))
+        return Graph(g.n, edges, weights.tolist())
+
+    @pytest.mark.parametrize(
+        "case, k, parents",
+        [
+            ("path60", 2, None),
+            # Every seventh single-vertex parent: 9 x 1,711 pairs.
+            ("path60", 3, np.arange(0, 60, 7)[:, None]),
+            ("star30", 2, None),
+            ("star30", 3, None),
+            ("weights1e6", 2, None),
+            ("weights1e6", 3, None),
+            ("weights1e6", 4, None),
+        ],
+    )
+    def test_random_walk_screen_stress(self, case, k, parents):
+        # Long hitting times (a path), one hub (a star) and edge weights
+        # spanning six orders of magnitude: the screen stays within 1e-12 of
+        # the block scorer (measured: 2.6e-14 at most, on the path).
+        g = self.stress_graph(case)
+        if case == "weights1e6":
+            assert max(g._slot_w) / min(g._slot_w) == pytest.approx(1e6)
+        screened, exact = self.screened_and_exact(g, k, Measure.RANDOMWALK, parents)
+        assert screened == pytest.approx(exact, rel=1e-12, abs=1e-15)
 
     @pytest.mark.parametrize("measure", [Measure.RANDOMWALK, Measure.BETWEENNESS])
     def test_moved_screen_rescans_with_block_scorer(self, novice, monkeypatch, measure):
         from gcentral import optimize
 
-        want = optimumset(novice, 3, measure).to_json_dict()
-        build, scored = optimize._scorers, []
+        build = optimize._scorers
+        # One-vertex extensions at k = 2, two-vertex ones (random walk) at k = 3.
+        for k in (2, 3):
+            want = optimumset(novice, k, measure).to_json_dict()
+            scored = []
 
-        def moved(g, k, m):
-            s = build(g, k, m)
+            def moved(g, k, m):
+                s = build(g, k, m)
 
-            def block(subsets):
-                scored.append(len(subsets))
-                return s.block(subsets)
+                def block(subsets):
+                    scored.append(len(subsets))
+                    return s.block(subsets)
 
-            # Off by ten tie windows: every confirmed row moves past one.
-            return s._replace(block=block, screen=lambda prefixes: s.screen(prefixes) * (1 + 1e-8))
+                # Off by ten tie windows: every confirmed row moves past one.
+                return s._replace(block=block, screen=lambda *extensions: s.screen(*extensions) * (1 + 1e-8))
 
-        monkeypatch.setattr(optimize, "_scorers", moved)
-        got = optimumset(novice, 3, measure)
-        assert got.to_json_dict() == want
-        # The confirmation, then the whole partition through the block scorer.
-        assert sum(scored) > got.evaluated
+            monkeypatch.setattr(optimize, "_scorers", moved)
+            got = optimumset(novice, k, measure)
+            monkeypatch.setattr(optimize, "_scorers", build)
+            assert got.to_json_dict() == want
+            # The confirmation, then the whole partition through the block scorer.
+            assert sum(scored) > got.evaluated
 
     def test_prefix_pass_overflow_uses_block_scorer(self, expert, monkeypatch):
         from gcentral import optimize
@@ -297,7 +383,7 @@ class TestPrefixScreen:
 
 class TestWorkers:
     def test_byte_identical_across_worker_counts(self, novice):
-        for m in (Measure.CLOSENESS, Measure.BETWEENNESS):
+        for m in (Measure.CLOSENESS, Measure.BETWEENNESS, Measure.RANDOMWALK):
             blobs = []
             for workers in (1, 2, 8):
                 r = optimumset(novice, 3, m, workers=workers)
