@@ -47,11 +47,9 @@ from .randomwalk import (
 )
 from .optimize import (
     CrossMeasureReport,
-    DecisionResult,
     OptimumResult,
     cross_measure_report,
     optimumset,
-    optimumset_decision,
 )
 from .sampling import (
     FamilyParams,

@@ -224,7 +224,7 @@ def cmd_optimum(args) -> int:
     manifest = _manifest(args, start, path)
     if args.format == "json":
         payload = {"kind": "optimum-report", "manifest": manifest.to_dict()}
-        payload.update(report.to_json_dict(include_timing=False))
+        payload.update(report.to_json_dict())
         _emit(json.dumps(payload, sort_keys=True, indent=2) + "\n", args.out)
     else:
         _emit(render_report_tsv(report, g, manifest, args.use_labels), args.out)

@@ -114,14 +114,13 @@ def group_closeness(g: Graph, s: VertexSet | Iterable[int]) -> Score:
     return Score.from_fraction(Fraction(sum(field.dist), outside))
 
 
-def group_betweenness(g: Graph, s: VertexSet | Iterable[int], *, _dtype=float) -> Score:
+def group_betweenness(g: Graph, s: VertexSet | Iterable[int]) -> Score:
     """Mean fraction, over outside pairs, of their geodesics meeting the set.
 
     Exact integer path counts per pair, summed in floating point in pair
     order, normalized by the number of outside pairs.  Value 1 iff the set
     is a vertex cover.  Refused (BudgetExceededError) when the outside
     vertices times the CSR slots pass ``errors.PATH_COUNT_LIMIT``.
-    ``_dtype`` is the counts' first route (see :func:`geodesic_counts`).
     """
     vs = as_vertex_set(s)
     vs.check_proper(g)
@@ -137,7 +136,7 @@ def group_betweenness(g: Graph, s: VertexSet | Iterable[int], *, _dtype=float) -
         )
     bc = 0.0
     first = 0
-    for block in geodesic_counts(g, comp, vs.members, _dtype=_dtype):
+    for block in geodesic_counts(g, comp, vs.members):
         # The outside pairs (u, v), u < v, with u from this block, in the
         # order of a double loop over the complement.
         rows = len(block.sigma)

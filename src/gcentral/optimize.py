@@ -18,22 +18,25 @@ vertices from k = 3 on (t = 1 at k = 2): one inverse G per parent, and each
 extension T scores from a Schur complement of the t x t block G[T, T].
 Betweenness extends by t = 1 vertex, from the path counts through it.  What
 the screen leaves in the keep window is re-scored by the block scorer, the
-only exact kernel, which also serves k = 1, single subsets, the decision
-scan and the big-integer fallbacks; every reported value comes from it.
+only exact kernel, which also serves k = 1 and single subsets; every
+reported value comes from it.  The betweenness block scorer reads each
+outside pair's share of geodesics avoiding the subset from a dense layered
+pass over the block, or, past that pass's exact range, from
+:func:`gcentral.graph.geodesic_counts`; both give the same correctly rounded
+ratios of exact integers, summed by one formula, so a value does not depend
+on the route or on the other subsets of its block.
 
 One reduction, :func:`_absorb`, keeps the scored subsets within a window of
 the best score seen; it folds each scored block into a partition's result
 and folds partition results into the global one.  Parallel runs partition
 the subset space by the leading (largest) element, and since the window
 contains every tie of the final best, the output depends only on the scores,
-so it is byte-identical for any worker count.  :func:`optimumset_decision`
-scans the same blocks against the same tie window.
+so it is byte-identical for any worker count.
 """
 
 from __future__ import annotations
 
 import math
-import time
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import ExitStack
 from dataclasses import dataclass
@@ -46,17 +49,14 @@ import numpy as np
 from scipy.sparse.csgraph import shortest_path
 
 from .errors import BudgetExceededError, InputError, check_memory
-from .graph import Graph, VertexSet, is_connected
+from .graph import Graph, VertexSet, geodesic_counts, is_connected
 from .measures import Measure, Score
-from . import measures as _measures
 from .randomwalk import transition_matrix
 
 __all__ = [
     "OptimumResult",
-    "DecisionResult",
     "CrossMeasureReport",
     "optimumset",
-    "optimumset_decision",
     "cross_measure_report",
     "colex_subsets",
     "score_subset",
@@ -150,9 +150,7 @@ def _apsp_layers_batch(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     adjacency matrices, by layered matmul.
 
     Counts ride in float64, which is exact for integers below 2**53; a
-    guard trips to the arbitrary-precision Python route before any count
-    could lose exactness.  Exact integer counts make a subset's numbers
-    independent of the block it was evaluated in.
+    guard raises _SigmaOverflow before any count could lose exactness.
     """
     big, c, _ = a.shape
     dist = np.full((big, c, c), -1, dtype=np.int16)
@@ -191,15 +189,6 @@ def _hop_distances(g: Graph) -> np.ndarray:
     return dist.astype(np.int16)
 
 
-def _dist_sigma(g: Graph, adj: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
-    """Base distances and path counts; counts are None past the float64-exact range."""
-    try:
-        dist, sigma = _apsp_layers_batch(adj[None])
-        return dist[0], sigma[0]
-    except _SigmaOverflow:
-        return _hop_distances(g), None
-
-
 def _complements_of(n: int, subsets: np.ndarray) -> np.ndarray:
     """Row-wise sorted complements, shape (N, n - k)."""
     big = subsets.shape[0]
@@ -216,7 +205,9 @@ class _Scorers(NamedTuple):
     """How one search scores its subsets.
 
     ``block`` scores a block of size-k subsets, at most ``rows`` of them,
-    exactly.  ``screen``, where the measure has one, takes at most
+    exactly, and each value independently of the rest of its block (for
+    betweenness, whichever of its two count routes served the block).
+    ``screen``, where the measure has one, takes at most
     ``parents`` (k - t)-subsets P, t = ``depth``, and one row per extension:
     the index of its parent and t positions in that parent's sorted
     complement.  It returns a float value of each parent plus the vertices
@@ -266,15 +257,14 @@ def _scorers(g: Graph, k: int, measure: Measure) -> _Scorers:
         # The transition matrix, its step table and the screen's table of
         # extensions; the system and the solver's copy.  Per parent: the
         # system, its inverse and the inverter's identity and copy, then per
-        # extension its subset row twice (the batch and the keep window's
-        # concatenation) and 128 for the gathers, the small solves and the
-        # window's masks.  By tracemalloc a batch peaked at under 0.67 of
-        # this on a 6 x 7 torus at k = 3 to 5 and on a 300-vertex graph at
-        # k = 2 and 3.
+        # extension 128 for the gathers, the small solves and the window's
+        # masks (subset rows are built for the keep window only).  By
+        # tracemalloc a batch peaked at under 0.63 of this on a 6 x 7 torus
+        # at k = 3 to 5 and on a 300-vertex graph at k = 2 and 3.
         Measure.RANDOMWALK: (
             8 * n * n + 32 * slots + 8 * depth * math.comb(n, depth),
             16 * c * c,
-            40 * width**2 + (16 * k + 128) * extensions,
+            40 * width**2 + 128 * extensions,
         ),
     }[measure]
     left = check_memory(graph_bytes + row_bytes, f"the {measure.value} search at k={k} on {n} vertices")
@@ -329,30 +319,47 @@ def _scorers(g: Graph, k: int, measure: Measure) -> _Scorers:
         return _Scorers(score, block_rows, screen if parents else None, parents, depth)
 
     adj = _adjacency(g, float)
-    dist, sigma = _dist_sigma(g, adj)
+    try:
+        dist, sigma = (a[0] for a in _apsp_layers_batch(adj[None]))
+    except _SigmaOverflow:
+        # Base-graph counts pass the float64-exact range (or near it): every
+        # subset counts on Python ints from the start, skipping a float pass
+        # that would most likely give up, and nothing reads the distances.
+        dist = sigma = None
     iu, iv = np.triu_indices(c, 1)
-    diameter = int(dist.max())
     idx1 = np.arange(c + 1)
 
+    def counted(subset: np.ndarray) -> np.ndarray:
+        # Geodesics of the whole graph with no vertex in the subset, from
+        # every outside source.
+        comp = np.delete(np.arange(n), subset)
+        shares, first = [], 0
+        for counts in geodesic_counts(g, comp, subset, _dtype=float if sigma is not None else object):
+            # The pairs (u, v), u < v, with u from this block, in triu order.
+            later = np.arange(c) > np.arange(first, first + len(counts.sigma))[:, None]
+            shares.append(np.asarray(counts.avoiding[:, comp][later] / counts.sigma[:, comp][later], dtype=float))
+            first += len(counts.sigma)
+        return np.concatenate(shares)
+
+    def pair_shares(subsets: np.ndarray):
+        """Per subset, each outside pair's share of geodesics avoiding it, in triu order."""
+        if sigma is not None:
+            comp = _complements_of(n, subsets)
+            try:
+                d_sub, s_sub = _apsp_layers_batch(adj[comp[:, :, None], comp[:, None, :]])
+            except _SigmaOverflow:
+                pass
+            else:
+                rows, cols = comp[:, iu], comp[:, iv]
+                return np.where(d_sub[:, iu, iv] == dist[rows, cols], s_sub[:, iu, iv] / sigma[rows, cols], 0.0)
+        return map(counted, subsets)
+
     def score(subsets: np.ndarray) -> np.ndarray:
-        if sigma is None:
-            # Base-graph counts pass the float64-exact range (or near it):
-            # count on big integers from the start, skipping a float pass
-            # that would most likely give up.
-            return np.array([_measures.group_betweenness(g, tuple(s), _dtype=object).value for s in subsets])
-        comp = _complements_of(n, subsets)
-        try:
-            d_sub, s_sub = _apsp_layers_batch(adj[comp[:, :, None], comp[:, None, :]])
-        except _SigmaOverflow:
-            return np.array([_measures.group_betweenness(g, tuple(s)).value for s in subsets])
-        rows, cols = comp[:, iu], comp[:, iv]
-        avoid = np.where(
-            d_sub[:, iu, iv] == dist[rows, cols], s_sub[:, iu, iv] / sigma[rows, cols], 0.0
-        )
-        # math.fsum: correctly rounded, so the score cannot depend on how
-        # subsets were grouped into evaluation blocks (numpy reductions
-        # pick shape-dependent summation orders).
-        return np.array([2.0 * (iu.size - math.fsum(row)) / (c * (c - 1)) for row in avoid])
+        # Either route gives each share as a correctly rounded ratio of exact
+        # integers, and math.fsum sums them correctly rounded, so the score
+        # depends on neither the route nor the block (numpy reductions pick
+        # shape-dependent summation orders).
+        return np.array([2.0 * (iu.size - math.fsum(row)) / (c * (c - 1)) for row in pair_shares(subsets)])
 
     def screen(parents: np.ndarray, owner: np.ndarray, ext: np.ndarray) -> np.ndarray:
         # On the parent's complement C', a pair (s, t) at its base distance D
@@ -368,7 +375,7 @@ def _scorers(g: Graph, k: int, measure: Measure) -> _Scorers:
         w[:, idx1, idx1] = 0.0
         avoid = w * s_sub
         through = np.zeros(comp.shape)
-        for d in range(2, diameter + 1):
+        for d in range(2, int(dist.max()) + 1):
             w_d = np.where(d_sub == d, w, 0.0)
             for step in range(1, d // 2 + 1):
                 ends = w_d @ np.where(d_sub == d - step, s_sub, 0.0)
@@ -382,7 +389,7 @@ def _scorers(g: Graph, k: int, measure: Measure) -> _Scorers:
 
 def score_subset(g: Graph, subset: tuple[int, ...], measure: Measure):
     """One subset's score as the enumerator ranks it: a Fraction for exact
-    measures, else a float."""
+    measures, else a float, bit for bit the value a search reports for it."""
     value = _scorers(g, len(subset), measure).block(np.asarray([subset], dtype=np.intp))[0]
     return Fraction(int(value), g.n - len(subset)) if measure.exact else float(value)
 
@@ -454,12 +461,17 @@ def _screened_scan(scorers: _Scorers, k: int, leading: Sequence[int], ties: _Tie
             continue
         owner = np.repeat(np.arange(len(parents)), sizes)
         ext = table[np.arange(owner.size) - np.repeat(np.cumsum(sizes) - sizes, sizes)]
-        subsets = np.column_stack((ext, parents[owner]))
         try:
             values = scorers.screen(parents, owner, ext)
         except _SigmaOverflow:
-            values = _exact_scores(scorers, subsets)
-        acc = _absorb(acc, _Candidates(values, subsets, len(subsets)), ties)
+            values = _exact_scores(scorers, np.column_stack((ext, parents[owner])))
+        # Subset rows only for the batch's own keep window: the joint best is
+        # at least as good, and with nonnegative values the window's scale is
+        # set by the worse value (minimizing) or grows by 10 rel < 1 per unit
+        # of best (maximizing), so what lies outside stays outside.
+        kept = ties.keep(values, ties.best(values))
+        subsets = np.column_stack((ext[kept], parents[owner[kept]]))
+        acc = _absorb(acc, _Candidates(values[kept], subsets, owner.size), ties)
     exact = _exact_scores(scorers, acc.subsets)
     if not ties.ties(exact, acc.values).all():
         return None
@@ -500,7 +512,6 @@ class OptimumResult:
     best: Score
     optimal_sets: tuple[VertexSet, ...]
     evaluated: int
-    wall_time: float
 
     @property
     def extra_count(self) -> int:
@@ -517,16 +528,6 @@ class OptimumResult:
         if self.best.exact is not None:
             out["best"]["exact"] = f"{self.best.exact_num}/{self.best.exact_den}"
         return out
-
-
-@dataclass(frozen=True)
-class DecisionResult:
-    """Witness for ``score == alpha`` at size k, if any exists."""
-
-    measure: Measure
-    k: int
-    alpha: float
-    witness: VertexSet | None
 
 
 def _check_enumeration_args(g: Graph, k: int, budget: int) -> int:
@@ -591,7 +592,6 @@ def optimumset(
         raise InputError("optimumset requires a connected graph")
     total = _check_enumeration_args(g, k, budget)
     ties = _TieWindow.of(measure, tie_rel)
-    start = time.perf_counter()
     tasks = [(g, k, measure, chunk, tie_rel) for chunk in _leading_chunks(g.n, k, workers)]
     if (workers <= 1 and pool is None) or len(tasks) == 1:
         partials = map(_scan_partitions, tasks)
@@ -614,42 +614,7 @@ def optimumset(
         best=score,
         optimal_sets=tuple(VertexSet(s) for s in optimal),
         evaluated=merged.evaluated,
-        wall_time=time.perf_counter() - start,
     )
-
-
-def optimumset_decision(
-    g: Graph,
-    k: int,
-    measure: Measure,
-    alpha: float,
-    budget: int = DEFAULT_BUDGET,
-    tie_rel: float = FLOAT_TIE_REL,
-) -> DecisionResult:
-    """First subset (in colexicographic order) scoring exactly ``alpha``.
-
-    Exact measures match ``alpha`` as a rational; floating-point measures
-    match within the tie window of :func:`optimumset`.
-    """
-    if not is_connected(g):
-        raise InputError("optimumset_decision requires a connected graph")
-    _check_enumeration_args(g, k, budget)
-    ties = _TieWindow.of(measure, tie_rel)
-    if measure.exact:
-        # Exact scores are numerators over n - k: only an integer one can match.
-        target = Fraction(alpha).limit_denominator(10**12) * (g.n - k)
-        if target.denominator != 1:
-            return DecisionResult(measure=measure, k=k, alpha=alpha, witness=None)
-        target = target.numerator
-    else:
-        target = float(alpha)
-    scorers = _scorers(g, k, measure)
-    for block in _blocks(k, range(k - 1, g.n), scorers.rows):
-        hits = np.flatnonzero(ties.ties(scorers.block(block), target))
-        if hits.size:
-            witness = VertexSet(tuple(block[hits[0]].tolist()))
-            return DecisionResult(measure=measure, k=k, alpha=alpha, witness=witness)
-    return DecisionResult(measure=measure, k=k, alpha=alpha, witness=None)
 
 
 MEASURE_ORDER = (Measure.DEGREE, Measure.CLOSENESS, Measure.BETWEENNESS, Measure.RANDOMWALK)
@@ -663,9 +628,8 @@ class CrossMeasureReport:
     measures: tuple[Measure, ...]
     cells: dict[tuple[int, Measure], OptimumResult]
     jaccard: dict[tuple[int, Measure, Measure], float]
-    wall_time: float
 
-    def to_json_dict(self, include_timing: bool = False) -> dict:
+    def to_json_dict(self) -> dict:
         out: dict = {"k_max": self.k_max, "rows": [], "jaccard": []}
         for k in range(1, self.k_max + 1):
             for m in self.measures:
@@ -674,8 +638,6 @@ class CrossMeasureReport:
             self.jaccard.items(), key=lambda kv: (kv[0][0], kv[0][1].value, kv[0][2].value)
         ):
             out["jaccard"].append({"k": k, "a": ma.value, "b": mb.value, "overlap": round(j, 9)})
-        if include_timing:
-            out["wall_time_s"] = round(self.wall_time, 6)
         return out
 
 
@@ -705,7 +667,6 @@ def cross_measure_report(
         raise InputError(f"k_max must satisfy 1 <= k_max < n; got {k_max}, n={g.n}")
     _check_enumeration_args(g, max(range(1, k_max + 1), key=lambda k: math.comb(g.n, k)), budget)
     measures = tuple(measures)
-    start = time.perf_counter()
     cells: dict[tuple[int, Measure], OptimumResult] = {}
     with ExitStack() as stack:
         if workers > 1 and pool is None:
@@ -728,5 +689,4 @@ def cross_measure_report(
         measures=measures,
         cells=cells,
         jaccard=jaccard,
-        wall_time=time.perf_counter() - start,
     )

@@ -44,7 +44,6 @@ __all__ = [
     "transition_matrix",
     "stationary",
     "fundamental_matrix",
-    "hitting_time_pair",
     "hitting_time_matrix",
     "contract",
     "ContractedGraph",
@@ -167,23 +166,10 @@ def fundamental_matrix(g: Graph) -> np.ndarray:
     return z
 
 
-def hitting_time_pair(g: Graph, u: int, v: int) -> float:
-    """Expected steps from ``u`` to first arrival at ``v``.
-
-    Reads ``(Z[v, v] - Z[u, v]) / pi(v)`` off the fundamental matrix;
-    ``H(v, v) = 0``.
-    """
-    if not (0 <= u < g.n and 0 <= v < g.n):
-        raise InputError("vertex out of range")
-    if u == v:
-        return 0.0
-    z = fundamental_matrix(g)
-    pi = stationary(g)
-    return float((z[v, v] - z[u, v]) / pi[v])
-
-
 def hitting_time_matrix(g: Graph) -> np.ndarray:
-    """All-pairs hitting times ``H[i, j]`` from one fundamental matrix."""
+    """All-pairs hitting times from one fundamental matrix: ``H[u, v]``, the
+    expected steps from ``u`` to first arrival at ``v``, is
+    ``(Z[v, v] - Z[u, v]) / pi(v)``, and ``H[v, v] = 0``."""
     z = fundamental_matrix(g)
     pi = stationary(g)
     h = (np.diag(z)[None, :] - z) / pi[None, :]

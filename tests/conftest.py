@@ -27,6 +27,19 @@ def complete_graph(n: int) -> Graph:
     return Graph(n, list(itertools.combinations(range(n), 2)))
 
 
+def layered_bipartite(width: int, layers: int, hub: bool = False) -> Graph:
+    """Consecutive layers of ``width`` vertices joined completely, and with
+    ``hub`` one more vertex, the last, next to every other."""
+    n = width * layers
+    edges = [
+        (layer * width + a, (layer + 1) * width + b)
+        for layer in range(layers - 1)
+        for a in range(width)
+        for b in range(width)
+    ]
+    return Graph(n + hub, edges + [(v, n) for v in range(n) if hub])
+
+
 def random_connected_graph(
     rng: np.random.Generator,
     n: int,

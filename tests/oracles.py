@@ -77,12 +77,14 @@ def is_vertex_cover(g: Graph, members: tuple[int, ...]) -> bool:
     return all(u in inside or v in inside for u, v in g.edges)
 
 
-def dominating_set_exists(g: Graph, k: int) -> bool:
-    return any(is_dominating(g, s) for s in itertools.combinations(range(g.n), k))
+def dominating_sets(g: Graph, k: int) -> list[tuple[int, ...]]:
+    """Every size-k dominating set, in lexicographic order."""
+    return [s for s in itertools.combinations(range(g.n), k) if is_dominating(g, s)]
 
 
-def vertex_cover_exists(g: Graph, k: int) -> bool:
-    return any(is_vertex_cover(g, s) for s in itertools.combinations(range(g.n), k))
+def vertex_covers(g: Graph, k: int) -> list[tuple[int, ...]]:
+    """Every size-k vertex cover, in lexicographic order."""
+    return [s for s in itertools.combinations(range(g.n), k) if is_vertex_cover(g, s)]
 
 
 def classical_degree(g: Graph, v: int) -> Fraction:

@@ -214,7 +214,7 @@ def test_criterion_5_family_separation_as_stated():
 
 def _canonical_report_json(g: Graph, k_max: int, workers: int, pool) -> str:
     rep = cross_measure_report(g, k_max, workers=workers, pool=pool)
-    return json.dumps(rep.to_json_dict(include_timing=False), sort_keys=True)
+    return json.dumps(rep.to_json_dict(), sort_keys=True)
 
 
 def test_criterion_6_concept_network_fixtures(novice, expert):

@@ -17,7 +17,7 @@ from gcentral.errors import BudgetExceededError
 from gcentral.graph import Graph
 from gcentral.measures import group_betweenness
 
-from conftest import path_graph
+from conftest import layered_bipartite, path_graph
 import oracles
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -48,19 +48,6 @@ def test_matches_reference_bit_for_bit(g, data):
     k = data.draw(st.integers(1, g.n - 2))
     members = tuple(sorted(data.draw(st.sets(st.integers(0, g.n - 1), min_size=k, max_size=k))))
     assert group_betweenness(g, members).value == oracles.betweenness_reference(g, members)
-
-
-def layered_bipartite(width: int, layers: int) -> Graph:
-    """Consecutive layers of ``width`` vertices joined completely."""
-    return Graph(
-        width * layers,
-        [
-            (layer * width + a, (layer + 1) * width + b)
-            for layer in range(layers - 1)
-            for a in range(width)
-            for b in range(width)
-        ],
-    )
 
 
 def test_overflowing_counts_run_on_python_ints():

@@ -442,6 +442,16 @@ class TestExitCodes:
         assert out == ""
         assert err == "error: counting shortest paths on 5000 vertices needs about 2 MiB, above the 1 MiB memory limit\n"
 
+    def test_graph_past_memory_limit_exit_3(self, capsys, tmp_path, monkeypatch):
+        path = tmp_path / "far.edges"
+        path.write_text("0 1\n1 999999\n")
+        # Two edges, but the largest id makes a graph of 10**6 vertices.
+        monkeypatch.setattr(errors, "MEMORY_LIMIT", 16 << 20)
+        code, out, err = run(capsys, ["centrality", str(path), "--set", "0"])
+        assert code == 3
+        assert out == ""
+        assert err == "error: a graph of 1000000 vertices needs about 31 MiB, above the 16 MiB memory limit\n"
+
     @pytest.mark.parametrize("body", ["a b inf\n", "a b 1e308\nb c 1e308\n"])
     def test_unusable_weights_exit_2(self, capsys, tmp_path, body):
         path = tmp_path / "w.edges"

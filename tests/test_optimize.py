@@ -1,4 +1,4 @@
-"""Exact enumeration: optima, ties, decision variant, workers, budget."""
+"""Exact enumeration: optima, ties, score-1 sets, workers, budget."""
 
 from __future__ import annotations
 
@@ -25,11 +25,10 @@ from gcentral.optimize import (
     colex_subsets,
     cross_measure_report,
     optimumset,
-    optimumset_decision,
     score_subset,
 )
 
-from conftest import cycle_graph, path_graph, random_connected_graph, star_graph
+from conftest import cycle_graph, layered_bipartite, path_graph, random_connected_graph, star_graph
 import oracles
 
 
@@ -144,22 +143,18 @@ class TestOverflowFallback:
     def test_wide_layered_graph_uses_big_integers(self):
         # 20 complete-bipartite layers of width 8: path counts between the
         # ends reach 8**18 = 2**54, past the float64-exact range, so the
-        # dense kernel must hand betweenness to the big-integer route.
+        # dense kernel must hand betweenness to the counting pass.
         width, layers = 8, 20
-        edges = []
-        for layer in range(layers - 1):
-            for a in range(width):
-                for b in range(width):
-                    edges.append((layer * width + a, (layer + 1) * width + b))
-        g = Graph(width * layers, edges)
-        from gcentral.optimize import _adjacency, _dist_sigma
+        g = layered_bipartite(width, layers)
+        from gcentral.optimize import _SigmaOverflow, _adjacency, _apsp_layers_batch
         from gcentral.graph import shortest_path_counts
 
         # 19 hops end to end with 18 freely chosen intermediate layers.
-        assert max(shortest_path_counts(g, 0).sigma) == width ** (layers - 2)
-        dist, sigma = _dist_sigma(g, _adjacency(g, float))
-        assert sigma is None
-        assert dist[0][g.n - 1] == layers - 1
+        counts = shortest_path_counts(g, 0)
+        assert max(counts.sigma) == width ** (layers - 2)
+        assert counts.dist[g.n - 1] == layers - 1
+        with pytest.raises(_SigmaOverflow):
+            _apsp_layers_batch(_adjacency(g, float)[None])
         s = (8, 9)
         via_kernel = score_subset(g, s, Measure.BETWEENNESS)
         from gcentral.measures import group_betweenness
@@ -173,15 +168,12 @@ class TestOverflowFallback:
     def test_big_integer_route_skips_the_float_pass(self, monkeypatch):
         # 36 complete-bipartite layers of width 3: 3**34 > 2**53 paths end to
         # end, so every subset's betweenness counts on Python ints.
-        width, layers = 3, 36
-        g = Graph(
-            width * layers,
-            [(l * width + a, (l + 1) * width + b) for l in range(layers - 1) for a in range(width) for b in range(width)],
-        )
-        from gcentral import graph, measures
-        from gcentral.optimize import _adjacency, _dist_sigma
+        g = layered_bipartite(3, 36)
+        from gcentral import graph, optimize
+        from gcentral.optimize import _SigmaOverflow, _adjacency, _apsp_layers_batch
 
-        assert _dist_sigma(g, _adjacency(g, float))[1] is None
+        with pytest.raises(_SigmaOverflow):
+            _apsp_layers_batch(_adjacency(g, float)[None])
         count_pass, dtypes = graph._count_pass, []
 
         def spy(g, sources, avoided, dtype):
@@ -189,15 +181,29 @@ class TestOverflowFallback:
             return count_pass(g, sources, avoided, dtype)
 
         monkeypatch.setattr(graph, "_count_pass", spy)
-        # Each call starting on float64 counts, as when the route began there.
-        reference = measures.group_betweenness
-        monkeypatch.setattr(measures, "group_betweenness", lambda g, s, _dtype=float: reference(g, s))
+        # Each subset's counts starting on float64, as when the route began there.
+        counts = graph.geodesic_counts
+        monkeypatch.setattr(optimize, "geodesic_counts", lambda g, sources, avoided, _dtype: counts(g, sources, avoided))
         want = json.dumps(optimumset(g, 1, Measure.BETWEENNESS).to_json_dict())
         assert float in dtypes
-        monkeypatch.setattr(measures, "group_betweenness", reference)
+        monkeypatch.setattr(optimize, "geodesic_counts", counts)
         dtypes.clear()
         assert json.dumps(optimumset(g, 1, Measure.BETWEENNESS).to_json_dict()) == want
         assert dtypes and float not in dtypes
+
+    def test_block_company_leaves_values_unchanged(self):
+        # The hub keeps the base path counts small, but its own complement is
+        # the bare ladder, whose counts pass 2**53: a block holding the hub's
+        # subset cannot take the dense pass, and its other subsets must not
+        # score differently for it.
+        g = layered_bipartite(8, 20, hub=True)
+        from gcentral.optimize import _scorers
+
+        block = _scorers(g, 1, Measure.BETWEENNESS).block
+        picks = np.array([[0], [8], [83], [159]])
+        alone = block(picks)
+        together = block(np.vstack((picks, [[g.n - 1]])))
+        assert alone.tobytes() == together[:-1].tobytes()
 
 
 class TestMemoryGuard:
@@ -412,27 +418,29 @@ class TestNaiveEquivalence:
 
 
 class TestDecision:
+    """A size-k set scores 1 exactly when it dominates (degree, closeness) or
+    covers every edge (betweenness, random walk), so the search's best is 1
+    exactly when such a set exists, and its optimal sets are all of them."""
+
+    @staticmethod
+    def check(g: Graph, k: int, measure: Measure) -> None:
+        dominates = measure in (Measure.DEGREE, Measure.CLOSENESS)
+        sets = (oracles.dominating_sets if dominates else oracles.vertex_covers)(g, k)
+        r = optimumset(g, k, measure)
+        assert (r.best.value == 1) == bool(sets), (g, k, measure)
+        if sets:
+            assert [s.members for s in r.optimal_sets] == sets, (g, k, measure)
+
     def test_path_closeness_alpha_one(self):
-        d = optimumset_decision(path_graph(3), 1, Measure.CLOSENESS, 1.0)
-        assert d.witness is not None and d.witness.members == (1,)
+        r = optimumset(path_graph(3), 1, Measure.CLOSENESS)
+        assert r.best.exact == 1 and [s.members for s in r.optimal_sets] == [(1,)]
 
     def test_triangle_betweenness_k1_no_witness(self):
-        d = optimumset_decision(cycle_graph(3), 1, Measure.BETWEENNESS, 1.0)
-        assert d.witness is None
+        self.check(cycle_graph(3), 1, Measure.BETWEENNESS)
 
     def test_triangle_betweenness_k2_witness(self):
-        d = optimumset_decision(cycle_graph(3), 2, Measure.BETWEENNESS, 1.0)
-        assert d.witness is not None
-        assert oracles.is_vertex_cover(cycle_graph(3), d.witness.members)
-
-    def test_witness_is_first_in_colex_order(self):
-        g = cycle_graph(5)
-        target = score_subset(g, (0, 2), Measure.DEGREE)
-        d = optimumset_decision(g, 2, Measure.DEGREE, float(target))
-        hits = [
-            s for s in colex_subsets(5, 2) if score_subset(g, s, Measure.DEGREE) == target
-        ]
-        assert d.witness.members == hits[0]
+        r = optimumset(cycle_graph(3), 2, Measure.BETWEENNESS)
+        assert r.best.value == 1 and [s.members for s in r.optimal_sets] == [(0, 1), (0, 2), (1, 2)]
 
     def test_decision_alpha_one_matches_dominating_sets(self, exhaustive_corpus):
         rng = np.random.Generator(np.random.PCG64(103))
@@ -443,10 +451,7 @@ class TestDecision:
         for g in graphs:
             for k in range(1, min(3, g.n - 1) + 1):
                 for m in (Measure.CLOSENESS, Measure.DEGREE):
-                    d = optimumset_decision(g, k, m, 1.0)
-                    assert (d.witness is not None) == oracles.dominating_set_exists(g, k)
-                    if d.witness is not None:
-                        assert oracles.is_dominating(g, d.witness.members)
+                    self.check(g, k, m)
 
     def test_decision_alpha_one_matches_vertex_covers(self, exhaustive_corpus, sampled_corpus):
         rng = np.random.Generator(np.random.PCG64(107))
@@ -456,10 +461,7 @@ class TestDecision:
             g = graphs[int(idx)]
             for k in range(1, min(3, g.n - 1) + 1):
                 for m in (Measure.BETWEENNESS, Measure.RANDOMWALK):
-                    d = optimumset_decision(g, k, m, 1.0)
-                    assert (d.witness is not None) == oracles.vertex_cover_exists(g, k), (g, k, m)
-                    if d.witness is not None:
-                        assert oracles.is_vertex_cover(g, d.witness.members)
+                    self.check(g, k, m)
 
 
 class TestCrossMeasureReport:

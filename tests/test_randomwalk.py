@@ -21,7 +21,6 @@ from gcentral.randomwalk import (
     fundamental_matrix,
     group_randomwalk,
     hitting_time_matrix,
-    hitting_time_pair,
     hitting_time_set,
     monte_carlo_hitting,
     stationary,
@@ -168,28 +167,20 @@ class TestFundamentalMatrix:
 
 class TestHittingTimePair:
     def test_k2_forced_step(self):
-        assert hitting_time_pair(k2(), 0, 1) == pytest.approx(1.0, abs=1e-12)
+        assert hitting_time_matrix(k2())[0, 1] == pytest.approx(1.0, abs=1e-12)
 
     def test_path_end_to_end(self):
-        assert hitting_time_pair(path_graph(3), 0, 2) == pytest.approx(4.0, abs=1e-9)
+        assert hitting_time_matrix(path_graph(3))[0, 2] == pytest.approx(4.0, abs=1e-9)
 
     def test_triangle_symmetric(self):
-        g = cycle_graph(3)
+        h = hitting_time_matrix(cycle_graph(3))
         for u in range(3):
             for v in range(3):
                 expected = 0.0 if u == v else 2.0
-                assert hitting_time_pair(g, u, v) == pytest.approx(expected, abs=1e-9)
+                assert h[u, v] == pytest.approx(expected, abs=1e-9)
 
     def test_diagonal_zero(self):
-        assert hitting_time_pair(path_graph(4), 2, 2) == 0.0
-
-    def test_matrix_matches_pairs(self):
-        rng = np.random.Generator(np.random.PCG64(59))
-        g = random_connected_graph(rng, 8, weighted=True)
-        h = hitting_time_matrix(g)
-        for u in range(g.n):
-            for v in range(g.n):
-                assert h[u, v] == pytest.approx(hitting_time_pair(g, u, v), abs=1e-9)
+        assert (np.diag(hitting_time_matrix(path_graph(4))) == 0.0).all()
 
     def test_first_step_recurrence(self):
         rng = np.random.Generator(np.random.PCG64(61))
