@@ -12,19 +12,21 @@ score from the complement as floats tied within a relative tolerance
 neither fabricate nor destroy a tie.
 
 For k >= 2, betweenness and random walk screen the subsets in groups: those
-sharing their last k - t elements, the parent, are scored together from one
-pass over the parent's complement.  Random walk extends each parent by t = 2
-vertices from k = 3 on (t = 1 at k = 2): one inverse G per parent, and each
-extension T scores from a Schur complement of the t x t block G[T, T].
-Betweenness extends by t = 1 vertex, from the path counts through it.  What
-the screen leaves in the keep window is re-scored by the block scorer, the
-only exact kernel, which also serves k = 1 and single subsets; every
-reported value comes from it.  The betweenness block scorer reads each
-outside pair's share of geodesics avoiding the subset from a dense layered
-pass over the block, or, past that pass's exact range, from
-:func:`gcentral.graph.geodesic_counts`; both give the same correctly rounded
-ratios of exact integers, summed by one formula, so a value does not depend
-on the route or on the other subsets of its block.
+sharing their last k - t elements, the parent, are scored together, with
+t = 2 from k = 3 on (t = 1 at k = 2).  Random walk takes one inverse G per
+parent, over its complement, and each extension T scores from a Schur
+complement of the t x t block G[T, T].  Betweenness builds the
+path-betweenness matrix PB once per search; the first k - 2 vertices of a
+parent update PB and the path counts, and each extension then scores from
+four entries of the result by inclusion-exclusion.  What the screen leaves
+in the keep window is re-scored by the block scorer, the only exact kernel,
+which also serves k = 1 and single subsets; every reported value comes from
+it.  The betweenness block scorer reads each outside pair's share of
+geodesics avoiding the subset from a dense layered pass over the block, or,
+past that pass's exact range, from :func:`gcentral.graph.geodesic_counts`;
+both give the same correctly rounded ratios of exact integers, summed by one
+formula, so a value does not depend on the route or on the other subsets of
+its block.
 
 One reduction, :func:`_absorb`, keeps the scored subsets within a window of
 the best score seen; it folds each scored block into a partition's result
@@ -41,14 +43,14 @@ from concurrent.futures import ProcessPoolExecutor
 from contextlib import ExitStack
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
+from functools import cache, reduce
 from itertools import chain, islice
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 from scipy.sparse.csgraph import shortest_path
 
-from .errors import BudgetExceededError, InputError, check_memory
+from .errors import BudgetExceededError, InputError, NumericalError, check_memory
 from .graph import Graph, VertexSet, geodesic_counts, is_connected
 from .measures import Measure, Score
 from .randomwalk import transition_matrix
@@ -197,6 +199,83 @@ def _complements_of(n: int, subsets: np.ndarray) -> np.ndarray:
     return np.nonzero(mask)[1].reshape(big, n - subsets.shape[1])
 
 
+def _finite(h: np.ndarray) -> np.ndarray:
+    """``h``, or NumericalError if a hitting time overflowed: on a graph whose
+    escape probabilities fall below float64 resolution, I - Q is singular
+    in floating point."""
+    if not np.isfinite(h).all():
+        raise NumericalError("random-walk search solve gave non-finite hitting times")
+    return h
+
+
+def _path_betweenness(adj: np.ndarray, dist: np.ndarray, sigma: np.ndarray, chunk: int) -> np.ndarray:
+    """The path-betweenness matrix PB[x, y]: over ordered pairs (s, t), the
+    share of s-t geodesics that pass x and then y, ends counted.
+
+    PB[x, y] = sum_s [d(s,y) = d(s,x) + d(x,y)] sigma(s,x) sigma(x,y)
+    delta_s(y) / sigma(s,y), with delta_s Brandes' dependency counting the
+    pair (s, y) itself, and delta_s(s) = n - 1 (Puzis, Elovici and Dolev,
+    Phys. Rev. E 76, 056709, 2007).  PB[x, x] is x's betweenness with ends.
+    Sources are taken ``chunk`` at a time; ``dist`` and ``sigma`` are the
+    base hop distances and path counts of a connected graph.
+    """
+    n = len(dist)
+    pb = np.zeros((n, n))
+    for first in range(0, n, chunk):
+        d, s = dist[first : first + chunk], sigma[first : first + chunk]
+        # Dependencies from the farthest layer in: a vertex on layer l gets
+        # sigma(s,v) / sigma(s,w) of each successor w's, plus its own pair.
+        dep = np.ones(d.shape)
+        for level in range(int(d.max()) - 1, 0, -1):
+            later = np.where(d == level + 1, dep / s, 0.0)
+            dep = np.where(d == level, 1.0 + s * (later @ adj), dep)
+        dep[np.arange(len(d)), np.arange(first, first + len(d))] = n - 1
+        on = dist[None] + d[:, :, None] == d[:, None, :]
+        pb += np.einsum("sx,sxy,sy->xy", s, on, dep / s)
+    pb *= sigma
+    return pb
+
+
+def _path_betweenness_without(
+    dist: np.ndarray, sigma: np.ndarray, pb: np.ndarray, members: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per row of ``members``, its group betweenness with ends, and PB
+    restricted to the geodesics that avoid it.
+
+    Members are added one at a time.  Adding v removes from sigma(x, y) the
+    paths through v, and from PB[x, y] the geodesics through x, y and v in
+    each order: x-v-y, x-y-v and v-x-y, each scaled by the current counts
+    (reading the original ones in the third, as networkx's
+    group_betweenness_centrality does, moves scores of the novice fixture
+    at k = 4 by up to 0.017).  Entries in a member's row or column are left
+    stale.
+    """
+    rows = np.arange(len(members))
+    sig = np.repeat(sigma[None], len(members), axis=0)
+    pb = np.repeat(pb[None], len(members), axis=0)
+    gb = np.zeros(len(members))
+    for v in members.T:
+        gb += pb[rows, v, v]
+        # Counts are symmetric: s[x] = sigma(x, v), and q[x] = PB[x, v] / s[x].
+        s = sig[rows, v]
+        q = np.divide(pb[rows, :, v], s, out=np.zeros_like(s), where=s > 0)
+        dv = dist[v]
+        through = s[:, :, None] * s[:, None, :]
+        through *= dist[None] == dv[:, :, None] + dv[:, None, :]
+        # x-y-v, then its mirror v-x-y, both scaled by sigma(x, y).
+        order = q[:, :, None] * s[:, None, :]
+        order *= dv[:, :, None] == dist[None] + dv[:, None, :]
+        order += order.transpose(0, 2, 1)
+        order *= sig
+        # x-v-y takes the same share of PB[x, y] as of sigma(x, y).
+        share = np.divide(pb, sig, out=np.zeros_like(pb), where=sig > 0)
+        share *= through
+        pb -= share
+        pb -= order
+        sig -= through
+    return gb, pb
+
+
 _BLOCK = 512
 _PARENTS = 64
 
@@ -208,11 +287,11 @@ class _Scorers(NamedTuple):
     exactly, and each value independently of the rest of its block (for
     betweenness, whichever of its two count routes served the block).
     ``screen``, where the measure has one, takes at most
-    ``parents`` (k - t)-subsets P, t = ``depth``, and one row per extension:
-    the index of its parent and t positions in that parent's sorted
-    complement.  It returns a float value of each parent plus the vertices
-    at those positions, off from the exact one by rounding only (see
-    :func:`_scan_partitions`).
+    ``parents`` (k - t)-subsets P, t = ``depth`` = min(2, k - 1), and one
+    row per extension: the index of its parent and t positions in that
+    parent's sorted complement.  It returns a float value of each parent
+    plus the vertices at those positions, off from the exact one by
+    rounding only (see :func:`_scan_partitions`).
     """
 
     block: Callable[[np.ndarray], np.ndarray]
@@ -228,9 +307,9 @@ def _scorers(g: Graph, k: int, measure: Measure) -> _Scorers:
     call may take: as many as fit under the memory limit beside the per-graph
     arrays, up to ``_BLOCK`` and ``_PARENTS``.  All are sized from their
     dtypes before anything is allocated.  Degree and closeness score as
-    integer numerators over c = n - k; betweenness and random walk as floats.
-    Random walk screens two-vertex extensions from k = 3 on, betweenness
-    one-vertex extensions.
+    integer numerators over c = n - k; betweenness and random walk as floats,
+    and both screen two-vertex extensions from k = 3 on.  The betweenness
+    screen is off when the base path counts pass the float64-exact range.
     """
     n, c, slots = g.n, g.n - k, g._indices.size
     if measure is Measure.BETWEENNESS and c < 2:
@@ -239,10 +318,14 @@ def _scorers(g: Graph, k: int, measure: Measure) -> _Scorers:
         # vertex-cover characterization needs (V minus one vertex always
         # covers every edge).
         return _Scorers(lambda subsets: np.ones(len(subsets)), _BLOCK)
-    depth = min(2, k - 1) if measure is Measure.RANDOMWALK else 1
+    depth = min(2, k - 1)
     # A parent's complement has c + depth vertices, and at most as many
-    # extensions below its smallest element as depth-subsets of them.
+    # extensions below its smallest element as depth-subsets of them.  The
+    # scan's table of extensions is per graph; per extension, 128 bytes hold
+    # the gathers, the values and the window's masks (subset rows are built
+    # for the keep window only).
     width, extensions = c + depth, math.comb(c + depth, depth)
+    table = 8 * depth * math.comb(n, depth) if k > 1 else 0
     # Bytes per graph, per block row and per screened parent.  A layered
     # all-pairs pass with path counts holds 45 per vertex pair (five float64
     # and one int16 array and three bool masks); csgraph's distances, cast
@@ -250,27 +333,38 @@ def _scorers(g: Graph, k: int, measure: Measure) -> _Scorers:
     graph_bytes, row_bytes, parent_bytes = {
         Measure.DEGREE: (n * n + 8 * slots, (k + 1) * n, 0),
         Measure.CLOSENESS: (10 * n * n + 8 * slots, 2 * (k + 1) * n, 0),
-        # Per row: the complement's layered pass, then the pair gathers.  Per
-        # parent: that pass on the parent's complement, then the layer sums'
-        # float64 arrays (59 in all by tracemalloc on a 6 x 7 torus).
-        Measure.BETWEENNESS: (45 * n * n + 8 * slots + 9 * c * c, 48 * c * c, 72 * width**2),
-        # The transition matrix, its step table and the screen's table of
-        # extensions; the system and the solver's copy.  Per parent: the
-        # system, its inverse and the inverter's identity and copy, then per
-        # extension 128 for the gathers, the small solves and the window's
-        # masks (subset rows are built for the keep window only).  By
-        # tracemalloc a batch peaked at under 0.63 of this on a 6 x 7 torus
-        # at k = 3 to 5 and on a 300-vertex graph at k = 2 and 3.
+        # The layered pass and the pairs' triangle indices; per row, the
+        # complement's layered pass, then the pair gathers.  Per parent from
+        # k = 3, the updated counts and PB and their scratch.  By tracemalloc
+        # a screen batch peaked at under 0.61 of this at k = 2 to 4 (49 and
+        # 66 bytes per vertex pair for the update), on a 6 x 7 torus and a
+        # 300-vertex graph.
+        Measure.BETWEENNESS: (
+            45 * n * n + 8 * slots + 9 * c * c + table,
+            48 * c * c,
+            (64 * n * n if k > 2 else 0) + 8 * width + 128 * extensions,
+        ),
+        # The transition matrix and its step table; the system and the
+        # solver's copy.  Per parent: the system, its inverse and the
+        # inverter's identity and copy.  By tracemalloc a batch peaked at
+        # under 0.63 of this on a 6 x 7 torus at k = 3 to 5 and on a
+        # 300-vertex graph at k = 2 and 3.
         Measure.RANDOMWALK: (
-            8 * n * n + 32 * slots + 8 * depth * math.comb(n, depth),
+            8 * n * n + 32 * slots + table,
             16 * c * c,
             40 * width**2 + 128 * extensions,
         ),
     }[measure]
     left = check_memory(graph_bytes + row_bytes, f"the {measure.value} search at k={k} on {n} vertices")
     block_rows = min(_BLOCK, 1 + left // row_bytes)
+    # The betweenness screen's pass, before any batch: PB, the float64 sum of
+    # each source chunk, einsum's buffers (under 2**18 bytes) and one source
+    # (int16 and bool masks over vertex pairs, dependency rows).  By
+    # tracemalloc it peaked at under 0.86 of this on the same two graphs.
+    source_bytes = 4 * n * n + 128 * n
+    pass_bytes = 16 * n * n + 2**18 + source_bytes if measure is Measure.BETWEENNESS else 0
     # k = 1 has no parent to extend (and for random walk, I - P is singular).
-    parents = min(_PARENTS, left // parent_bytes) if parent_bytes and k > 1 else 0
+    parents = max(0, min(_PARENTS, (left - pass_bytes) // parent_bytes)) if parent_bytes and k > 1 else 0
 
     if measure is Measure.DEGREE:
         touches = _adjacency(g, bool)
@@ -296,8 +390,11 @@ def _scorers(g: Graph, k: int, measure: Measure) -> _Scorers:
             comp = _complements_of(n, subsets)
             a = -p[comp[:, :, None], comp[:, None, :]]
             a[:, idx, idx] += 1.0
-            h = np.linalg.solve(a, np.ones((len(comp), c, 1)))[:, :, 0]
-            return np.array([math.fsum(row) / c for row in h])
+            try:
+                h = np.linalg.solve(a, np.ones((len(comp), c, 1)))[:, :, 0]
+            except np.linalg.LinAlgError as exc:
+                raise NumericalError(f"random-walk search solve failed: {exc}") from exc
+            return _finite(np.array([math.fsum(row) / c for row in h]))
 
         def screen(parents: np.ndarray, owner: np.ndarray, ext: np.ndarray) -> np.ndarray:
             # With G = (I - Q)^-1 on the parent's complement, r and c its row
@@ -307,14 +404,27 @@ def _scorers(g: Graph, k: int, measure: Measure) -> _Scorers:
             # determinant is det((I - Q) off T) / det(I - Q), a ratio of
             # principal minors of the M-matrix I - Q, so positive.
             comp = _complements_of(n, parents)
-            a = -p[comp[:, :, None], comp[:, None, :]]
-            a[:, idx_t, idx_t] += 1.0
-            inv = np.linalg.inv(a)
+            m = -p[comp[:, :, None], comp[:, None, :]]
+            m[:, idx_t, idx_t] += 1.0
+            try:
+                inv = np.linalg.inv(m)
+            except np.linalg.LinAlgError as exc:
+                raise NumericalError(f"random-walk search inverse failed: {exc}") from exc
             rows, cols = inv.sum(axis=2), inv.sum(axis=1)
-            at = owner[:, None], ext
-            m_t = inv[owner[:, None, None], ext[:, :, None], ext[:, None, :]]
-            q = (cols[at] * np.linalg.solve(m_t, rows[at][:, :, None])[:, :, 0]).sum(axis=1)
-            return (rows.sum(axis=1)[owner] - q) / c
+            # c_T^T G[T, T]^-1 r_T by elimination, x first, then for t = 2
+            # y from the Schur complement e - b d / a of x's pivot a (the
+            # 1 x 1 inverse, or the 2 x 2 one, without a batched solve).  No
+            # pivoting is needed: G[y, x] is a walk's chance of reaching x
+            # times G[x, x], so never larger.
+            r, cc = rows[owner[:, None], ext], cols[owner[:, None], ext]
+            x = ext[:, 0]
+            a = inv[owner, x, x]
+            q = cc[:, 0] * r[:, 0] / a
+            if depth == 2:
+                y = ext[:, 1]
+                b, d, e = inv[owner, x, y], inv[owner, y, x], inv[owner, y, y]
+                q += (cc[:, 1] - cc[:, 0] * b / a) * (r[:, 1] - d * r[:, 0] / a) / (e - b * d / a)
+            return _finite((rows.sum(axis=1)[owner] - q) / c)
 
         return _Scorers(score, block_rows, screen if parents else None, parents, depth)
 
@@ -327,7 +437,6 @@ def _scorers(g: Graph, k: int, measure: Measure) -> _Scorers:
         # that would most likely give up, and nothing reads the distances.
         dist = sigma = None
     iu, iv = np.triu_indices(c, 1)
-    idx1 = np.arange(c + 1)
 
     def counted(subset: np.ndarray) -> np.ndarray:
         # Geodesics of the whole graph with no vertex in the subset, from
@@ -361,30 +470,35 @@ def _scorers(g: Graph, k: int, measure: Measure) -> _Scorers:
         # shape-dependent summation orders).
         return np.array([2.0 * (iu.size - math.fsum(row)) / (c * (c - 1)) for row in pair_shares(subsets)])
 
-    def screen(parents: np.ndarray, owner: np.ndarray, ext: np.ndarray) -> np.ndarray:
-        # On the parent's complement C', a pair (s, t) at its base distance D
-        # loses, with vertex v, the sigma'(s,v) sigma'(v,t) paths through v
-        # that have d'(s,v) = l and d'(v,t) = D - l.  Summed over pairs with
-        # weight 1 / sigma(s,t), that is the diagonal of X_l^T W_D X_(D-l),
-        # one c' x c' matmul per layer pair; the sum is symmetric in l and
-        # D - l, so l runs to D / 2 only.
-        comp = _complements_of(n, parents)
-        pair = comp[:, :, None], comp[:, None, :]
-        d_sub, s_sub = _apsp_layers_batch(adj[pair])
-        w = np.where(d_sub == dist[pair], 1.0 / sigma[pair], 0.0)
-        w[:, idx1, idx1] = 0.0
-        avoid = w * s_sub
-        through = np.zeros(comp.shape)
-        for d in range(2, int(dist.max()) + 1):
-            w_d = np.where(d_sub == d, w, 0.0)
-            for step in range(1, d // 2 + 1):
-                ends = w_d @ np.where(d_sub == d - step, s_sub, 0.0)
-                term = (np.where(d_sub == step, s_sub, 0.0) * ends).sum(axis=1)
-                through += term if 2 * step < d else term / 2
-        avoided = avoid.sum(axis=(1, 2))[:, None] / 2 - avoid.sum(axis=2) - through
-        return (2.0 * (iu.size - avoided) / (c * (c - 1)))[owner, ext[:, 0]]
+    if sigma is None or not parents:
+        return _Scorers(score, block_rows)
+    # Built on the first screen call, so score_subset never pays for it.
+    root = cache(lambda: _path_betweenness(adj, dist, sigma, min(_PARENTS, 1 + (left - pass_bytes) // source_bytes)))
+    # Ordered pairs with an end in a k-set: they count whole in GB.
+    ends, noise = k * (2 * n - k - 1), 64 * np.finfo(float).eps * n * (n - 1)
 
-    return _Scorers(score, block_rows, screen if parents and sigma is not None else None, parents)
+    def screen(parents: np.ndarray, owner: np.ndarray, ext: np.ndarray) -> np.ndarray:
+        # Each extension completes its parent's first k - 2 vertices with a
+        # pair {x, y}: two vertices of the complement, or at k = 2 one and
+        # the parent.  By inclusion-exclusion over the geodesics through x
+        # and y that avoid those k - 2, GB(P + {x, y}) = GB(P) + PB_P[x, x]
+        # + PB_P[y, y] - PB_P[x, y] - PB_P[y, x].
+        comp = _complements_of(n, parents)
+        x, y = np.column_stack((comp[owner[:, None], ext], parents[owner, : 2 - depth])).T
+        if k > 2:
+            gb, pb = _path_betweenness_without(dist, sigma, root(), parents)
+        else:
+            gb, pb = np.zeros(len(parents)), np.broadcast_to(root(), (len(parents), n, n))
+        through = gb[owner] + pb[owner, x, x] + pb[owner, y, y] - pb[owner, x, y] - pb[owner, y, x]
+        # What the outside pairs add, a sum of nonnegative shares, is left
+        # over from terms of up to n(n - 1) each, and rounding moves it by up
+        # to 2.4 n(n - 1) eps (measured on the fixtures and small random
+        # graphs): within ``noise`` of 0 it is 0, the empty sum.
+        inside = through - ends
+        inside[inside < noise] = 0.0
+        return inside / (c * (c - 1))
+
+    return _Scorers(score, block_rows, screen, parents, depth)
 
 
 def score_subset(g: Graph, subset: tuple[int, ...], measure: Measure):
@@ -461,10 +575,7 @@ def _screened_scan(scorers: _Scorers, k: int, leading: Sequence[int], ties: _Tie
             continue
         owner = np.repeat(np.arange(len(parents)), sizes)
         ext = table[np.arange(owner.size) - np.repeat(np.cumsum(sizes) - sizes, sizes)]
-        try:
-            values = scorers.screen(parents, owner, ext)
-        except _SigmaOverflow:
-            values = _exact_scores(scorers, np.column_stack((ext, parents[owner])))
+        values = scorers.screen(parents, owner, ext)
         # Subset rows only for the batch's own keep window: the joint best is
         # at least as good, and with nonnegative values the window's scale is
         # set by the worse value (minimizing) or grows by 10 rel < 1 per unit
@@ -485,10 +596,12 @@ def _scan_partitions(task: tuple[Graph, int, Measure, Sequence[int], float]) -> 
     window of the screened values and re-scores that with the block scorer,
     so every reported value comes from the block scorer.  The screen is off
     by rounding only (measured: at most 2.6e-14 relative for random walk,
-    with one- and two-vertex extensions on a 60-vertex path, and 4e-16 for
-    betweenness), far inside the keep window's margin of nine tie windows;
-    a kept value that moves by more than one tie window on confirmation
-    sends the partition back through the block scorer.
+    with one- and two-vertex extensions on a 60-vertex path, and 3.2e-14
+    for betweenness, on the fixtures at k = 4 and on a 6 x 7 torus, a 4 x 8
+    ladder with a hub and a random 40-vertex graph at k = 3, where a score
+    of 0 comes out 0), far inside the keep window's margin of nine tie
+    windows; a kept value that moves by more than one tie window on
+    confirmation sends the partition back through the block scorer.
     """
     g, k, measure, leading, tie_rel = task
     ties = _TieWindow.of(measure, tie_rel)

@@ -26,6 +26,7 @@ matrix scatters its probabilities, and Monte Carlo and the sampler in
 from __future__ import annotations
 
 import json
+import warnings
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
@@ -282,11 +283,18 @@ def _solve_absorbing(g: Graph, vs: VertexSet) -> np.ndarray:
     q = p[np.ix_(comp, comp)]
     a = np.eye(len(comp)) - q
     b = np.ones(len(comp))
-    try:
-        lu, piv = scipy.linalg.lu_factor(a)
-    except scipy.linalg.LinAlgError as exc:
-        raise NumericalError(f"absorbing solve failed: {exc}") from exc
-    h = scipy.linalg.lu_solve((lu, piv), b)
+    with warnings.catch_warnings():
+        # An exactly zero pivot: lu_factor warns and returns the factors.
+        warnings.simplefilter("error", scipy.linalg.LinAlgWarning)
+        try:
+            lu, piv = scipy.linalg.lu_factor(a)
+        except (scipy.linalg.LinAlgError, scipy.linalg.LinAlgWarning) as exc:
+            raise NumericalError(f"absorbing solve failed: {exc}") from exc
+    h = scipy.linalg.lu_solve((lu, piv), b, check_finite=False)
+    if not np.isfinite(h).all():
+        # Escape probabilities below float64 resolution: I - Q is singular
+        # in floating point.
+        raise NumericalError("absorbing solve failed: non-finite hitting times")
     h += scipy.linalg.lu_solve((lu, piv), b - a @ h)
     residual = np.max(np.abs(a @ h - b))
     if not residual < _ABSORBING_RESIDUAL:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import warnings
 from importlib import resources
 from pathlib import Path
 
@@ -21,7 +22,8 @@ PINNED_REPORTS = json.loads((Path(__file__).parent / "data" / "fixture_reports_k
 # prefix: random walk to k = 3 (84 ties at k = 3) and betweenness to k = 2
 # (42 ties), where the keep window holds the most rows.  Random walk to k = 4
 # (42 ties at k = 4), the first size screened mostly by vertex pairs, was
-# captured before the search screened by pairs.
+# captured before the search screened by pairs, and betweenness to k = 3
+# (168 ties at k = 3) before betweenness screened by pairs.
 PINNED_TORUS = json.loads((Path(__file__).parent / "data" / "torus_reports.json").read_text())
 
 
@@ -159,7 +161,7 @@ class TestOptimum:
         assert code == 0
         assert_matches_pinned(out, PINNED_REPORTS[name])
 
-    @pytest.mark.parametrize("case", ["randomwalk-k3", "randomwalk-k4", "betweenness-k2"])
+    @pytest.mark.parametrize("case", ["randomwalk-k3", "randomwalk-k4", "betweenness-k2", "betweenness-k3"])
     def test_torus_report_pinned(self, capsys, tmp_path, case):
         rows, cols = 6, 7
         edges = set()
@@ -346,6 +348,27 @@ class TestExitCodes:
         )
         assert code == 4
         assert "cap" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["optimum", "--k", "1", "--measures", "randomwalk"],
+            ["centrality", "--set", "3", "--measures", "randomwalk"],
+            ["hitting", "--set", "3"],
+        ],
+    )
+    def test_singular_walk_exit_4(self, capsys, tmp_path, argv):
+        # Two triangles joined by an edge of weight 1e-16, and a pendant
+        # vertex: the chance of crossing that edge is below float64
+        # resolution, so I - Q is singular in floating point.
+        path = tmp_path / "feather.edges"
+        path.write_text("0 1 1\n1 2 1\n0 2 1\n2 3 1e-16\n3 4 1\n4 5 1\n3 5 1\n5 6 1\n")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run(capsys, [argv[0], str(path), "--weighted", *argv[1:]])
+        assert code == 4
+        assert out == "" and not caught
+        assert err.count("\n") == 1 and err.startswith("error: ") and "Traceback" not in err
 
     def test_tolerance_flag_accepted(self, capsys, p2_file):
         code, out, _ = run(

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 import pickle
 from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
@@ -270,7 +271,7 @@ class TestMemoryGuard:
 
 
 class TestPrefixScreen:
-    """The grouped screen of random walk and betweenness against the block scorer."""
+    """The grouped screens of random walk and betweenness against the block scorer."""
 
     @staticmethod
     def screened_and_exact(g, k, measure, parents=None):
@@ -303,9 +304,8 @@ class TestPrefixScreen:
             for k in sorted({2, 3, n - 2, n - 1} - {1}):
                 if measure is Measure.BETWEENNESS and k == n - 1:
                     continue  # one outside vertex: the constant score, no screen
-                # Random walk extends by two vertices from k = 3 on.
-                depth = 2 if measure is Measure.RANDOMWALK and k >= 3 else 1
-                assert _scorers(g, k, measure).depth == depth
+                # Both measures extend by two vertices from k = 3 on.
+                assert _scorers(g, k, measure).depth == min(2, k - 1)
                 screened, exact = self.screened_and_exact(g, k, measure)
                 assert screened == pytest.approx(exact, rel=1e-12, abs=1e-15), (trial, k)
 
@@ -348,7 +348,7 @@ class TestPrefixScreen:
         from gcentral import optimize
 
         build = optimize._scorers
-        # One-vertex extensions at k = 2, two-vertex ones (random walk) at k = 3.
+        # One-vertex extensions at k = 2, two-vertex ones at k = 3.
         for k in (2, 3):
             want = optimumset(novice, k, measure).to_json_dict()
             scored = []
@@ -370,21 +370,39 @@ class TestPrefixScreen:
             # The confirmation, then the whole partition through the block scorer.
             assert sum(scored) > got.evaluated
 
-    def test_prefix_pass_overflow_uses_block_scorer(self, expert, monkeypatch):
-        from gcentral import optimize
+    @pytest.mark.parametrize("case, k", [("novice", 4), ("ladder-hub", 3)])
+    def test_betweenness_screen_stress(self, novice, case, k):
+        # Every 2-parent of the novice fixture, where updating PB with the
+        # original path counts in the v-x-y term is off by up to 8e-3, and a
+        # 4-wide ladder with a hub, whose counts grow by the layer.
+        g = novice if case == "novice" else layered_bipartite(4, 8, hub=True)
+        screened, exact = self.screened_and_exact(g, k, Measure.BETWEENNESS)
+        assert len(exact) == math.comb(g.n, k - 2) * math.comb(g.n - k + 2, 2)
+        assert screened == pytest.approx(exact, rel=1e-12, abs=1e-15)
 
-        want = optimumset(expert, 3, Measure.BETWEENNESS).to_json_dict()
-        layers, tripped = optimize._apsp_layers_batch, []
+    def test_screen_near_count_guard_matches_block_scorer(self):
+        # A bare 4 x 24 ladder hung off the hub of a 4 x 26 one: its 4**22
+        # end-to-end paths sit just under the guard on base counts, so the
+        # screen is on.  Without the hub the longer ladder's ends lie 25 hops
+        # apart with 4**24 paths, past the guard of a pass on the hub's
+        # complement.  The screen counts only geodesics at base distance.
+        from gcentral.optimize import _SigmaOverflow, _adjacency, _apsp_layers_batch
 
-        def overflow_on_prefixes(a):
-            if a.shape[1] == expert.n - 2:  # a prefix's complement at k = 3
-                tripped.append(len(a))
-                raise optimize._SigmaOverflow
-            return layers(a)
+        def edges(g, shift):
+            return [(u + shift, v + shift) for u in range(g.n) for v in g.neighbors(u) if u < v]
 
-        monkeypatch.setattr(optimize, "_apsp_layers_batch", overflow_on_prefixes)
-        assert optimumset(expert, 3, Measure.BETWEENNESS).to_json_dict() == want
-        assert tripped
+        hubbed, bare = layered_bipartite(4, 26, hub=True), layered_bipartite(4, 24)
+        hub = hubbed.n - 1
+        g = Graph(hubbed.n + bare.n, edges(hubbed, 0) + edges(bare, hubbed.n) + [(hub, hubbed.n)])
+        adj = _adjacency(g, float)
+        sigma = _apsp_layers_batch(adj[None])[1]
+        guard = 2.0**53 / (2 * g.n)
+        assert guard / 2 < sigma.max() == 4.0**22 < guard
+        rest = np.delete(np.arange(g.n), hub)
+        with pytest.raises(_SigmaOverflow):
+            _apsp_layers_batch(adj[np.ix_(rest, rest)][None])
+        screened, exact = self.screened_and_exact(g, 2, Measure.BETWEENNESS, np.array([[hub]]))
+        assert screened == pytest.approx(exact, rel=1e-12, abs=1e-15)
 
 
 class TestWorkers:
