@@ -53,7 +53,7 @@ from scipy.sparse.csgraph import shortest_path
 from .errors import BudgetExceededError, InputError, NumericalError, check_memory
 from .graph import Graph, VertexSet, geodesic_counts, is_connected
 from .measures import Measure, Score
-from .randomwalk import transition_matrix
+from .randomwalk import _ABSORBING_RESIDUAL, transition_matrix
 
 __all__ = [
     "OptimumResult",
@@ -391,10 +391,17 @@ def _scorers(g: Graph, k: int, measure: Measure) -> _Scorers:
             a = -p[comp[:, :, None], comp[:, None, :]]
             a[:, idx, idx] += 1.0
             try:
-                h = np.linalg.solve(a, np.ones((len(comp), c, 1)))[:, :, 0]
+                h = _finite(np.linalg.solve(a, np.ones((len(comp), c, 1))))
             except np.linalg.LinAlgError as exc:
                 raise NumericalError(f"random-walk search solve failed: {exc}") from exc
-            return _finite(np.array([math.fsum(row) / c for row in h]))
+            # The absorbing route's check: a nearly singular I - Q can solve
+            # to finite but meaningless hitting times.
+            residual = np.max(np.abs(a @ h - 1.0))
+            if not residual < _ABSORBING_RESIDUAL:
+                raise NumericalError(
+                    f"random-walk search solve residual {residual:.3e} exceeds {_ABSORBING_RESIDUAL:.0e}"
+                )
+            return np.array([math.fsum(row) / c for row in h[:, :, 0]])
 
         def screen(parents: np.ndarray, owner: np.ndarray, ext: np.ndarray) -> np.ndarray:
             # With G = (I - Q)^-1 on the parent's complement, r and c its row

@@ -18,9 +18,11 @@ two independent ways, which must agree:
     read hitting times to the merged vertex off ``Z``.  Kept as an
     executable statement of the contraction identity.
 
-One CSR step table (:class:`_StepTable`) serves every walk: the transition
-matrix scatters its probabilities, and Monte Carlo and the sampler in
-:mod:`gcentral.sampling` search its cumulative rows, without an n x n array.
+One CSR step table (:class:`_StepTable`) serves every walk, without an
+n x n array: the transition matrix scatters its probabilities, the sampler
+in :mod:`gcentral.sampling` searches its cumulative rows, and Monte Carlo
+looks its keys up through a guide table (:class:`_Guide`), a constant
+number of gathers per step.
 """
 
 from __future__ import annotations
@@ -66,16 +68,20 @@ RNG_NAME = "numpy.random.PCG64"
 _FUNDAMENTAL_RESIDUAL = 1e-8
 _ABSORBING_RESIDUAL = 1e-7
 # Bytes per Monte Carlo walk at the peak of a step, its int64 and float64
-# arrays together (about 73 by tracemalloc on a 1,000-vertex sparse graph).
-_WALK_BYTES = 80
+# arrays together (about 59 by tracemalloc on a 1,000-vertex sparse graph).
+_WALK_BYTES = 64
 # Bytes per CSR slot of the step table: four int64 or float64 arrays.
 _SLOT_BYTES = 32
+# Guide cells per CSR slot and vertex, at most: the cap on the table's size.
+_GUIDE_CELLS = 8
 
 
 class _StepTable(NamedTuple):
     """Per CSR slot of a graph: the owning vertex u, the step probability
     ``w / w.sum()`` over u's row, the row's cumulative sum normalised by its
-    last entry (ending at exactly 1.0), and that sum shifted by ``2u``."""
+    last entry (ending at exactly 1.0), and that sum shifted by ``2u``.  The
+    keys ascend over the whole table, so a draw ``2u + r`` finds its slot in
+    them (Monte Carlo, through :class:`_Guide`)."""
 
     rows: np.ndarray
     prob: np.ndarray
@@ -100,12 +106,62 @@ def _step_table(g: Graph) -> _StepTable:
     return _StepTable(rows, prob, cum, cum + 2.0 * rows)
 
 
-def _walk_step(g: Graph, keys: np.ndarray, u: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """Next vertices from ``u`` for draws ``r`` in [0, 1): the first slot whose
-    key exceeds ``2u + r``, clamped to the row's last slot for when that sum
-    rounds up to ``2u + 1``."""
-    slot = np.searchsorted(keys, 2.0 * u + r, side="right")
-    return g._indices[np.minimum(slot, g._indptr[u + 1] - 1)]
+class _Guide(NamedTuple):
+    """A guide table over the step keys (Chen and Asau 1974).
+
+    Cell ``c`` covers ``[c / scale, (c + 1) / scale)``, a power-of-two
+    ``scale`` so that ``q * scale`` is exact; the ``2 * scale`` cells from
+    ``2u * scale`` belong to vertex u's row.  A cell holds the first slot of
+    its row whose key exceeds its lower edge, or -1 where two or more of the
+    row's keys lie strictly inside it.  ``cmp`` is the keys with each row's
+    last key, exactly ``2u + 1``, raised to +inf, so the last slot takes
+    every draw that rounds up to ``2u + 1``.
+    """
+
+    scale: float
+    cells: np.ndarray
+    cmp: np.ndarray
+    keys: np.ndarray
+
+
+def _guide_scale(g: Graph) -> int:
+    """The largest power of two that keeps ``2n * scale`` cells within
+    ``_GUIDE_CELLS`` per slot and vertex (never below ``_GUIDE_CELLS``
+    rounded down to a power of two, as slots >= n)."""
+    return 1 << (((_GUIDE_CELLS * (g._indices.size + g.n)) // (2 * g.n)).bit_length() - 1)
+
+
+def _guide(g: Graph) -> _Guide:
+    keys = _step_table(g).keys
+    scale = _guide_scale(g)
+    bounds = np.arange(2 * g.n * scale + 1) / scale
+    first = np.searchsorted(keys, bounds, side="right")
+    inside = np.searchsorted(keys, bounds[1:], side="left") - first[:-1]
+    last = g._indptr[1:] - 1
+    # The cell at 2u + 1 has no key above its edge in u's row: the last slot.
+    cells = np.minimum(first[:-1], np.repeat(last, 2 * scale))
+    cells[inside > 1] = -1
+    cmp = keys.copy()
+    cmp[last] = np.inf
+    return _Guide(float(scale), cells, cmp, keys)
+
+
+def _walk_step(g: Graph, guide: _Guide, u: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """Next vertices from ``u`` for draws ``r`` in [0, 1): the first slot of
+    u's row whose key exceeds ``q = 2u + r``, or the row's last slot when q
+    rounds up to ``2u + 1``.  One comparison against the cell's slot decides
+    it, as no more than one key lies inside the cell; walks in cells with
+    more search the keys."""
+    q = 2.0 * u + r
+    slot = guide.cells[(q * guide.scale).astype(np.intp)]
+    # A -1 reads the table's last key, +inf, and stays -1.
+    slot += guide.cmp[slot] <= q
+    far = slot < 0
+    if far.any():
+        # A crowded cell lies below 2u + 1, the key that ends u's row, so
+        # the search stays inside the row.
+        slot[far] = np.searchsorted(guide.keys, q[far], side="right")
+    return g._indices[slot]
 
 
 def transition_matrix(g: Graph) -> np.ndarray:
@@ -381,44 +437,60 @@ def monte_carlo_hitting(
     n = g.n
     comp = np.array(vs.complement(n), dtype=np.int64)
     walks = comp.size * walks_per_source
-    check_memory(walks * _WALK_BYTES, f"a run of {walks} Monte Carlo walks")
-    keys = _step_table(g).keys
+    # The step table and the guide's compare keys, and five arrays of cells
+    # for the guide's build (by tracemalloc it held 35 to 37 bytes per cell
+    # on a 3,001-vertex star and a 1,000-vertex sparse graph).
+    cells = 2 * n * _guide_scale(g)
+    check_memory(
+        walks * _WALK_BYTES + (_SLOT_BYTES + 8) * g._indices.size + 40 * cells,
+        f"a run of {walks} Monte Carlo walks",
+    )
+    guide = _guide(g)
     is_target = np.zeros(n, dtype=bool)
     is_target[list(vs.members)] = True
 
+    # The live walks' vertices and walk numbers, compact and in walk order,
+    # so each step draws for them in the order it always has.
     rng = np.random.Generator(np.random.PCG64(seed))
-    state = np.repeat(comp, walks_per_source)
-    steps = np.zeros(state.size, dtype=np.int64)
-    alive = np.arange(state.size)
+    at = np.repeat(comp, walks_per_source)
+    live = np.arange(walks)
+    steps = np.zeros(walks, dtype=np.int64)
     for step in range(1, max_steps + 1):
-        nxt = _walk_step(g, keys, state[alive], rng.random(alive.size))
-        state[alive] = nxt
-        hit = is_target[nxt]
-        steps[alive[hit]] = step
-        alive = alive[~hit]
-        if alive.size == 0:
-            break
+        at = _walk_step(g, guide, at, rng.random(at.size))
+        hit = is_target[at]
+        if hit.any():
+            steps[live[hit]] = step
+            keep = ~hit
+            at, live = at[keep], live[keep]
+            if at.size == 0:
+                break
 
     per_source = steps.reshape(len(comp), walks_per_source)
     done = per_source > 0
     counts = done.sum(axis=1)
-    truncated_total = int(state.size - counts.sum())
-    if truncated_total > 0.01 * state.size:
+    truncated_total = int(walks - counts.sum())
+    if truncated_total > 0.01 * walks:
         raise TruncationError(
-            f"{truncated_total} of {state.size} walks hit the {max_steps}-step cap; "
+            f"{truncated_total} of {walks} walks hit the {max_steps}-step cap; "
             "raise max_steps",
             truncated=truncated_total,
-            total=int(state.size),
+            total=walks,
         )
 
+    # Row reductions give each source's mean and deviation with the bits of
+    # the same reductions on that row alone; rows with truncated walks
+    # average their finished walks only.
     h = np.zeros(n)
     se = np.zeros(n)
     truncated = np.zeros(n, dtype=np.int64)
-    for i, src in enumerate(comp):
+    h[comp] = per_source.mean(axis=1)
+    if walks_per_source > 1:
+        se[comp] = per_source.std(axis=1, ddof=1) / np.sqrt(walks_per_source)
+    for i in np.flatnonzero(counts < walks_per_source):
         vals = per_source[i][done[i]]
-        h[src] = vals.mean()
-        se[src] = vals.std(ddof=1) / np.sqrt(vals.size) if vals.size > 1 else 0.0
-        truncated[src] = walks_per_source - vals.size
+        h[comp[i]] = vals.mean()
+        se[comp[i]] = vals.std(ddof=1) / np.sqrt(vals.size) if vals.size > 1 else 0.0
+        truncated[comp[i]] = walks_per_source - vals.size
     return HittingSolution(
         target=vs,
         h=tuple(float(x) for x in h),

@@ -1,15 +1,20 @@
-"""Write the search's byte corpus: ``optimum --format json`` on a fixed set
-of graphs, for ``--workers`` 1 and 2, one file per run.
+"""Write the byte corpus: ``optimum --format json`` on a fixed set of
+graphs, for ``--workers`` 1 and 2, and seeded ``hitting --route
+montecarlo`` on most of them, one file per run.
 
     PYTHONPATH=src python3 tests/byte_corpus.py OUT_DIR
 
 Each file is the report less the manifest's ``wall_time_s`` and
 ``command``, so two checkouts' corpora compare with ``diff -r``.  The
-corpus: both fixtures with ``labels.tsv`` at k = 4; the 6 x 7 torus at
-k = 3 for every measure and at k = 4 for random walk; eight seeded random
-connected graphs of 8 to 15 vertices at k = 3, the odd ones weighted; and
-the 8-wide, 20-layer complete-bipartite ladder at k = 1, where betweenness
-path counts pass 2**53.  Pytest does not collect this file.
+search corpus: both fixtures with ``labels.tsv`` at k = 4; the 6 x 7 torus
+at k = 3 for every measure and at k = 4 for random walk; eight seeded
+random connected graphs of 8 to 15 vertices at k = 3, the odd ones
+weighted; and the 8-wide, 20-layer complete-bipartite ladder at k = 1,
+where betweenness path counts pass 2**53.  The Monte Carlo corpus: both
+fixtures at the default 10,000 walks per source, the torus, the eight
+random graphs, a 3,001-vertex star whose hub row spans many guide cells,
+and a 1,000-vertex random tree plus 500 edges.  Pytest does not collect
+this file.
 """
 
 from __future__ import annotations
@@ -58,6 +63,16 @@ def _ladder(width: int, layers: int) -> str:
     )
 
 
+def _sparse(n: int, seed: int) -> str:
+    """A random recursive spanning tree on n vertices plus n/2 distinct extra edges."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    edges = {(int(rng.integers(v)), v) for v in range(1, n)}
+    while len(edges) < n - 1 + n // 2:
+        u, v = sorted(int(x) for x in rng.choice(n, 2, replace=False))
+        edges.add((u, v))
+    return "".join(f"{u} {v}\n" for u, v in sorted(edges))
+
+
 def cases(work: Path) -> list[tuple[str, list[str]]]:
     """(name, optimum arguments without --workers) for every corpus entry."""
     fixtures = resources.files("gcentral").joinpath("fixtures")
@@ -81,18 +96,54 @@ def cases(work: Path) -> list[tuple[str, list[str]]]:
     return out
 
 
+def walk_cases(work: Path) -> list[tuple[str, list[str]]]:
+    """(name, hitting arguments) for every seeded Monte Carlo entry."""
+    fixtures = resources.files("gcentral").joinpath("fixtures")
+    mc = ["--route", "montecarlo", "--seed", "7"]
+    out = []
+    for name in ("novice", "expert"):
+        out.append((f"mc-{name}", [str(fixtures.joinpath(f"{name}.edges")), "--set", "0,5,11", *mc]))
+    torus = work / "torus.edges"
+    torus.write_text(_torus(6, 7))
+    out.append(("mc-torus", [str(torus), "--set", "0,17,30", *mc, "--walks", "1000"]))
+    for seed in range(8):
+        text, weighted = _random_graph(seed)
+        path = work / f"random{seed}.edges"
+        path.write_text(text)
+        out.append((f"mc-random{seed}", [str(path), "--set", "0,3", *mc, "--walks", "2000"]
+                    + ["--weighted"] * weighted))
+    star = work / "star.edges"
+    star.write_text("".join(f"0 {v}\n" for v in range(1, 3001)))
+    leaves = ",".join(str(v) for v in range(1, 51))
+    out.append(("mc-star-3001", [str(star), "--set", leaves, *mc, "--walks", "2"]))
+    sparse = work / "sparse.edges"
+    sparse.write_text(_sparse(1000, 2016))
+    out.append(("mc-sparse-1000", [str(sparse), "--set", "1,200,400,600,800", *mc, "--walks", "20"]))
+    return out
+
+
+def _run(argv: list[str], name: str) -> dict:
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = main(argv)
+    if code != 0:
+        raise SystemExit(f"{name} exited {code}")
+    report = json.loads(buf.getvalue())
+    del report["manifest"]["wall_time_s"], report["manifest"]["command"]
+    return report
+
+
 def write_corpus(out_dir: Path) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
     with tempfile.TemporaryDirectory() as tmp:
-        for (name, args), workers in itertools.product(cases(Path(tmp)), ("1", "2")):
-            buf = io.StringIO()
-            with contextlib.redirect_stdout(buf):
-                code = main(["optimum", *args, "--format", "json", "--workers", workers])
-            if code != 0:
-                raise SystemExit(f"{name} with --workers {workers} exited {code}")
-            report = json.loads(buf.getvalue())
-            del report["manifest"]["wall_time_s"], report["manifest"]["command"]
-            (out_dir / f"{name}-w{workers}.json").write_text(json.dumps(report, indent=1, sort_keys=True) + "\n")
+        runs = [
+            (f"{name}-w{workers}", ["optimum", *args, "--format", "json", "--workers", workers])
+            for (name, args), workers in itertools.product(cases(Path(tmp)), ("1", "2"))
+        ]
+        runs += [(name, ["hitting", *args]) for name, args in walk_cases(Path(tmp))]
+        for name, argv in runs:
+            report = _run(argv, name)
+            (out_dir / f"{name}.json").write_text(json.dumps(report, indent=1, sort_keys=True) + "\n")
 
 
 if __name__ == "__main__":

@@ -370,6 +370,23 @@ class TestExitCodes:
         assert out == "" and not caught
         assert err.count("\n") == 1 and err.startswith("error: ") and "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["optimum", "--k", "1", "--measures", "randomwalk"],
+            ["centrality", "--set", "3", "--measures", "randomwalk"],
+        ],
+    )
+    def test_nearly_singular_walk_exit_4(self, capsys, tmp_path, argv):
+        # At bridge weight 3e-16 the solve stays finite, but its hitting
+        # times (about 7e15) fail the residual check.
+        path = tmp_path / "feather.edges"
+        path.write_text("0 1 1\n1 2 1\n0 2 1\n2 3 3e-16\n3 4 1\n4 5 1\n3 5 1\n5 6 1\n")
+        code, out, err = run(capsys, [argv[0], str(path), "--weighted", *argv[1:]])
+        assert code == 4
+        assert out == ""
+        assert err.count("\n") == 1 and "residual" in err and "Traceback" not in err
+
     def test_tolerance_flag_accepted(self, capsys, p2_file):
         code, out, _ = run(
             capsys,
@@ -417,7 +434,7 @@ class TestExitCodes:
         )
         assert code == 3
         assert err == (
-            "error: a run of 1990000 Monte Carlo walks needs about 152 MiB, "
+            "error: a run of 1990000 Monte Carlo walks needs about 122 MiB, "
             "above the 1 MiB memory limit\n"
         )
 

@@ -8,12 +8,15 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gcentral.errors import InputError, TruncationError
 from gcentral.graph import Graph
 from gcentral.randomwalk import (
     ROUTE_ABSORBING,
     ROUTE_CONTRACTION,
+    _guide,
     _step_table,
     _walk_step,
     check_upper_bound,
@@ -78,18 +81,89 @@ class TestTransitionMatrix:
         assert digest == "011f5e6da71776cf313695474eb7bb4e3e565d6bad4e8b8d6749440438cb66a1"
 
 
+def weighted_hub() -> Graph:
+    """Hub 0 on a 24-cycle, spoke weights 1e-3 to 1e3: guide cells with several keys."""
+    spokes = [(0, i) for i in range(1, 25)]
+    rim = [(i, i % 24 + 1) for i in range(1, 25)]
+    weights = [10.0 ** (6 * ((7 * i) % 24) / 23 - 3) for i in range(24)] + [1.0] * 24
+    return Graph(25, spokes + rim, weights)
+
+
+def equal_keys_graph() -> Graph:
+    """Weights spanning 1e16: the tiny ones leave some cumulative keys equal,
+    and the last key of vertex 1's row is reached before its last slot."""
+    w = [1.0, 1e-16, 1e-16, 1.0, 1e-16, 1.0, 1.0, 1e-16, 1e-16, 1.0]
+    edges = [(0, v) for v in range(1, 6)] + [(1, v) for v in range(2, 6)] + [(2, 3)]
+    return Graph(6, edges, w)
+
+
+def step_oracle(g: Graph, u: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """The walk step as a binary search over all keys, clamped to u's row."""
+    keys = _step_table(g).keys
+    slot = np.searchsorted(keys, 2.0 * u + r, side="right")
+    return g._indices[np.minimum(slot, g._indptr[u + 1] - 1)]
+
+
+def assert_step_matches_oracle(g: Graph) -> None:
+    """At every vertex u, for the draws in [0, 1) at the edges of u's step:
+    0, the top draw, every guide cell edge of u's row, and each key less 2u
+    with its neighbours one ulp either side."""
+    guide = _guide(g)
+    cell_edges = np.arange(guide.scale) / guide.scale
+    at, draws = [], []
+    for u in g.vertices():
+        r = guide.keys[g._indptr[u] : g._indptr[u + 1]] - 2.0 * u
+        r = np.concatenate(([0.0, np.nextafter(1.0, 0.0)], cell_edges, r, np.nextafter(r, -1.0), np.nextafter(r, 2.0)))
+        r = np.unique(r[(r >= 0.0) & (r < 1.0)])
+        at.append(np.full(r.size, u))
+        draws.append(r)
+    at, draws = np.concatenate(at), np.concatenate(draws)
+    np.testing.assert_array_equal(_walk_step(g, guide, at, draws), step_oracle(g, at, draws))
+
+
 class TestWalkStep:
     @pytest.mark.parametrize(
         "g", [path_graph(5), star_graph(6), weighted_wheel()], ids=["path", "star", "wheel"]
     )
     def test_extreme_draws_pick_first_and_last_neighbor(self, g):
-        keys = _step_table(g).keys
+        guide = _guide(g)
         for u in g.vertices():
             nbrs = g.neighbors(u)
             for r, want in ((0.0, nbrs[0]), (np.nextafter(1.0, 0.0), nbrs[-1])):
                 # For u >= 1 the key 2u + r rounds up to 2u + 1 at the top draw.
-                step = _walk_step(g, keys, np.array([u]), np.array([r]))
+                step = _walk_step(g, guide, np.array([u]), np.array([r]))
                 assert step.tolist() == [want], (u, r)
+
+    @pytest.mark.parametrize(
+        "g",
+        [path_graph(5), star_graph(6), weighted_wheel(), star_graph(3000), weighted_hub(), equal_keys_graph()],
+        ids=["path", "star", "wheel", "star3000", "hub", "equal-keys"],
+    )
+    def test_step_matches_search_at_edge_draws(self, g):
+        assert_step_matches_oracle(g)
+
+    def test_equal_keys_and_crowded_cells_covered(self):
+        # The cases the guide must get right are present: equal keys, a row
+        # whose last key comes early, and cells that fall back to the search.
+        g = equal_keys_graph()
+        keys = _step_table(g).keys
+        assert np.any(np.diff(keys) == 0.0)
+        assert keys[g._indptr[2] - 2] == 3.0
+        for g in (star_graph(3000), weighted_hub(), star_graph(20)):
+            assert np.any(_guide(g).cells < 0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(2, 40),
+        seed=st.integers(0, 2**32 - 1),
+        extra=st.floats(0.0, 1.0),
+        spread=st.sampled_from([0.0, 1.0, 6.0, 16.0]),
+    )
+    def test_step_matches_search_on_random_weighted_graphs(self, n, seed, extra, spread):
+        rng = np.random.Generator(np.random.PCG64(seed))
+        g = random_connected_graph(rng, n, extra_edge_prob=extra)
+        weights = list(10.0 ** rng.uniform(-spread / 2, spread / 2, len(g.edges)))
+        assert_step_matches_oracle(Graph(n, g.edges, weights))
 
     def test_step_table_matches_per_vertex_loop(self):
         rng = np.random.Generator(np.random.PCG64(47))
@@ -366,6 +440,42 @@ class TestMonteCarlo:
             0.21167485214906842, 0.1779878450457244, 0.15115300695801226,
             0.15150367342760607, 0.17207458218966795, 0.16820240059511818,
             0.2369033313522566, 0.0,
+        )
+
+    def test_star_seeded_values_pinned(self):
+        # The hub's row spans guide cells with several keys, so walks at the
+        # hub fall back to the search; four walks hit the step cap.
+        sol = monte_carlo_hitting(star_graph(20), [1], walks_per_source=40, max_steps=200, seed=29)
+        assert sol.h == (
+            38.05, 0.0, 36.9, 43.2, 33.58974358974359, 38.15384615384615, 35.05,
+            39.333333333333336, 28.5, 33.65, 49.05, 35.3, 32.1, 36.92307692307692, 38.2,
+            35.55, 42.5, 35.8, 35.55, 38.2, 35.0,
+        )
+        assert sol.stderr == (
+            5.9961472673110725, 0.0, 5.095473104025389, 5.168345467535511,
+            5.318051395581197, 7.029294635950272, 4.95621210820708, 4.61548957745396,
+            3.8549003113253666, 5.218255676726879, 7.6754645729269315, 6.255479649157659,
+            4.0711303791579265, 4.435682910416458, 5.2685812813269495, 5.268429192258937,
+            7.101011123379471, 4.700681892705594, 6.424507364132666, 6.821459352096711,
+            5.252593986759646,
+        )
+        assert sol.truncated == (0,) * 4 + (1, 1, 0, 1) + (0,) * 5 + (1,) + (0,) * 7
+
+    def test_weighted_hub_seeded_values_pinned(self):
+        sol = monte_carlo_hitting(weighted_hub(), [1, 13], walks_per_source=100, seed=31)
+        assert sol.h == (
+            1162.29, 0.0, 541.23, 963.14, 871.54, 1052.26, 960.25, 834.94, 994.0, 951.74,
+            1037.17, 1047.62, 465.4, 0.0, 997.41, 1060.16, 1098.55, 1053.46, 1023.8,
+            1218.45, 1011.54, 1154.61, 1113.52, 1059.03, 991.94,
+        )
+        assert sol.stderr == (
+            114.48314180072825, 0.0, 87.31963905471935, 104.31560215291503,
+            85.63413298044846, 114.53733158788327, 89.89604251353872, 85.2849055528088,
+            89.35405458459661, 97.89107285883912, 137.89495640163966, 87.92903679167145,
+            98.55818360519615, 0.0, 83.81376673279513, 99.60610374384848,
+            123.55645613862252, 98.82019220725482, 101.42586385427465, 137.0888949779034,
+            103.02554397386655, 95.65218758025813, 121.50048715868581, 102.83931022854456,
+            96.11468404405692,
         )
 
     def test_truncation_error(self):
