@@ -1,8 +1,10 @@
 """Exact search for the most central size-k vertex set, by full enumeration.
 
-Subsets are enumerated in colexicographic order and scored in blocks;
-the global optimum is returned together with the *complete* list of tying
-sets, since several measures routinely produce many co-optimal groups.
+Subsets are enumerated in colexicographic order and scored in blocks; a
+block is a range of colex ranks, unranked at once through the combinatorial
+number system (:func:`_colex_rows`).  The global optimum is returned
+together with the *complete* list of tying sets, since several measures
+routinely produce many co-optimal groups.
 
 Each search builds the arrays its measure reads once (:func:`_scorers`).
 Degree and closeness score from the members' rows as integer numerators
@@ -31,9 +33,10 @@ its block.
 One reduction, :func:`_absorb`, keeps the scored subsets within a window of
 the best score seen; it folds each scored block into a partition's result
 and folds partition results into the global one.  Parallel runs partition
-the subset space by the leading (largest) element, and since the window
-contains every tie of the final best, the output depends only on the scores,
-so it is byte-identical for any worker count.
+the subset space by the leading (largest) element, a contiguous rank range
+per partition, and since the window contains every tie of the final best,
+the output depends only on the scores, so it is byte-identical for any
+worker count.
 """
 
 from __future__ import annotations
@@ -43,8 +46,7 @@ from concurrent.futures import ProcessPoolExecutor
 from contextlib import ExitStack
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, reduce
-from itertools import chain, islice
+from functools import cache
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -127,14 +129,33 @@ class _TieWindow:
         return _within(values, best, 10.0 * self.rel, 10.0 * max(self.rel, self.abs_tol))
 
 
+def _colex_rows(n: int, k: int, start: int, stop: int, rows: int) -> Iterator[np.ndarray]:
+    """Ranks [start, stop) of the size-k subsets of range(n) in colex order,
+    as intp arrays of at most ``rows`` rows.
+
+    In the combinatorial number system (Knuth, TAOCP 4A, 7.2.1.3) the subset
+    c_1 < ... < c_k has colex rank C(c_1, 1) + ... + C(c_k, k), so from
+    j = k down, c_j is the largest c with C(c, j) at most what is left of
+    the rank: one search of a binomial column per column of a block.
+    """
+    # Entries past the range's end are capped at it (and at the int64
+    # range): each column stays nondecreasing, and a capped entry exceeds
+    # every rank, so no search lands on one.
+    cap = min(stop, 2**63 - 1)
+    binom = np.array([[min(math.comb(i, j), cap) for i in range(n)] for j in range(1, k + 1)], dtype=np.int64)
+    for first in range(start, stop, rows):
+        rank = np.arange(first, min(first + rows, stop), dtype=np.int64)
+        block = np.empty((len(rank), k), dtype=np.intp)
+        for j in range(k - 1, -1, -1):
+            block[:, j] = binom[j].searchsorted(rank, side="right") - 1
+            rank -= binom[j, block[:, j]]
+        yield block
+
+
 def colex_subsets(n: int, k: int) -> Iterator[tuple[int, ...]]:
     """All size-k subsets of range(n) in colexicographic order."""
-    if k == 0:
-        yield ()
-        return
-    for b in range(k - 1, n):
-        for rest in colex_subsets(b, k - 1):
-            yield rest + (b,)
+    for block in _colex_rows(n, k, 0, math.comb(n, k), _BLOCK):
+        yield from map(tuple, block.tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -519,12 +540,13 @@ def score_subset(g: Graph, subset: tuple[int, ...], measure: Measure):
 # Partitioned enumeration
 
 
-def _blocks(k: int, leading: Iterable[int], rows: int) -> Iterator[np.ndarray]:
-    """Size-k subsets with the given largest elements, in colex order, as
-    arrays of at most ``rows`` rows."""
-    subsets = (rest + (b,) for b in leading for rest in colex_subsets(b, k - 1))
-    while block := list(islice(subsets, rows)):
-        yield np.asarray(block, dtype=np.intp)
+def _blocks(k: int, leading: Sequence[int], rows: int) -> Iterator[np.ndarray]:
+    """Size-k subsets with their largest element in the contiguous range
+    ``leading``, in colex order, as arrays of at most ``rows`` rows: the
+    ranks from C(lo, k), where the first such subset starts, to
+    C(hi + 1, k), where the subsets of range(hi + 1) end."""
+    lo, hi = leading[0], leading[-1]
+    return _colex_rows(hi + 1, k, math.comb(lo, k), math.comb(hi + 1, k), rows)
 
 
 @dataclass
@@ -536,20 +558,35 @@ class _Candidates:
     evaluated: int
 
 
-def _absorb(acc: _Candidates | None, rows: _Candidates, ties: _TieWindow) -> _Candidates:
-    """Fold ``rows`` into ``acc``, keeping what lies in the keep window of the joint best.
+def _absorb(parts: Iterable[_Candidates], ties: _TieWindow) -> _Candidates:
+    """What of ``parts`` lies in the keep window of their joint best, in
+    order, and the count evaluated to get them.
 
-    Rows are a freshly scored block or another partition's candidates, so
-    the same step scans a partition and merges partitions.
+    Parts are freshly scored blocks or partitions' candidates, so the same
+    step scans a partition and merges partitions.  Each part is cut to the
+    window of the best so far, and what is held is cut again only when the
+    best improves.  With nonnegative values what lies outside one window
+    stays outside that of any better best: the window's scale is set by the
+    worse value (minimizing) or grows by 10 rel < 1 per unit of best
+    (maximizing).  So what is held at the end is the final best's window,
+    joined once.
     """
-    if acc is not None:
-        rows = _Candidates(
-            np.concatenate((acc.values, rows.values)),
-            np.concatenate((acc.subsets, rows.subsets)),
-            acc.evaluated + rows.evaluated,
-        )
-    keep = ties.keep(rows.values, ties.best(rows.values))
-    return _Candidates(rows.values[keep], rows.subsets[keep], rows.evaluated)
+    held: list[tuple[np.ndarray, np.ndarray]] = []
+    best, evaluated = None, 0
+
+    def cut(values: np.ndarray, subsets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        mask = ties.keep(values, best)
+        return values[mask], subsets[mask]
+
+    for part in parts:
+        evaluated += part.evaluated
+        top = ties.best(part.values)
+        if best is None or (top > best if ties.maximize else top < best):
+            best = top
+            held = [cut(*pair) for pair in held]
+        held.append(cut(part.values, part.subsets))
+    values, subsets = zip(*held)
+    return _Candidates(np.concatenate(values), np.concatenate(subsets), evaluated)
 
 
 def _exact_scores(scorers: _Scorers, subsets: np.ndarray) -> np.ndarray:
@@ -567,33 +604,38 @@ def _screened_scan(scorers: _Scorers, k: int, leading: Sequence[int], ties: _Tie
     A group is the subsets sharing their last k - t elements, the parent P,
     t = ``scorers.depth``: they are (*T, *P) for every t-subset T below P's
     smallest element, contiguous in colex order, and T's vertices are their
-    own positions in P's sorted complement.  In colex order the t-subsets of
-    range(m) are the first ones of any longer run, so one table of
-    extensions serves every parent.
+    own positions in P's sorted complement.  Parents are unranked a batch
+    at a time from the partition's rank range of (k - t)-subsets.  In colex
+    order the t-subsets of range(m) are the first C(m, t) ranks of any
+    longer run, so one table of extensions, unranked once, serves every
+    parent.
     """
     t = scorers.depth
-    table = np.fromiter(chain.from_iterable(colex_subsets(max(leading), t)), dtype=np.intp).reshape(-1, t)
-    acc = None
-    for parents in _blocks(k - t, leading, scorers.parents):
-        sizes = np.searchsorted(table[:, -1], parents[:, 0])
-        has = sizes > 0
-        parents, sizes = parents[has], sizes[has]
-        if not len(parents):
-            continue
-        owner = np.repeat(np.arange(len(parents)), sizes)
-        ext = table[np.arange(owner.size) - np.repeat(np.cumsum(sizes) - sizes, sizes)]
-        values = scorers.screen(parents, owner, ext)
-        # Subset rows only for the batch's own keep window: the joint best is
-        # at least as good, and with nonnegative values the window's scale is
-        # set by the worse value (minimizing) or grows by 10 rel < 1 per unit
-        # of best (maximizing), so what lies outside stays outside.
-        kept = ties.keep(values, ties.best(values))
-        subsets = np.column_stack((ext[kept], parents[owner[kept]]))
-        acc = _absorb(acc, _Candidates(values[kept], subsets, owner.size), ties)
+    extensions = math.comb(leading[-1], t)
+    table = next(_colex_rows(leading[-1], t, 0, extensions, extensions))
+
+    def batches() -> Iterator[_Candidates]:
+        for parents in _blocks(k - t, leading, scorers.parents):
+            sizes = np.searchsorted(table[:, -1], parents[:, 0])
+            has = sizes > 0
+            parents, sizes = parents[has], sizes[has]
+            if not len(parents):
+                continue
+            owner = np.repeat(np.arange(len(parents)), sizes)
+            ext = table[np.arange(owner.size) - np.repeat(np.cumsum(sizes) - sizes, sizes)]
+            values = scorers.screen(parents, owner, ext)
+            # Subset rows only for the batch's own keep window: the joint
+            # best is at least as good, so what lies outside stays outside
+            # (see :func:`_absorb`).
+            kept = ties.keep(values, ties.best(values))
+            subsets = np.column_stack((ext[kept], parents[owner[kept]]))
+            yield _Candidates(values[kept], subsets, owner.size)
+
+    acc = _absorb(batches(), ties)
     exact = _exact_scores(scorers, acc.subsets)
     if not ties.ties(exact, acc.values).all():
         return None
-    return _absorb(None, _Candidates(exact, acc.subsets, acc.evaluated), ties)
+    return _absorb([_Candidates(exact, acc.subsets, acc.evaluated)], ties)
 
 
 def _scan_partitions(task: tuple[Graph, int, Measure, Sequence[int], float]) -> _Candidates:
@@ -617,10 +659,7 @@ def _scan_partitions(task: tuple[Graph, int, Measure, Sequence[int], float]) -> 
         acc = _screened_scan(scorers, k, leading, ties)
         if acc is not None:
             return acc
-    acc = None
-    for block in _blocks(k, leading, scorers.rows):
-        acc = _absorb(acc, _Candidates(scorers.block(block), block, len(block)), ties)
-    return acc
+    return _absorb((_Candidates(scorers.block(b), b, len(b)) for b in _blocks(k, leading, scorers.rows)), ties)
 
 
 @dataclass(frozen=True)
@@ -657,6 +696,10 @@ def _check_enumeration_args(g: Graph, k: int, budget: int) -> int:
     if total > budget:
         raise BudgetExceededError(
             f"C({g.n}, {k}) = {total} subsets exceeds budget {budget}", subsets=total
+        )
+    if total >= 2**63:
+        raise BudgetExceededError(
+            f"C({g.n}, {k}) = {total} subsets is past the int64 range of the enumeration's ranks", subsets=total
         )
     return total
 
@@ -720,7 +763,7 @@ def optimumset(
     else:
         with ProcessPoolExecutor(max_workers=workers) as own:
             partials = list(own.map(_scan_partitions, tasks))
-    merged = reduce(lambda acc, part: _absorb(acc, part, ties), partials, None)
+    merged = _absorb(partials, ties)
     assert merged.evaluated == total
     best = ties.best(merged.values)
     optimal = sorted(map(tuple, merged.subsets[ties.ties(merged.values, best)].tolist()))

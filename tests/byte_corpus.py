@@ -10,7 +10,11 @@ search corpus: both fixtures with ``labels.tsv`` at k = 4; the 6 x 7 torus
 at k = 3 for every measure and at k = 4 for random walk; eight seeded
 random connected graphs of 8 to 15 vertices at k = 3, the odd ones
 weighted; and the 8-wide, 20-layer complete-bipartite ladder at k = 1,
-where betweenness path counts pass 2**53.  The Monte Carlo corpus: both
+where betweenness path counts pass 2**53.  Searches at one k that
+``optimum`` (which runs every k up to ``--k``) cannot reach alone call
+``optimumset`` for ``workers`` 1 and 2 and write its result: the 70-vertex
+cycle at k = 69 for degree and closeness, whose colex enumeration reads
+binomials past the int64 range.  The Monte Carlo corpus: both
 fixtures at the default 10,000 walks per source, the torus, the eight
 random graphs, a 3,001-vertex star whose hub row spans many guide cells,
 and a 1,000-vertex random tree plus 500 edges.  Pytest does not collect
@@ -31,6 +35,9 @@ from pathlib import Path
 import numpy as np
 
 from gcentral.cli import main
+from gcentral.graph import Graph
+from gcentral.measures import Measure
+from gcentral.optimize import optimumset
 
 
 def _torus(rows: int, cols: int) -> str:
@@ -96,6 +103,12 @@ def cases(work: Path) -> list[tuple[str, list[str]]]:
     return out
 
 
+def search_cases() -> list[tuple[str, Graph, int, Measure]]:
+    """(name, graph, k, measure) for every single-k search entry."""
+    cycle = Graph(70, [(i, (i + 1) % 70) for i in range(70)])
+    return [(f"cycle70-{m.value}-k69", cycle, 69, m) for m in (Measure.DEGREE, Measure.CLOSENESS)]
+
+
 def walk_cases(work: Path) -> list[tuple[str, list[str]]]:
     """(name, hitting arguments) for every seeded Monte Carlo entry."""
     fixtures = resources.files("gcentral").joinpath("fixtures")
@@ -141,9 +154,11 @@ def write_corpus(out_dir: Path) -> None:
             for (name, args), workers in itertools.product(cases(Path(tmp)), ("1", "2"))
         ]
         runs += [(name, ["hitting", *args]) for name, args in walk_cases(Path(tmp))]
-        for name, argv in runs:
-            report = _run(argv, name)
-            (out_dir / f"{name}.json").write_text(json.dumps(report, indent=1, sort_keys=True) + "\n")
+        reports = [(name, _run(argv, name)) for name, argv in runs]
+    for (name, g, k, measure), workers in itertools.product(search_cases(), (1, 2)):
+        reports.append((f"{name}-w{workers}", optimumset(g, k, measure, workers=workers).to_json_dict()))
+    for name, report in reports:
+        (out_dir / f"{name}.json").write_text(json.dumps(report, indent=1, sort_keys=True) + "\n")
 
 
 if __name__ == "__main__":

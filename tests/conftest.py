@@ -19,6 +19,16 @@ def cycle_graph(n: int) -> Graph:
     return Graph(n, [(i, (i + 1) % n) for i in range(n)])
 
 
+def torus_graph(rows: int, cols: int) -> Graph:
+    """The rows x cols grid with both directions wrapped around."""
+    edges = set()
+    for r, c in itertools.product(range(rows), range(cols)):
+        u = r * cols + c
+        for v in (((r + 1) % rows) * cols + c, r * cols + (c + 1) % cols):
+            edges.add((min(u, v), max(u, v)))
+    return Graph(rows * cols, sorted(edges))
+
+
 def star_graph(leaves: int) -> Graph:
     return Graph(leaves + 1, [(0, i) for i in range(1, leaves + 1)])
 

@@ -65,6 +65,11 @@ def enumerate_shortest_paths(g: Graph, u: int, v: int) -> list[tuple[int, ...]]:
     return paths
 
 
+def colex_subsets(n: int, k: int) -> list[tuple[int, ...]]:
+    """Every size-k subset of range(n) in colex order: sorted by the reversed tuple."""
+    return sorted(itertools.combinations(range(n), k), key=lambda s: s[::-1])
+
+
 def is_dominating(g: Graph, members: tuple[int, ...]) -> bool:
     inside = set(members)
     return all(

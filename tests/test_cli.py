@@ -149,6 +149,16 @@ class TestOptimum:
         assert code == 3
         assert "C(60, 10)" in err and "75394027566" in err
 
+    def test_ranks_past_int64_exit_3(self, capsys, tmp_path):
+        # C(200, 100) ~ 9.1e58 is within a raised budget but has no int64
+        # colex ranks: refused before anything is enumerated.
+        path = tmp_path / "p200.edges"
+        path.write_text("".join(f"{i} {i + 1}\n" for i in range(199)))
+        code, out, err = run(capsys, ["optimum", str(path), "--k", "100", "--budget", str(10**60)])
+        assert code == 3
+        assert out == "" and err.count("\n") == 1 and err.startswith("error: ")
+        assert "C(200, 100)" in err and "int64" in err
+
     @pytest.mark.parametrize("name", ["novice.edges", "expert.edges"])
     def test_fixture_report_pinned(self, capsys, fixture_paths, name):
         novice, expert, labels = fixture_paths

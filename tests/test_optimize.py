@@ -29,7 +29,14 @@ from gcentral.optimize import (
     score_subset,
 )
 
-from conftest import cycle_graph, layered_bipartite, path_graph, random_connected_graph, star_graph
+from conftest import (
+    cycle_graph,
+    layered_bipartite,
+    path_graph,
+    random_connected_graph,
+    star_graph,
+    torus_graph,
+)
 import oracles
 
 
@@ -43,6 +50,27 @@ class TestColexOrder:
         keys = [tuple(reversed(s)) for s in subsets]
         assert keys == sorted(keys)
         assert len(subsets) == 35 and len(set(subsets)) == 35
+
+    def test_blocks_match_reference_on_every_leading_range(self):
+        from gcentral.optimize import _blocks
+
+        for n in range(1, 12):
+            for k in range(1, n + 1):
+                reference = oracles.colex_subsets(n, k)
+                assert list(colex_subsets(n, k)) == reference
+                for lo, hi in itertools.combinations_with_replacement(range(n), 2):
+                    want = [s for s in reference if lo <= s[-1] <= hi]
+                    for rows in (1, 3, 7, 512):
+                        blocks = list(_blocks(k, range(lo, hi + 1), rows))
+                        assert [tuple(r) for b in blocks for r in b.tolist()] == want, (n, k, lo, hi, rows)
+                        assert all(len(b) == rows for b in blocks[:-1])
+                        assert all(b.dtype == np.intp and b.shape[1] == k for b in blocks)
+
+    def test_ranks_past_int64_unrank_lazily(self):
+        # C(200, 100) is about 9e58: the binomial table is capped at the
+        # int64 range, and the first ranks still come out.
+        first = list(itertools.islice(colex_subsets(200, 100), 3))
+        assert first == [tuple(range(100)), (*range(99), 100), (*range(98), 99, 100)]
 
 
 class TestOptimumset:
@@ -83,6 +111,16 @@ class TestOptimumset:
             optimumset(g, 5, Measure.DEGREE, budget=1000)
         assert "142506" in str(err.value)
         assert err.value.subsets == 142506
+
+    @pytest.mark.parametrize("measure", MEASURE_ORDER)
+    def test_k_next_to_n_past_int64_middle_binomials(self, measure):
+        # Enumerating C(70, 69) reads binomials up to C(70, 35) ~ 1.1e20,
+        # past int64; the table caps them at the range's end.
+        g = cycle_graph(70)
+        r = optimumset(g, 69, measure)
+        assert r.evaluated == 70
+        _, naive_sets = oracles.naive_optimumset(g, 69, measure)
+        assert [s.members for s in r.optimal_sets] == naive_sets
 
     def test_disconnected_rejected(self):
         g = Graph(4, [(0, 1), (2, 3)])
@@ -413,6 +451,13 @@ class TestWorkers:
                 r = optimumset(novice, 3, m, workers=workers)
                 blobs.append(json.dumps(r.to_json_dict(), sort_keys=True))
             assert blobs[0] == blobs[1] == blobs[2]
+
+    def test_degree_ties_split_across_partitions(self):
+        # 3,738 tied degree sets on the torus at k = 3: the partitions' rank
+        # ranges cut the tie list in the middle.
+        g = torus_graph(6, 7)
+        blobs = {json.dumps(optimumset(g, 3, Measure.DEGREE, workers=w).to_json_dict()) for w in (1, 2, 8)}
+        assert len(blobs) == 1
 
     def test_external_pool_reuse(self, novice):
         with ProcessPoolExecutor(max_workers=2) as pool:
