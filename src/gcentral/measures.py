@@ -3,17 +3,19 @@
 Degree and closeness are computed in exact rational arithmetic so ties are
 exact.  Betweenness counts, for every outside pair, its geodesics and those
 avoiding the set in one vectorised pass from blocks of outside sources
-(:func:`gcentral.graph.geodesic_counts`), and adds the pairs' exact integer
-ratios into one float in pair order.  The random-walk score lives in
+(:func:`gcentral.graph.geodesic_counts`), and sums the pairs' correctly
+rounded shares with ``math.fsum``, by the one formula the search
+(:mod:`gcentral.optimize`) also uses.  The random-walk score lives in
 :mod:`gcentral.randomwalk` and is re-exported through :func:`evaluate`.
 """
 
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -87,20 +89,13 @@ class Score:
 def group_degree(g: Graph, s: VertexSet | Iterable[int]) -> Score:
     """Fraction of non-members adjacent to the set; 1 iff the set dominates.
 
-    Multiple ties from one outside vertex into the set count once.
+    It counts the outside vertices at hop distance 1, so multiple ties from
+    one outside vertex into the set count once.
     """
     vs = as_vertex_set(s)
     vs.check_proper(g)
-    inside = set(vs.members)
-    covered = 0
-    outside = 0
-    for v in range(g.n):
-        if v in inside:
-            continue
-        outside += 1
-        if any(w in inside for w in g.neighbors(v)):
-            covered += 1
-    return Score.from_fraction(Fraction(covered, outside))
+    field = multi_source_distances(g, vs)
+    return Score.from_fraction(Fraction(field.dist.count(1), g.n - len(vs)))
 
 
 def group_closeness(g: Graph, s: VertexSet | Iterable[int]) -> Score:
@@ -114,12 +109,40 @@ def group_closeness(g: Graph, s: VertexSet | Iterable[int]) -> Score:
     return Score.from_fraction(Fraction(sum(field.dist), outside))
 
 
+def betweenness_shares(g: Graph, members: Iterable[int], comp: np.ndarray, dtype=float) -> Iterator[np.ndarray]:
+    """Per block of outside pairs (u < v of the sorted complement ``comp``),
+    each one's share of geodesics avoiding ``members``: a correctly rounded
+    ratio of exact counts, which start on ``dtype`` (object: Python ints)."""
+    c, first = len(comp), 0
+    for block in geodesic_counts(g, comp, members, _dtype=dtype):
+        rows = len(block.sigma)
+        later = np.arange(c) > np.arange(first, first + rows)[:, None]
+        first += rows
+        total = block.sigma[:, comp][later]
+        if (total == 0).any():
+            raise InputError("graph is disconnected; group betweenness is undefined")
+        yield np.asarray(block.avoiding[:, comp][later] / total, dtype=float)
+
+
+def betweenness_score(shares: Iterable[np.ndarray], c: int) -> float:
+    """2 (P - fsum(shares)) / (c (c - 1)) over the P outside pairs' avoiding
+    shares, given in blocks.  fsum rounds the exact sum once, so no order or
+    blocking moves a bit; the shares equal to 1 enter it as one count."""
+
+    def terms() -> Iterator[float]:
+        for block in shares:
+            yield int(np.count_nonzero(block == 1.0))
+            yield from block[block != 1.0].tolist()
+
+    return 2.0 * (c * (c - 1) // 2 - math.fsum(terms())) / (c * (c - 1))
+
+
 def group_betweenness(g: Graph, s: VertexSet | Iterable[int]) -> Score:
     """Mean fraction, over outside pairs, of their geodesics meeting the set.
 
-    Exact integer path counts per pair, summed in floating point in pair
-    order, normalized by the number of outside pairs.  Value 1 iff the set
-    is a vertex cover.  Refused (BudgetExceededError) when the outside
+    Exact integer path counts per pair, summed as shares by
+    :func:`betweenness_score`, as in the search.  Value 1 iff the set is a
+    vertex cover.  Refused (BudgetExceededError) when the outside
     vertices times the CSR slots pass ``errors.PATH_COUNT_LIMIT``.
     """
     vs = as_vertex_set(s)
@@ -134,22 +157,7 @@ def group_betweenness(g: Graph, s: VertexSet | Iterable[int]) -> Score:
             f"group betweenness from {c} outside vertices over {g._indices.size} CSR slots "
             f"needs about {work:.2e} path-count steps, above the limit of {errors.PATH_COUNT_LIMIT:.2e}"
         )
-    bc = 0.0
-    first = 0
-    for block in geodesic_counts(g, comp, vs.members):
-        # The outside pairs (u, v), u < v, with u from this block, in the
-        # order of a double loop over the complement.
-        rows = len(block.sigma)
-        later = np.arange(c) > np.arange(first, first + rows)[:, None]
-        first += rows
-        total = block.sigma[:, comp][later]
-        if (total == 0).any():
-            raise InputError("graph is disconnected; group betweenness is undefined")
-        # Each fraction is a correctly rounded ratio of exact integers; the
-        # sequential sum, carried from block to block, is the double loop's.
-        through = np.asarray((total - block.avoiding[:, comp][later]) / total, dtype=float)
-        bc = float(np.add.accumulate(np.concatenate(([bc], through)))[-1])
-    return Score(value=2.0 * bc / (c * (c - 1)))
+    return Score(value=betweenness_score(betweenness_shares(g, vs.members, comp), c))
 
 
 def evaluate(g: Graph, s: VertexSet | Iterable[int], measure: Measure) -> Score:

@@ -25,10 +25,10 @@ in the keep window is re-scored by the block scorer, the only exact kernel,
 which also serves k = 1 and single subsets; every reported value comes from
 it.  The betweenness block scorer reads each outside pair's share of
 geodesics avoiding the subset from a dense layered pass over the block, or,
-past that pass's exact range, from :func:`gcentral.graph.geodesic_counts`;
-both give the same correctly rounded ratios of exact integers, summed by one
-formula, so a value does not depend on the route or on the other subsets of
-its block.
+past that pass's exact range, from ``centrality``'s path-count pass
+(:func:`gcentral.measures.betweenness_shares`); both give the same correctly
+rounded ratios of exact integers, summed by ``centrality``'s one formula,
+so a value depends on neither the route nor the rest of its block.
 
 One reduction, :func:`_absorb`, keeps the scored subsets within a window of
 the best score seen; it folds each scored block into a partition's result
@@ -53,8 +53,8 @@ import numpy as np
 from scipy.sparse.csgraph import shortest_path
 
 from .errors import BudgetExceededError, InputError, NumericalError, check_memory
-from .graph import Graph, VertexSet, geodesic_counts, is_connected
-from .measures import Measure, Score
+from .graph import Graph, VertexSet, is_connected
+from .measures import Measure, Score, betweenness_score, betweenness_shares
 from .randomwalk import _ABSORBING_RESIDUAL, transition_matrix
 
 __all__ = [
@@ -466,37 +466,22 @@ def _scorers(g: Graph, k: int, measure: Measure) -> _Scorers:
         dist = sigma = None
     iu, iv = np.triu_indices(c, 1)
 
-    def counted(subset: np.ndarray) -> np.ndarray:
-        # Geodesics of the whole graph with no vertex in the subset, from
-        # every outside source.
-        comp = np.delete(np.arange(n), subset)
-        shares, first = [], 0
-        for counts in geodesic_counts(g, comp, subset, _dtype=float if sigma is not None else object):
-            # The pairs (u, v), u < v, with u from this block, in triu order.
-            later = np.arange(c) > np.arange(first, first + len(counts.sigma))[:, None]
-            shares.append(np.asarray(counts.avoiding[:, comp][later] / counts.sigma[:, comp][later], dtype=float))
-            first += len(counts.sigma)
-        return np.concatenate(shares)
-
-    def pair_shares(subsets: np.ndarray):
-        """Per subset, each outside pair's share of geodesics avoiding it, in triu order."""
+    def score(subsets: np.ndarray) -> np.ndarray:
+        # Both routes give each outside pair's share of geodesics avoiding the
+        # subset as a correctly rounded ratio of exact integers, summed by one
+        # fsum formula, so a score depends on neither the route nor the block.
+        comp = _complements_of(n, subsets)
         if sigma is not None:
-            comp = _complements_of(n, subsets)
             try:
                 d_sub, s_sub = _apsp_layers_batch(adj[comp[:, :, None], comp[:, None, :]])
             except _SigmaOverflow:
                 pass
             else:
                 rows, cols = comp[:, iu], comp[:, iv]
-                return np.where(d_sub[:, iu, iv] == dist[rows, cols], s_sub[:, iu, iv] / sigma[rows, cols], 0.0)
-        return map(counted, subsets)
-
-    def score(subsets: np.ndarray) -> np.ndarray:
-        # Either route gives each share as a correctly rounded ratio of exact
-        # integers, and math.fsum sums them correctly rounded, so the score
-        # depends on neither the route nor the block (numpy reductions pick
-        # shape-dependent summation orders).
-        return np.array([2.0 * (iu.size - math.fsum(row)) / (c * (c - 1)) for row in pair_shares(subsets)])
+                shares = np.where(d_sub[:, iu, iv] == dist[rows, cols], s_sub[:, iu, iv] / sigma[rows, cols], 0.0)
+                return np.array([betweenness_score([row], c) for row in shares])
+        dtype = float if sigma is not None else object
+        return np.array([betweenness_score(betweenness_shares(g, s, out, dtype), c) for s, out in zip(subsets, comp)])
 
     if sigma is None or not parents:
         return _Scorers(score, block_rows)
@@ -604,23 +589,22 @@ def _screened_scan(scorers: _Scorers, k: int, leading: Sequence[int], ties: _Tie
     A group is the subsets sharing their last k - t elements, the parent P,
     t = ``scorers.depth``: they are (*T, *P) for every t-subset T below P's
     smallest element, contiguous in colex order, and T's vertices are their
-    own positions in P's sorted complement.  Parents are unranked a batch
-    at a time from the partition's rank range of (k - t)-subsets.  In colex
-    order the t-subsets of range(m) are the first C(m, t) ranks of any
-    longer run, so one table of extensions, unranked once, serves every
-    parent.
+    own positions in P's sorted complement.  Only a parent whose smallest
+    element is at least t has any, so the parents are the (k - t)-subsets
+    of range(t, hi + 1) with largest element in the partition's range
+    [lo, hi], unranked a batch at a time as those of range(hi - t + 1)
+    shifted up by t, which keeps colex order.  In colex order the t-subsets
+    of range(m) are the first C(m, t) ranks of any longer run, so one table
+    of extensions, unranked once, serves every parent.
     """
     t = scorers.depth
     extensions = math.comb(leading[-1], t)
     table = next(_colex_rows(leading[-1], t, 0, extensions, extensions))
 
     def batches() -> Iterator[_Candidates]:
-        for parents in _blocks(k - t, leading, scorers.parents):
+        for parents in _blocks(k - t, [leading[0] - t, leading[-1] - t], scorers.parents):
+            parents += t
             sizes = np.searchsorted(table[:, -1], parents[:, 0])
-            has = sizes > 0
-            parents, sizes = parents[has], sizes[has]
-            if not len(parents):
-                continue
             owner = np.repeat(np.arange(len(parents)), sizes)
             ext = table[np.arange(owner.size) - np.repeat(np.cumsum(sizes) - sizes, sizes)]
             values = scorers.screen(parents, owner, ext)

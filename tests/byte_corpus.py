@@ -1,6 +1,7 @@
 """Write the byte corpus: ``optimum --format json`` on a fixed set of
-graphs, for ``--workers`` 1 and 2, and seeded ``hitting --route
-montecarlo`` on most of them, one file per run.
+graphs, for ``--workers`` 1 and 2, ``centrality --measures all`` on the same
+graphs, and seeded ``hitting --route montecarlo`` on most of them, one file
+per run.
 
     PYTHONPATH=src python3 tests/byte_corpus.py OUT_DIR
 
@@ -14,7 +15,9 @@ where betweenness path counts pass 2**53.  Searches at one k that
 ``optimum`` (which runs every k up to ``--k``) cannot reach alone call
 ``optimumset`` for ``workers`` 1 and 2 and write its result: the 70-vertex
 cycle at k = 69 for degree and closeness, whose colex enumeration reads
-binomials past the int64 range.  The Monte Carlo corpus: both
+binomials past the int64 range.  The centrality corpus scores each search
+graph at {0}, at {0, n - 1} and at the first optimal set its report lists
+at its largest k.  The Monte Carlo corpus: both
 fixtures at the default 10,000 walks per source, the torus, the eight
 random graphs, a 3,001-vertex star whose hub row spans many guide cells,
 and a 1,000-vertex random tree plus 500 edges.  Pytest does not collect
@@ -35,7 +38,7 @@ from pathlib import Path
 import numpy as np
 
 from gcentral.cli import main
-from gcentral.graph import Graph
+from gcentral.graph import Graph, load_edge_list, parse_label_file
 from gcentral.measures import Measure
 from gcentral.optimize import optimumset
 
@@ -80,26 +83,44 @@ def _sparse(n: int, seed: int) -> str:
     return "".join(f"{u} {v}\n" for u, v in sorted(edges))
 
 
-def cases(work: Path) -> list[tuple[str, list[str]]]:
-    """(name, optimum arguments without --workers) for every corpus entry."""
+def cases(work: Path) -> list[tuple[str, list[str], list[str]]]:
+    """(name, graph arguments, search arguments without --workers) for every
+    ``optimum`` corpus entry."""
     fixtures = resources.files("gcentral").joinpath("fixtures")
     labels = str(fixtures.joinpath("labels.tsv"))
     out = []
     for name in ("novice", "expert"):
-        out.append((name, [str(fixtures.joinpath(f"{name}.edges")), "--labels", labels, "--k", "4"]))
+        out.append((name, [str(fixtures.joinpath(f"{name}.edges")), "--labels", labels], ["--k", "4"]))
     torus = work / "torus.edges"
     torus.write_text(_torus(6, 7))
     for measure in ("degree", "closeness", "betweenness", "randomwalk"):
-        out.append((f"torus-{measure}-k3", [str(torus), "--k", "3", "--measures", measure]))
-    out.append(("torus-randomwalk-k4", [str(torus), "--k", "4", "--measures", "randomwalk"]))
+        out.append((f"torus-{measure}-k3", [str(torus)], ["--k", "3", "--measures", measure]))
+    out.append(("torus-randomwalk-k4", [str(torus)], ["--k", "4", "--measures", "randomwalk"]))
     for seed in range(8):
         text, weighted = _random_graph(seed)
         path = work / f"random{seed}.edges"
         path.write_text(text)
-        out.append((f"random{seed}-k3", [str(path), "--k", "3"] + ["--weighted"] * weighted))
+        out.append((f"random{seed}-k3", [str(path)] + ["--weighted"] * weighted, ["--k", "3"]))
     ladder = work / "ladder.edges"
     ladder.write_text(_ladder(8, 20))
-    out.append(("ladder-8x20-k1", [str(ladder), "--k", "1"]))
+    out.append(("ladder-8x20-k1", [str(ladder)], ["--k", "1"]))
+    return out
+
+
+def centrality_cases(searches: list[tuple[str, list[str], dict]]) -> list[tuple[str, list[str]]]:
+    """(name, centrality arguments) for each corpus graph at {0}, {0, n - 1}
+    and the first optimal set of each of its searches' reports at their
+    largest k, given every search's (name, graph arguments, report)."""
+    out, seen = [], set()
+    for name, graph, report in searches:
+        labels = parse_label_file(Path(graph[2]).read_text()) if "--labels" in graph else None
+        n = load_edge_list(Path(graph[0]).read_text(), weighted="--weighted" in graph, labels=labels).n
+        best = report["rows"][-1]["optimal_sets"][0]
+        for tag, members in (("v0", [0]), ("ends", [0, n - 1]), ("best", best)):
+            spec = ",".join(map(str, members))
+            if (graph[0], spec) not in seen:
+                seen.add((graph[0], spec))
+                out.append((f"centrality-{name}-{tag}", [*graph, "--set", spec, "--measures", "all"]))
     return out
 
 
@@ -149,15 +170,19 @@ def _run(argv: list[str], name: str) -> dict:
 def write_corpus(out_dir: Path) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
     with tempfile.TemporaryDirectory() as tmp:
+        searches = cases(Path(tmp))
         runs = [
-            (f"{name}-w{workers}", ["optimum", *args, "--format", "json", "--workers", workers])
-            for (name, args), workers in itertools.product(cases(Path(tmp)), ("1", "2"))
+            (f"{name}-w{workers}", ["optimum", *graph, *search, "--format", "json", "--workers", workers])
+            for (name, graph, search), workers in itertools.product(searches, ("1", "2"))
         ]
         runs += [(name, ["hitting", *args]) for name, args in walk_cases(Path(tmp))]
-        reports = [(name, _run(argv, name)) for name, argv in runs]
+        reports = {name: _run(argv, name) for name, argv in runs}
+        scored = [(name, graph, reports[f"{name}-w1"]) for name, graph, _ in searches]
+        for name, args in centrality_cases(scored):
+            reports[name] = _run(["centrality", *args, "--format", "json"], name)
     for (name, g, k, measure), workers in itertools.product(search_cases(), (1, 2)):
-        reports.append((f"{name}-w{workers}", optimumset(g, k, measure, workers=workers).to_json_dict()))
-    for name, report in reports:
+        reports[f"{name}-w{workers}"] = optimumset(g, k, measure, workers=workers).to_json_dict()
+    for name, report in reports.items():
         (out_dir / f"{name}.json").write_text(json.dumps(report, indent=1, sort_keys=True) + "\n")
 
 

@@ -8,6 +8,7 @@ systems) rather than reusing library internals, so agreement is meaningful.
 from __future__ import annotations
 
 import itertools
+import math
 from collections import deque
 from fractions import Fraction
 
@@ -144,23 +145,25 @@ def bfs_counts(g: Graph, source: int, banned: frozenset[int] = frozenset()) -> t
 
 
 def betweenness_reference(g: Graph, members: tuple[int, ...]) -> float:
-    """Group betweenness by one double loop over the outside pairs, in order.
+    """Group betweenness by one double loop over the outside pairs.
 
     The paths avoiding the set are the shortest paths of the original length
-    that survive with the set removed; each pair's fraction is a ratio of
-    exact integers, added into one float in pair order.
+    that survive with the set removed; each pair's avoiding share is a ratio
+    of exact integers, and the shares are summed correctly rounded
+    (``math.fsum``) and taken from the number of pairs P:
+    2 (P - sum) / (c (c - 1)).
     """
     inside = frozenset(members)
     outside = [v for v in range(g.n) if v not in inside]
-    total = 0.0
+    shares = []
     for i, u in enumerate(outside):
         dist, sigma = bfs_counts(g, u)
         dist_sub, sigma_sub = bfs_counts(g, u, inside)
         for v in outside[i + 1 :]:
             avoiding = sigma_sub[v] if dist_sub[v] == dist[v] else 0
-            total += (sigma[v] - avoiding) / sigma[v]
+            shares.append(avoiding / sigma[v])
     c = len(outside)
-    return 2.0 * total / (c * (c - 1))
+    return 2 * (len(shares) - math.fsum(shares)) / (c * (c - 1))
 
 
 def hitting_times_oracle(g: Graph, members: tuple[int, ...]) -> dict[int, float]:

@@ -1,8 +1,9 @@
 """Group betweenness from the counting pass against the double-loop reference.
 
 ``oracles.betweenness_reference`` counts with one Python BFS per outside
-vertex, with and without the set, and adds the pair fractions in pair
-order; the vectorised pass must give the same float, bit for bit.
+vertex, with and without the set, and sums the pairs' avoiding shares with
+``math.fsum``, as the library's one betweenness formula does; the
+vectorised pass must give the same float, bit for bit.
 """
 
 from __future__ import annotations

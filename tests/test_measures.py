@@ -16,6 +16,7 @@ from gcentral.measures import (
     group_closeness,
     group_degree,
 )
+from gcentral.optimize import _scorers
 
 from conftest import complete_graph, cycle_graph, path_graph, star_graph
 import oracles
@@ -70,6 +71,17 @@ class TestGroupBetweenness:
     def test_rejects_single_outside_vertex(self):
         with pytest.raises(InputError):
             group_betweenness(complete_graph(3), [0, 1])
+
+    def test_equals_search_score_bit_for_bit(self, corpus_n7):
+        # ``centrality`` and ``optimum`` score a set with one kernel.  The
+        # search's block scorer takes every k-subset at once here; a value
+        # does not depend on its block, and score_subset is the one-row case.
+        for g in corpus_n7:
+            for k in range(1, min(3, g.n - 2) + 1):
+                subsets = np.array(list(itertools.combinations(range(g.n), k)))
+                searched = _scorers(g, k, Measure.BETWEENNESS).block(subsets)
+                for s, value in zip(subsets.tolist(), searched.tolist()):
+                    assert group_betweenness(g, s).value == value, (g, s)
 
     def test_in_unit_interval(self, corpus_n8):
         rng = np.random.Generator(np.random.PCG64(29))

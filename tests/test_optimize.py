@@ -122,6 +122,39 @@ class TestOptimumset:
         _, naive_sets = oracles.naive_optimumset(g, 69, measure)
         assert [s.members for s in r.optimal_sets] == naive_sets
 
+    def test_k_next_to_n_screens_only_parents_with_extensions(self, monkeypatch):
+        # At k = 69 a parent is 67 vertices, and only those with smallest
+        # element at least 2 have a pair below them: C(68, 67) = 68 of the
+        # C(70, 67) = 54,740 parents.  Only those are unranked and screened.
+        from gcentral import optimize
+
+        blocks, make, unranked, screened = optimize._blocks, optimize._scorers, [], []
+
+        def count_blocks(k, leading, rows):
+            for block in blocks(k, leading, rows):
+                unranked.append((k, len(block)))
+                yield block
+
+        def spy(g, k, measure):
+            scorers = make(g, k, measure)
+
+            def screen(parents, owner, ext):
+                screened.extend(map(tuple, parents.tolist()))
+                return scorers.screen(parents, owner, ext)
+
+            return scorers._replace(screen=screen)
+
+        monkeypatch.setattr(optimize, "_blocks", count_blocks)
+        monkeypatch.setattr(optimize, "_scorers", spy)
+        g = cycle_graph(70)
+        r = optimumset(g, 69, Measure.RANDOMWALK)
+        assert r.evaluated == 70
+        assert sum(rows for k, rows in unranked if k == 67) == 68
+        assert len(screened) == len(set(screened)) == 68
+        assert all(min(p) >= 2 for p in screened)
+        _, naive_sets = oracles.naive_optimumset(g, 69, Measure.RANDOMWALK)
+        assert [s.members for s in r.optimal_sets] == naive_sets
+
     def test_disconnected_rejected(self):
         g = Graph(4, [(0, 1), (2, 3)])
         with pytest.raises(InputError, match="connected"):
@@ -208,7 +241,7 @@ class TestOverflowFallback:
         # 36 complete-bipartite layers of width 3: 3**34 > 2**53 paths end to
         # end, so every subset's betweenness counts on Python ints.
         g = layered_bipartite(3, 36)
-        from gcentral import graph, optimize
+        from gcentral import graph, measures
         from gcentral.optimize import _SigmaOverflow, _adjacency, _apsp_layers_batch
 
         with pytest.raises(_SigmaOverflow):
@@ -222,10 +255,10 @@ class TestOverflowFallback:
         monkeypatch.setattr(graph, "_count_pass", spy)
         # Each subset's counts starting on float64, as when the route began there.
         counts = graph.geodesic_counts
-        monkeypatch.setattr(optimize, "geodesic_counts", lambda g, sources, avoided, _dtype: counts(g, sources, avoided))
+        monkeypatch.setattr(measures, "geodesic_counts", lambda g, sources, avoided, _dtype: counts(g, sources, avoided))
         want = json.dumps(optimumset(g, 1, Measure.BETWEENNESS).to_json_dict())
         assert float in dtypes
-        monkeypatch.setattr(optimize, "geodesic_counts", counts)
+        monkeypatch.setattr(measures, "geodesic_counts", counts)
         dtypes.clear()
         assert json.dumps(optimumset(g, 1, Measure.BETWEENNESS).to_json_dict()) == want
         assert dtypes and float not in dtypes

@@ -12,7 +12,7 @@ import itertools
 import pytest
 
 from gcentral.graph import Graph
-from gcentral.measures import Measure
+from gcentral.measures import Measure, evaluate
 from gcentral.optimize import MEASURE_ORDER, optimumset, score_subset
 
 import oracles
@@ -58,3 +58,15 @@ def test_score_subset_matches_oracle(g, measure, data):
         assert got == want
     else:
         assert got == pytest.approx(want, rel=1e-9)
+    # What ``centrality`` prints for the set against what ``optimum`` ranks
+    # it by: the same kernel for betweenness, the same Fraction for the
+    # exact measures; random walk keeps its checked LU route.
+    if measure is Measure.BETWEENNESS and len(subset) == g.n - 1:
+        return
+    single = evaluate(g, subset, measure)
+    if measure.exact:
+        assert single.exact == got
+    elif measure is Measure.BETWEENNESS:
+        assert single.value == got
+    else:
+        assert single.value == pytest.approx(got, rel=1e-13, abs=0)
