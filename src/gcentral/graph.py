@@ -12,7 +12,9 @@ counts, which csgraph does not give, come from :func:`geodesic_counts`:
 one numpy pass over the CSR arrays that runs breadth-first layers from a
 block of sources at once, counting all geodesics and those avoiding a
 vertex set (for group betweenness and :func:`shortest_path_counts`), in
-float64 while that is exact and on Python ints past it.
+float64 while that is exact and on Python ints past it.  The betweenness
+search takes its base distances and counts from the same pass, once, from
+every vertex.
 """
 
 from __future__ import annotations
@@ -341,17 +343,14 @@ def _count_pass(g: Graph, sources: np.ndarray, avoided: np.ndarray, dtype) -> Ge
     return GeodesicCounts(dist.reshape(shape), sigma.reshape(shape), avoiding.reshape(shape))
 
 
-def geodesic_counts(
-    g: Graph, sources: Sequence[int], avoided: Iterable[int] = (), *, _dtype=float
-) -> Iterator[GeodesicCounts]:
+def geodesic_counts(g: Graph, sources: Sequence[int], avoided: Iterable[int] = ()) -> Iterator[GeodesicCounts]:
     """Distances, geodesic counts and the counts avoiding ``avoided`` (as
     interior vertices) from every source, in blocks of consecutive sources.
 
     Blocks are sized against the memory limit, for the object route,
     before anything is allocated; BudgetExceededError if one source does
     not fit.  Counts run in float64 until a pass trips its exactness guard;
-    that block and every later one then run on Python ints.  A caller that
-    knows the counts pass 2**53 starts on Python ints with ``_dtype=object``.
+    that block and every later one then run on Python ints.
     """
     per_vertex, per_slot = _ROW_BYTES
     row_bytes = per_vertex * g.n + per_slot * g._indices.size
@@ -360,7 +359,7 @@ def geodesic_counts(
     mask = np.zeros(g.n, dtype=bool)
     mask[list(avoided)] = True
     sources = np.asarray(sources, dtype=np.intp)
-    dtype = _dtype
+    dtype = float
     for i in range(0, len(sources), rows):
         block = sources[i : i + rows]
         counts = _count_pass(g, block, mask, dtype)

@@ -109,21 +109,6 @@ def group_closeness(g: Graph, s: VertexSet | Iterable[int]) -> Score:
     return Score.from_fraction(Fraction(sum(field.dist), outside))
 
 
-def betweenness_shares(g: Graph, members: Iterable[int], comp: np.ndarray, dtype=float) -> Iterator[np.ndarray]:
-    """Per block of outside pairs (u < v of the sorted complement ``comp``),
-    each one's share of geodesics avoiding ``members``: a correctly rounded
-    ratio of exact counts, which start on ``dtype`` (object: Python ints)."""
-    c, first = len(comp), 0
-    for block in geodesic_counts(g, comp, members, _dtype=dtype):
-        rows = len(block.sigma)
-        later = np.arange(c) > np.arange(first, first + rows)[:, None]
-        first += rows
-        total = block.sigma[:, comp][later]
-        if (total == 0).any():
-            raise InputError("graph is disconnected; group betweenness is undefined")
-        yield np.asarray(block.avoiding[:, comp][later] / total, dtype=float)
-
-
 def betweenness_score(shares: Iterable[np.ndarray], c: int) -> float:
     """2 (P - fsum(shares)) / (c (c - 1)) over the P outside pairs' avoiding
     shares, given in blocks.  fsum rounds the exact sum once, so no order or
@@ -157,7 +142,21 @@ def group_betweenness(g: Graph, s: VertexSet | Iterable[int]) -> Score:
             f"group betweenness from {c} outside vertices over {g._indices.size} CSR slots "
             f"needs about {work:.2e} path-count steps, above the limit of {errors.PATH_COUNT_LIMIT:.2e}"
         )
-    return Score(value=betweenness_score(betweenness_shares(g, vs.members, comp), c))
+
+    def shares() -> Iterator[np.ndarray]:
+        # Per block of sources, each pair u < v of the complement's share of
+        # geodesics avoiding the set, a correctly rounded ratio of exact counts.
+        first = 0
+        for block in geodesic_counts(g, comp, vs.members):
+            rows = len(block.sigma)
+            later = np.arange(c) > np.arange(first, first + rows)[:, None]
+            first += rows
+            total = block.sigma[:, comp][later]
+            if (total == 0).any():
+                raise InputError("graph is disconnected; group betweenness is undefined")
+            yield np.asarray(block.avoiding[:, comp][later] / total, dtype=float)
+
+    return Score(value=betweenness_score(shares(), c))
 
 
 def evaluate(g: Graph, s: VertexSet | Iterable[int], measure: Measure) -> Score:

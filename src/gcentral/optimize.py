@@ -23,12 +23,14 @@ parent update PB and the path counts, and each extension then scores from
 four entries of the result by inclusion-exclusion.  What the screen leaves
 in the keep window is re-scored by the block scorer, the only exact kernel,
 which also serves k = 1 and single subsets; every reported value comes from
-it.  The betweenness block scorer reads each outside pair's share of
-geodesics avoiding the subset from a dense layered pass over the block, or,
-past that pass's exact range, from ``centrality``'s path-count pass
-(:func:`gcentral.measures.betweenness_shares`); both give the same correctly
-rounded ratios of exact integers, summed by ``centrality``'s one formula,
-so a value depends on neither the route nor the rest of its block.
+it.  Betweenness takes the base path counts once per search from
+:func:`gcentral.graph.geodesic_counts`, in float64 or, once a count reaches
+2**53, on Python ints, and both of its scorers remove a member v by one
+rule (:func:`_through`): subtract sigma(x, v) sigma(v, y) wherever
+d(x, v) + d(v, y) = d(x, y).  The block scorer reads each outside pair's
+share of geodesics avoiding the subset as the same correctly rounded ratio
+of exact integers as ``centrality``, summed by its one formula, so a value
+does not depend on the rest of its block.
 
 One reduction, :func:`_absorb`, keeps the scored subsets within a window of
 the best score seen; it folds each scored block into a partition's result
@@ -53,8 +55,8 @@ import numpy as np
 from scipy.sparse.csgraph import shortest_path
 
 from .errors import BudgetExceededError, InputError, NumericalError, check_memory
-from .graph import Graph, VertexSet, is_connected
-from .measures import Measure, Score, betweenness_score, betweenness_shares
+from .graph import Graph, VertexSet, geodesic_counts, is_connected
+from .measures import Measure, Score, betweenness_score
 from .randomwalk import _ABSORBING_RESIDUAL, transition_matrix
 
 __all__ = [
@@ -164,41 +166,6 @@ def colex_subsets(n: int, k: int) -> Iterator[tuple[int, ...]]:
 # ones and the test suite pins the two together.
 
 
-class _SigmaOverflow(Exception):
-    pass
-
-
-def _apsp_layers_batch(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """All-pairs hop distances and shortest-path counts of a stack of
-    adjacency matrices, by layered matmul.
-
-    Counts ride in float64, which is exact for integers below 2**53; a
-    guard raises _SigmaOverflow before any count could lose exactness.
-    """
-    big, c, _ = a.shape
-    dist = np.full((big, c, c), -1, dtype=np.int16)
-    idx = np.arange(c)
-    dist[:, idx, idx] = 0
-    sigma = np.zeros((big, c, c))
-    sigma[:, idx, idx] = 1.0
-    frontier = sigma.copy()
-    guard = 2.0**53 / (2 * max(c, 2))
-    t = 0
-    while True:
-        t += 1
-        if frontier.max() > guard:
-            raise _SigmaOverflow
-        nxt = frontier @ a
-        newly = (dist < 0) & (nxt > 0)
-        if not newly.any():
-            break
-        dist[newly] = t
-        sigma[newly] = nxt[newly]
-        nxt *= newly
-        frontier = nxt
-    return dist, sigma
-
-
 def _adjacency(g: Graph, dtype) -> np.ndarray:
     a = np.zeros((g.n, g.n), dtype=dtype)
     a[np.repeat(np.arange(g.n), np.diff(g._indptr)), g._indices] = 1
@@ -210,6 +177,31 @@ def _hop_distances(g: Graph) -> np.ndarray:
     dist = shortest_path(g._csr, unweighted=True)
     dist[np.isinf(dist)] = -1
     return dist.astype(np.int16)
+
+
+def _base_counts(g: Graph) -> tuple[np.ndarray, np.ndarray]:
+    """All-pairs hop distances as int16 and path counts, float64 or, once a
+    count reaches 2**53, Python ints in an object array."""
+    dist, sigma = zip(*((block.dist, block.sigma) for block in geodesic_counts(g, range(g.n))))
+    sigma = np.concatenate(sigma)
+    if sigma.dtype == object:
+        # Blocks counted in float64 before the switch hold exact integers.
+        sigma = np.frompyfunc(int, 1, 1)(sigma)
+    return np.concatenate(dist).astype(np.int16), sigma
+
+
+def _through(dist: np.ndarray, sig: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Per row r of the stacked path counts ``sig``, the x-y geodesics
+    through v[r]: sig[r, x, v] sig[r, v, y] where d(x, v) + d(v, y) =
+    d(x, y), ``dist`` the base hop distances.  Subtracting them removes v
+    (Puzis, Elovici and Dolev 2007).  Exact as long as the counts are: a
+    masked product never exceeds sig[r, x, y], and the mask zeroes the rest.
+    """
+    s = sig[np.arange(len(v)), v]
+    dv = dist[v]
+    through = s[:, :, None] * s[:, None, :]
+    through *= dist[None] == dv[:, :, None] + dv[:, None, :]
+    return through
 
 
 def _complements_of(n: int, subsets: np.ndarray) -> np.ndarray:
@@ -281,8 +273,7 @@ def _path_betweenness_without(
         s = sig[rows, v]
         q = np.divide(pb[rows, :, v], s, out=np.zeros_like(s), where=s > 0)
         dv = dist[v]
-        through = s[:, :, None] * s[:, None, :]
-        through *= dist[None] == dv[:, :, None] + dv[:, None, :]
+        through = _through(dist, sig, v)
         # x-y-v, then its mirror v-x-y, both scaled by sigma(x, y).
         order = q[:, :, None] * s[:, None, :]
         order *= dv[:, :, None] == dist[None] + dv[:, None, :]
@@ -305,8 +296,7 @@ class _Scorers(NamedTuple):
     """How one search scores its subsets.
 
     ``block`` scores a block of size-k subsets, at most ``rows`` of them,
-    exactly, and each value independently of the rest of its block (for
-    betweenness, whichever of its two count routes served the block).
+    exactly, and each value independently of the rest of its block.
     ``screen``, where the measure has one, takes at most
     ``parents`` (k - t)-subsets P, t = ``depth`` = min(2, k - 1), and one
     row per extension: the index of its parent and t positions in that
@@ -329,8 +319,9 @@ def _scorers(g: Graph, k: int, measure: Measure) -> _Scorers:
     arrays, up to ``_BLOCK`` and ``_PARENTS``.  All are sized from their
     dtypes before anything is allocated.  Degree and closeness score as
     integer numerators over c = n - k; betweenness and random walk as floats,
-    and both screen two-vertex extensions from k = 3 on.  The betweenness
-    screen is off when the base path counts pass the float64-exact range.
+    and both screen two-vertex extensions from k = 3 on.  Betweenness sizes
+    its arrays once its base path counts are known to fit float64 or not,
+    and its screen is off when they do not.
     """
     n, c, slots = g.n, g.n - k, g._indices.size
     if measure is Measure.BETWEENNESS and c < 2:
@@ -339,6 +330,15 @@ def _scorers(g: Graph, k: int, measure: Measure) -> _Scorers:
         # vertex-cover characterization needs (V minus one vertex always
         # covers every edge).
         return _Scorers(lambda subsets: np.ones(len(subsets)), _BLOCK)
+    # Betweenness reads the base path counts, whose dtype sizes the rest, so
+    # they come first, checked at their Python-int size: the blocks' counts
+    # and distances and the joined copies, which peaked at 61 bytes per
+    # vertex pair by tracemalloc on 3 x 36 to 4 x 80 ladders (26 in float64).
+    ints = False
+    if measure is Measure.BETWEENNESS:
+        check_memory(64 * n * n, f"path counts on {n} vertices")
+        dist, sigma = _base_counts(g)
+        ints = sigma.dtype == object
     depth = min(2, k - 1)
     # A parent's complement has c + depth vertices, and at most as many
     # extensions below its smallest element as depth-subsets of them.  The
@@ -347,22 +347,25 @@ def _scorers(g: Graph, k: int, measure: Measure) -> _Scorers:
     # for the keep window only).
     width, extensions = c + depth, math.comb(c + depth, depth)
     table = 8 * depth * math.comb(n, depth) if k > 1 else 0
-    # Bytes per graph, per block row and per screened parent.  A layered
-    # all-pairs pass with path counts holds 45 per vertex pair (five float64
-    # and one int16 array and three bool masks); csgraph's distances, cast
-    # to int16, hold 10 (8 + 2, by tracemalloc at n = 300 to 3,000).
+    # Bytes per graph, per block row and per screened parent.  csgraph's
+    # distances, cast to int16, hold 10 per vertex pair (8 + 2, by
+    # tracemalloc at n = 300 to 3,000).
     graph_bytes, row_bytes, parent_bytes = {
         Measure.DEGREE: (n * n + 8 * slots, (k + 1) * n, 0),
         Measure.CLOSENESS: (10 * n * n + 8 * slots, 2 * (k + 1) * n, 0),
-        # The layered pass and the pairs' triangle indices; per row, the
-        # complement's layered pass, then the pair gathers.  Per parent from
-        # k = 3, the updated counts and PB and their scratch.  By tracemalloc
-        # a screen batch peaked at under 0.61 of this at k = 2 to 4 (49 and
-        # 66 bytes per vertex pair for the update), on a 6 x 7 torus and a
-        # 300-vertex graph.
+        # The base counts and the pairs' triangle indices; per row, its
+        # counts, the paths through a member and their mask.  By tracemalloc
+        # the base counts held 10 bytes per vertex pair in float64 and 39 to
+        # 43 on Python ints, and a block 24 per row and vertex pair in
+        # float64 (a 6 x 7 torus, a 300-vertex cycle and random graph) and
+        # 60 to 95 on Python ints (3 x 36 to 4 x 80 ladders, counts up to
+        # 4**78), at k = 1 and 2.  Per parent from k = 3, the updated counts
+        # and PB and their scratch: a screen batch peaked at under 0.61 of
+        # this at k = 2 to 4 (49 and 66 bytes per vertex pair for the
+        # update), on a 6 x 7 torus and a 300-vertex graph.
         Measure.BETWEENNESS: (
-            45 * n * n + 8 * slots + 9 * c * c + table,
-            48 * c * c,
+            (48 if ints else 10) * n * n + 9 * c * c + table,
+            (128 if ints else 32) * n * n,
             (64 * n * n if k > 2 else 0) + 8 * width + 128 * extensions,
         ),
         # The transition matrix and its step table; the system and the
@@ -378,12 +381,13 @@ def _scorers(g: Graph, k: int, measure: Measure) -> _Scorers:
     }[measure]
     left = check_memory(graph_bytes + row_bytes, f"the {measure.value} search at k={k} on {n} vertices")
     block_rows = min(_BLOCK, 1 + left // row_bytes)
-    # The betweenness screen's pass, before any batch: PB, the float64 sum of
-    # each source chunk, einsum's buffers (under 2**18 bytes) and one source
-    # (int16 and bool masks over vertex pairs, dependency rows).  By
-    # tracemalloc it peaked at under 0.86 of this on the same two graphs.
+    # The betweenness screen's pass, before any batch: the adjacency matrix,
+    # PB, the float64 sum of each source chunk, einsum's buffers (under 2**18
+    # bytes) and one source (int16 and bool masks over vertex pairs,
+    # dependency rows).  By tracemalloc it peaked at under 0.9 of this on a
+    # 6 x 7 torus and a 300-vertex graph.
     source_bytes = 4 * n * n + 128 * n
-    pass_bytes = 16 * n * n + 2**18 + source_bytes if measure is Measure.BETWEENNESS else 0
+    pass_bytes = 24 * n * n + 8 * slots + 2**18 + source_bytes if measure is Measure.BETWEENNESS else 0
     # k = 1 has no parent to extend (and for random walk, I - P is singular).
     parents = max(0, min(_PARENTS, (left - pass_bytes) // parent_bytes)) if parent_bytes and k > 1 else 0
 
@@ -456,37 +460,26 @@ def _scorers(g: Graph, k: int, measure: Measure) -> _Scorers:
 
         return _Scorers(score, block_rows, screen if parents else None, parents, depth)
 
-    adj = _adjacency(g, float)
-    try:
-        dist, sigma = (a[0] for a in _apsp_layers_batch(adj[None]))
-    except _SigmaOverflow:
-        # Base-graph counts pass the float64-exact range (or near it): every
-        # subset counts on Python ints from the start, skipping a float pass
-        # that would most likely give up, and nothing reads the distances.
-        dist = sigma = None
     iu, iv = np.triu_indices(c, 1)
 
     def score(subsets: np.ndarray) -> np.ndarray:
-        # Both routes give each outside pair's share of geodesics avoiding the
-        # subset as a correctly rounded ratio of exact integers, summed by one
-        # fsum formula, so a score depends on neither the route nor the block.
+        # Each outside pair's share of geodesics avoiding the subset: the base
+        # counts less those through each member in turn, over the base ones,
+        # a correctly rounded ratio of exact integers summed by one fsum
+        # formula, so a score does not depend on its block.
+        sig = np.broadcast_to(sigma, (len(subsets), n, n))
+        for v in subsets.T:
+            sig = sig - _through(dist, sig, v)
         comp = _complements_of(n, subsets)
-        if sigma is not None:
-            try:
-                d_sub, s_sub = _apsp_layers_batch(adj[comp[:, :, None], comp[:, None, :]])
-            except _SigmaOverflow:
-                pass
-            else:
-                rows, cols = comp[:, iu], comp[:, iv]
-                shares = np.where(d_sub[:, iu, iv] == dist[rows, cols], s_sub[:, iu, iv] / sigma[rows, cols], 0.0)
-                return np.array([betweenness_score([row], c) for row in shares])
-        dtype = float if sigma is not None else object
-        return np.array([betweenness_score(betweenness_shares(g, s, out, dtype), c) for s, out in zip(subsets, comp)])
+        rows, cols = comp[:, iu], comp[:, iv]
+        shares = sig[np.arange(len(subsets))[:, None], rows, cols] / sigma[rows, cols]
+        return np.array([betweenness_score([row], c) for row in shares.astype(float)])
 
-    if sigma is None or not parents:
+    if ints or not parents:
         return _Scorers(score, block_rows)
     # Built on the first screen call, so score_subset never pays for it.
-    root = cache(lambda: _path_betweenness(adj, dist, sigma, min(_PARENTS, 1 + (left - pass_bytes) // source_bytes)))
+    chunk = min(_PARENTS, 1 + (left - pass_bytes) // source_bytes)
+    root = cache(lambda: _path_betweenness(_adjacency(g, float), dist, sigma, chunk))
     # Ordered pairs with an end in a k-set: they count whole in GB.
     ends, noise = k * (2 * n - k - 1), 64 * np.finfo(float).eps * n * (n - 1)
 

@@ -10,8 +10,9 @@ Each file is the report less the manifest's ``wall_time_s`` and
 search corpus: both fixtures with ``labels.tsv`` at k = 4; the 6 x 7 torus
 at k = 3 for every measure and at k = 4 for random walk; eight seeded
 random connected graphs of 8 to 15 vertices at k = 3, the odd ones
-weighted; and the 8-wide, 20-layer complete-bipartite ladder at k = 1,
-where betweenness path counts pass 2**53.  Searches at one k that
+weighted; the 8-wide, 20-layer complete-bipartite ladder at k = 1, and
+betweenness alone on the 3-wide, 36-layer one at k = 1, both with path
+counts past 2**53.  Searches at one k that
 ``optimum`` (which runs every k up to ``--k``) cannot reach alone call
 ``optimumset`` for ``workers`` 1 and 2 and write its result: the 70-vertex
 cycle at k = 69 for degree and closeness, whose colex enumeration reads
@@ -104,6 +105,9 @@ def cases(work: Path) -> list[tuple[str, list[str], list[str]]]:
     ladder = work / "ladder.edges"
     ladder.write_text(_ladder(8, 20))
     out.append(("ladder-8x20-k1", [str(ladder)], ["--k", "1"]))
+    ladder = work / "ladder3.edges"
+    ladder.write_text(_ladder(3, 36))
+    out.append(("ladder-3x36-betweenness-k1", [str(ladder)], ["--k", "1", "--measures", "betweenness"]))
     return out
 
 

@@ -18,7 +18,7 @@ from gcentral.measures import (
 )
 from gcentral.optimize import _scorers
 
-from conftest import complete_graph, cycle_graph, path_graph, star_graph
+from conftest import complete_graph, cycle_graph, layered_bipartite, path_graph, star_graph
 import oracles
 
 
@@ -82,6 +82,14 @@ class TestGroupBetweenness:
                 searched = _scorers(g, k, Measure.BETWEENNESS).block(subsets)
                 for s, value in zip(subsets.tolist(), searched.tolist()):
                     assert group_betweenness(g, s).value == value, (g, s)
+        # One graph from each count range at k = 1: the 8 x 20 ladder's counts
+        # pass 2**53; the hub's complement in the 4 x 26 hub ladder has counts
+        # between 2**53 / (2n), where a dense layered pass once gave up, and
+        # 2**53; the 4 x 8 hub ladder's lie below both.
+        for g in (layered_bipartite(8, 20), layered_bipartite(4, 26, hub=True), layered_bipartite(4, 8, hub=True)):
+            searched = _scorers(g, 1, Measure.BETWEENNESS).block(np.arange(g.n)[:, None])
+            for v, value in enumerate(searched.tolist()):
+                assert group_betweenness(g, [v]).value == value, (g, v)
 
     def test_in_unit_interval(self, corpus_n8):
         rng = np.random.Generator(np.random.PCG64(29))

@@ -215,18 +215,17 @@ class TestOverflowFallback:
     def test_wide_layered_graph_uses_big_integers(self):
         # 20 complete-bipartite layers of width 8: path counts between the
         # ends reach 8**18 = 2**54, past the float64-exact range, so the
-        # dense kernel must hand betweenness to the counting pass.
+        # search's base counts, and its betweenness scores, run on Python ints.
         width, layers = 8, 20
         g = layered_bipartite(width, layers)
-        from gcentral.optimize import _SigmaOverflow, _adjacency, _apsp_layers_batch
-        from gcentral.graph import shortest_path_counts
+        from gcentral.graph import geodesic_counts, shortest_path_counts
 
         # 19 hops end to end with 18 freely chosen intermediate layers.
         counts = shortest_path_counts(g, 0)
         assert max(counts.sigma) == width ** (layers - 2)
         assert counts.dist[g.n - 1] == layers - 1
-        with pytest.raises(_SigmaOverflow):
-            _apsp_layers_batch(_adjacency(g, float)[None])
+        base = np.concatenate([b.sigma for b in geodesic_counts(g, range(g.n))])
+        assert base.dtype == object and base.max() == width ** (layers - 2)
         s = (8, 9)
         via_kernel = score_subset(g, s, Measure.BETWEENNESS)
         from gcentral.measures import group_betweenness
@@ -239,35 +238,59 @@ class TestOverflowFallback:
 
     def test_big_integer_route_skips_the_float_pass(self, monkeypatch):
         # 36 complete-bipartite layers of width 3: 3**34 > 2**53 paths end to
-        # end, so every subset's betweenness counts on Python ints.
+        # end, so the base counts run on Python ints, and every subset scores
+        # from them without a count pass of its own.
         g = layered_bipartite(3, 36)
-        from gcentral import graph, measures
-        from gcentral.optimize import _SigmaOverflow, _adjacency, _apsp_layers_batch
+        from gcentral import graph
+        from gcentral.measures import group_betweenness
+        from gcentral.optimize import _scorers
 
-        with pytest.raises(_SigmaOverflow):
-            _apsp_layers_batch(_adjacency(g, float)[None])
-        count_pass, dtypes = graph._count_pass, []
+        base = np.concatenate([b.sigma for b in graph.geodesic_counts(g, range(g.n))])
+        assert base.dtype == object and base.max() == 3**34
+        # The screen reads float64 counts only.
+        assert _scorers(g, 2, Measure.BETWEENNESS).screen is None
+        count_pass, passes = graph._count_pass, []
 
         def spy(g, sources, avoided, dtype):
-            dtypes.append(dtype)
+            passes.append((len(sources), dtype))
             return count_pass(g, sources, avoided, dtype)
 
         monkeypatch.setattr(graph, "_count_pass", spy)
-        # Each subset's counts starting on float64, as when the route began there.
-        counts = graph.geodesic_counts
-        monkeypatch.setattr(measures, "geodesic_counts", lambda g, sources, avoided, _dtype: counts(g, sources, avoided))
-        want = json.dumps(optimumset(g, 1, Measure.BETWEENNESS).to_json_dict())
-        assert float in dtypes
-        monkeypatch.setattr(measures, "geodesic_counts", counts)
-        dtypes.clear()
-        assert json.dumps(optimumset(g, 1, Measure.BETWEENNESS).to_json_dict()) == want
-        assert dtypes and float not in dtypes
+        got = optimumset(g, 1, Measure.BETWEENNESS)
+        # The base pass from every source, given up in float64 and rerun.
+        assert passes == [(g.n, float), (g.n, object)]
+        # Each set's own counts starting on float64, as centrality runs them.
+        values = [group_betweenness(g, [v]).value for v in range(g.n)]
+        assert got.best.value == max(values)
+        want = [(v,) for v, value in enumerate(values) if math.isclose(value, max(values), rel_tol=1e-9)]
+        assert [s.members for s in got.optimal_sets] == want
+
+    def test_base_counts_switching_dtype_between_blocks_stay_exact(self, monkeypatch):
+        # A 3 x 36 ladder numbered from its middle layers out, counted eight
+        # sources a block: the first blocks' counts stay below 2**53, so they
+        # run in float64, and the later ones on Python ints.  Every count
+        # reaches the scorers as a Python int.
+        from gcentral import graph
+        from gcentral.measures import group_betweenness
+        from gcentral.optimize import _base_counts, _scorers
+
+        ladder = layered_bipartite(3, 36)
+        order = np.argsort(np.abs(np.arange(ladder.n) // 3 - 17.5), kind="stable")
+        label = np.argsort(order)
+        g = Graph(ladder.n, [(int(label[u]), int(label[v])) for u, v in ladder.edges])
+        monkeypatch.setattr(graph, "_SOURCE_BLOCK", 8)
+        dtypes = [b.sigma.dtype for b in graph.geodesic_counts(g, range(g.n))]
+        assert dtypes[0] == float and dtypes[-1] == object
+        sigma = _base_counts(g)[1]
+        assert all(type(count) is int for count in sigma.flat) and sigma.max() == 3**34
+        picks = [0, 1, g.n - 1]
+        searched = _scorers(g, 1, Measure.BETWEENNESS).block(np.array(picks)[:, None])
+        assert searched.tolist() == [group_betweenness(g, [v]).value for v in picks]
 
     def test_block_company_leaves_values_unchanged(self):
         # The hub keeps the base path counts small, but its own complement is
-        # the bare ladder, whose counts pass 2**53: a block holding the hub's
-        # subset cannot take the dense pass, and its other subsets must not
-        # score differently for it.
+        # the bare ladder, whose counts pass 2**53: the hub's subset must not
+        # move the scores of the other subsets in its block.
         g = layered_bipartite(8, 20, hub=True)
         from gcentral.optimize import _scorers
 
@@ -453,11 +476,11 @@ class TestPrefixScreen:
 
     def test_screen_near_count_guard_matches_block_scorer(self):
         # A bare 4 x 24 ladder hung off the hub of a 4 x 26 one: its 4**22
-        # end-to-end paths sit just under the guard on base counts, so the
-        # screen is on.  Without the hub the longer ladder's ends lie 25 hops
-        # apart with 4**24 paths, past the guard of a pass on the hub's
-        # complement.  The screen counts only geodesics at base distance.
-        from gcentral.optimize import _SigmaOverflow, _adjacency, _apsp_layers_batch
+        # end-to-end paths sit in float64 just under 2**53 / (2n), where a
+        # dense layered pass once gave up, so the screen is on.  Without the
+        # hub the longer ladder's ends lie 25 hops apart with 4**24 paths,
+        # past that bound.  The screen counts only geodesics at base distance.
+        from gcentral.graph import geodesic_counts
 
         def edges(g, shift):
             return [(u + shift, v + shift) for u in range(g.n) for v in g.neighbors(u) if u < v]
@@ -465,13 +488,12 @@ class TestPrefixScreen:
         hubbed, bare = layered_bipartite(4, 26, hub=True), layered_bipartite(4, 24)
         hub = hubbed.n - 1
         g = Graph(hubbed.n + bare.n, edges(hubbed, 0) + edges(bare, hubbed.n) + [(hub, hubbed.n)])
-        adj = _adjacency(g, float)
-        sigma = _apsp_layers_batch(adj[None])[1]
+        sigma = np.concatenate([b.sigma for b in geodesic_counts(g, range(g.n))])
         guard = 2.0**53 / (2 * g.n)
-        assert guard / 2 < sigma.max() == 4.0**22 < guard
-        rest = np.delete(np.arange(g.n), hub)
-        with pytest.raises(_SigmaOverflow):
-            _apsp_layers_batch(adj[np.ix_(rest, rest)][None])
+        assert sigma.dtype == float and guard / 2 < sigma.max() == 4.0**22 < guard
+        longer = layered_bipartite(4, 26)
+        sigma = np.concatenate([b.sigma for b in geodesic_counts(longer, range(longer.n))])
+        assert sigma.dtype == float and guard < sigma.max() == 4.0**24 < 2.0**53
         screened, exact = self.screened_and_exact(g, 2, Measure.BETWEENNESS, np.array([[hub]]))
         assert screened == pytest.approx(exact, rel=1e-12, abs=1e-15)
 
