@@ -23,7 +23,10 @@ parent update PB and the path counts, and each extension then scores from
 four entries of the result by inclusion-exclusion.  What the screen leaves
 in the keep window is re-scored by the block scorer, the only exact kernel,
 which also serves k = 1 and single subsets; every reported value comes from
-it.  Betweenness takes the base path counts once per search from
+it.  Random walk's block scorer solves each subset's absorbing system with
+:func:`gcentral.randomwalk.absorbing_times`, the one kernel that ``hitting``
+and ``centrality`` also solve with, and means it by the same fsum.
+Betweenness takes the base path counts once per search from
 :func:`gcentral.graph.geodesic_counts`, in float64 or, once a count reaches
 2**53, on Python ints, and both of its scorers remove a member v by one
 rule (:func:`_through`): subtract sigma(x, v) sigma(v, y) wherever
@@ -57,7 +60,7 @@ from scipy.sparse.csgraph import shortest_path
 from .errors import BudgetExceededError, InputError, NumericalError, check_memory
 from .graph import Graph, VertexSet, geodesic_counts, is_connected
 from .measures import Measure, Score, betweenness_score
-from .randomwalk import _ABSORBING_RESIDUAL, transition_matrix
+from .randomwalk import absorbing_times, transition_matrix
 
 __all__ = [
     "OptimumResult",
@@ -212,15 +215,6 @@ def _complements_of(n: int, subsets: np.ndarray) -> np.ndarray:
     return np.nonzero(mask)[1].reshape(big, n - subsets.shape[1])
 
 
-def _finite(h: np.ndarray) -> np.ndarray:
-    """``h``, or NumericalError if a hitting time overflowed: on a graph whose
-    escape probabilities fall below float64 resolution, I - Q is singular
-    in floating point."""
-    if not np.isfinite(h).all():
-        raise NumericalError("random-walk search solve gave non-finite hitting times")
-    return h
-
-
 def _path_betweenness(adj: np.ndarray, dist: np.ndarray, sigma: np.ndarray, chunk: int) -> np.ndarray:
     """The path-betweenness matrix PB[x, y]: over ordered pairs (s, t), the
     share of s-t geodesics that pass x and then y, ends counted.
@@ -368,13 +362,17 @@ def _scorers(g: Graph, k: int, measure: Measure) -> _Scorers:
             (128 if ints else 32) * n * n,
             (64 * n * n if k > 2 else 0) + 8 * width + 128 * extensions,
         ),
-        # The transition matrix and its step table; the system and the
-        # solver's copy.  Per parent: the system, its inverse and the
-        # inverter's identity and copy.  By tracemalloc a batch peaked at
-        # under 0.63 of this on a 6 x 7 torus at k = 3 to 5 and on a
-        # 300-vertex graph at k = 2 and 3.
+        # The transition matrix and its step table, and numpy's buffers for
+        # a block's gather (130 KiB by tracemalloc).  Per row, its system
+        # and the LU factors that absorbing_times holds for one system at a
+        # time: by tracemalloc a block peaked at 8.3 to 9.9 c**2 bytes per
+        # row at 64 to 512 rows, and under 0.97 of this from one row up (a
+        # 6 x 7 torus, random 25- to 300-vertex graphs, k = 1 to 4).  Per
+        # parent: the system, its inverse and the inverter's identity and
+        # copy; a batch peaked at under 0.63 of this (a 6 x 7 torus at k = 3
+        # to 5, a 300-vertex graph at k = 2 and 3).
         Measure.RANDOMWALK: (
-            8 * n * n + 32 * slots + table,
+            8 * n * n + 32 * slots + table + 2**17,
             16 * c * c,
             40 * width**2 + 128 * extensions,
         ),
@@ -415,18 +413,7 @@ def _scorers(g: Graph, k: int, measure: Measure) -> _Scorers:
             comp = _complements_of(n, subsets)
             a = -p[comp[:, :, None], comp[:, None, :]]
             a[:, idx, idx] += 1.0
-            try:
-                h = _finite(np.linalg.solve(a, np.ones((len(comp), c, 1))))
-            except np.linalg.LinAlgError as exc:
-                raise NumericalError(f"random-walk search solve failed: {exc}") from exc
-            # The absorbing route's check: a nearly singular I - Q can solve
-            # to finite but meaningless hitting times.
-            residual = np.max(np.abs(a @ h - 1.0))
-            if not residual < _ABSORBING_RESIDUAL:
-                raise NumericalError(
-                    f"random-walk search solve residual {residual:.3e} exceeds {_ABSORBING_RESIDUAL:.0e}"
-                )
-            return np.array([math.fsum(row) / c for row in h[:, :, 0]])
+            return np.array([math.fsum(row) / c for row in absorbing_times(a)])
 
         def screen(parents: np.ndarray, owner: np.ndarray, ext: np.ndarray) -> np.ndarray:
             # With G = (I - Q)^-1 on the parent's complement, r and c its row
@@ -456,7 +443,12 @@ def _scorers(g: Graph, k: int, measure: Measure) -> _Scorers:
                 y = ext[:, 1]
                 b, d, e = inv[owner, x, y], inv[owner, y, x], inv[owner, y, y]
                 q += (cc[:, 1] - cc[:, 0] * b / a) * (r[:, 1] - d * r[:, 0] / a) / (e - b * d / a)
-            return _finite((rows.sum(axis=1)[owner] - q) / c)
+            values = (rows.sum(axis=1)[owner] - q) / c
+            # Escape probabilities below float64 resolution: I - Q is
+            # singular in floating point.
+            if not np.isfinite(values).all():
+                raise NumericalError("random-walk search screen gave non-finite hitting times")
+            return values
 
         return _Scorers(score, block_rows, screen if parents else None, parents, depth)
 
@@ -547,24 +539,26 @@ def _absorb(parts: Iterable[_Candidates], ties: _TieWindow) -> _Candidates:
     stays outside that of any better best: the window's scale is set by the
     worse value (minimizing) or grows by 10 rel < 1 per unit of best
     (maximizing).  So what is held at the end is the final best's window,
-    joined once.
+    joined once; a cut left empty is not held.
     """
     held: list[tuple[np.ndarray, np.ndarray]] = []
     best, evaluated = None, 0
 
-    def cut(values: np.ndarray, subsets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def cut(values: np.ndarray, subsets: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
         mask = ties.keep(values, best)
-        return values[mask], subsets[mask]
+        return [(values[mask], subsets[mask])] if mask.any() else []
 
     for part in parts:
         evaluated += part.evaluated
         top = ties.best(part.values)
         if best is None or (top > best if ties.maximize else top < best):
             best = top
-            held = [cut(*pair) for pair in held]
-        held.append(cut(part.values, part.subsets))
-    values, subsets = zip(*held)
-    return _Candidates(np.concatenate(values), np.concatenate(subsets), evaluated)
+            held = [pair for kept in held for pair in cut(*kept)]
+        held += cut(part.values, part.subsets)
+    (values, subsets), *rest = held
+    if rest:
+        values, subsets = map(np.concatenate, zip(*held))
+    return _Candidates(values, subsets, evaluated)
 
 
 def _exact_scores(scorers: _Scorers, subsets: np.ndarray) -> np.ndarray:

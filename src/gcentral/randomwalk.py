@@ -10,8 +10,9 @@ two independent ways, which must agree:
 
 ``absorbing-solve``
     Solve ``(I - Q) h = 1`` on the transition submatrix Q over the
-    complement of the target set.  One factorization per call; the
-    production route.
+    complement of the target set.  The production route, and the one
+    kernel (:func:`absorbing_times`) that ``hitting``, ``centrality`` and
+    the random-walk search in :mod:`gcentral.optimize` all solve with.
 ``contraction-Z``
     Merge the target set into a single vertex (summing crossing weights),
     build that graph's fundamental matrix ``Z = (I - (P - Pinf))^-1`` and
@@ -28,12 +29,13 @@ number of gathers per step.
 from __future__ import annotations
 
 import json
-import warnings
+import math
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg.lapack import dgetrf, dgetrs
 
 from .errors import InputError, NumericalError, TruncationError, check_memory
 from .graph import Graph, VertexSet, as_vertex_set, multi_source_distances
@@ -304,10 +306,6 @@ class HittingSolution:
     seed: int | None = None
     rng: str | None = None
 
-    def mean_outside(self, n: int) -> float:
-        comp = self.target.complement(n)
-        return float(sum(self.h[v] for v in comp) / len(comp))
-
     def to_json_dict(self) -> dict:
         out: dict = {
             "target": list(self.target.members),
@@ -328,6 +326,32 @@ class HittingSolution:
         return json.dumps(self.to_json_dict(), sort_keys=True, indent=2)
 
 
+def absorbing_times(a: np.ndarray) -> np.ndarray:
+    """Expected steps to absorption, ``(I - Q)^-1 1``, for ``a = I - Q`` on a
+    target set's complement: one (c, c) matrix or an (N, c, c) stack.
+
+    Each system is solved by LAPACK's pivoted LU (``getrf`` and ``getrs``,
+    as in scipy's lu_factor and lu_solve) with one refinement step, so its
+    bits do not depend on the rest of the stack.  NumericalError on an
+    exactly zero pivot or non-finite times (escape probabilities below
+    float64 resolution), and on a max-norm residual not below 1e-7 (a nearly
+    singular I - Q solves to finite but meaningless times).
+    """
+    stack = a.reshape(-1, *a.shape[-2:])
+    ones = np.ones(a.shape[-1])
+    h = np.empty(stack.shape[:2])
+    for m, x in zip(stack, h):
+        lu, piv, info = dgetrf(m)
+        x[:] = dgetrs(lu, piv, ones)[0]
+        if info > 0 or not np.isfinite(x).all():
+            raise NumericalError("absorbing solve failed: I - Q is singular in floating point")
+        x += dgetrs(lu, piv, ones - m @ x)[0]
+    residual = np.max(np.abs(stack @ h[:, :, None] - 1.0))
+    if not residual < _ABSORBING_RESIDUAL:
+        raise NumericalError(f"absorbing solve residual {residual:.3e} exceeds {_ABSORBING_RESIDUAL:.0e}")
+    return h.reshape(a.shape[:-1])
+
+
 def _solve_absorbing(g: Graph, vs: VertexSet) -> np.ndarray:
     comp = vs.complement(g.n)
     # The transition matrix, then three c x c arrays: Q, I - Q and its LU factors.
@@ -336,29 +360,8 @@ def _solve_absorbing(g: Graph, vs: VertexSet) -> np.ndarray:
         f"the absorbing solve on {g.n} vertices",
     )
     p = transition_matrix(g)
-    q = p[np.ix_(comp, comp)]
-    a = np.eye(len(comp)) - q
-    b = np.ones(len(comp))
-    with warnings.catch_warnings():
-        # An exactly zero pivot: lu_factor warns and returns the factors.
-        warnings.simplefilter("error", scipy.linalg.LinAlgWarning)
-        try:
-            lu, piv = scipy.linalg.lu_factor(a)
-        except (scipy.linalg.LinAlgError, scipy.linalg.LinAlgWarning) as exc:
-            raise NumericalError(f"absorbing solve failed: {exc}") from exc
-    h = scipy.linalg.lu_solve((lu, piv), b, check_finite=False)
-    if not np.isfinite(h).all():
-        # Escape probabilities below float64 resolution: I - Q is singular
-        # in floating point.
-        raise NumericalError("absorbing solve failed: non-finite hitting times")
-    h += scipy.linalg.lu_solve((lu, piv), b - a @ h)
-    residual = np.max(np.abs(a @ h - b))
-    if not residual < _ABSORBING_RESIDUAL:
-        raise NumericalError(
-            f"absorbing solve residual {residual:.3e} exceeds {_ABSORBING_RESIDUAL:.0e}"
-        )
     full = np.zeros(g.n)
-    full[list(comp)] = h
+    full[list(comp)] = absorbing_times(np.eye(len(comp)) - p[np.ix_(comp, comp)])
     return full
 
 
@@ -408,7 +411,8 @@ def group_randomwalk(g: Graph, s: VertexSet | Iterable[int]) -> Score:
     """
     vs = as_vertex_set(s)
     sol = hitting_time_set(g, vs, route=ROUTE_ABSORBING)
-    return Score(value=sol.mean_outside(g.n))
+    # The search's mean, so that centrality and optimum print one value.
+    return Score(value=math.fsum(sol.h) / (g.n - len(vs)))
 
 
 def monte_carlo_hitting(

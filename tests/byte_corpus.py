@@ -1,7 +1,6 @@
 """Write the byte corpus: ``optimum --format json`` on a fixed set of
 graphs, for ``--workers`` 1 and 2, ``centrality --measures all`` on the same
-graphs, and seeded ``hitting --route montecarlo`` on most of them, one file
-per run.
+graphs, and ``hitting`` by every route on most of them, one file per run.
 
     PYTHONPATH=src python3 tests/byte_corpus.py OUT_DIR
 
@@ -18,11 +17,12 @@ counts past 2**53.  Searches at one k that
 cycle at k = 69 for degree and closeness, whose colex enumeration reads
 binomials past the int64 range.  The centrality corpus scores each search
 graph at {0}, at {0, n - 1} and at the first optimal set its report lists
-at its largest k.  The Monte Carlo corpus: both
+at its largest k.  The hitting corpus, by seeded Monte Carlo: both
 fixtures at the default 10,000 walks per source, the torus, the eight
 random graphs, a 3,001-vertex star whose hub row spans many guide cells,
-and a 1,000-vertex random tree plus 500 edges.  Pytest does not collect
-this file.
+and a 1,000-vertex random tree plus 500 edges; and by the absorbing and
+contraction routes at each of these but the star.  Pytest does not
+collect this file.
 """
 
 from __future__ import annotations
@@ -135,28 +135,34 @@ def search_cases() -> list[tuple[str, Graph, int, Measure]]:
 
 
 def walk_cases(work: Path) -> list[tuple[str, list[str]]]:
-    """(name, hitting arguments) for every seeded Monte Carlo entry."""
+    """(name, hitting arguments) for every ``hitting`` entry: seeded Monte
+    Carlo at each place, and the absorbing and contraction routes at each
+    but the star."""
     fixtures = resources.files("gcentral").joinpath("fixtures")
-    mc = ["--route", "montecarlo", "--seed", "7"]
-    out = []
+    # (place, graph and set, Monte Carlo walks, graph flags)
+    places = []
     for name in ("novice", "expert"):
-        out.append((f"mc-{name}", [str(fixtures.joinpath(f"{name}.edges")), "--set", "0,5,11", *mc]))
+        places.append((name, [str(fixtures.joinpath(f"{name}.edges")), "--set", "0,5,11"], [], []))
     torus = work / "torus.edges"
     torus.write_text(_torus(6, 7))
-    out.append(("mc-torus", [str(torus), "--set", "0,17,30", *mc, "--walks", "1000"]))
+    places.append(("torus", [str(torus), "--set", "0,17,30"], ["--walks", "1000"], []))
     for seed in range(8):
         text, weighted = _random_graph(seed)
         path = work / f"random{seed}.edges"
         path.write_text(text)
-        out.append((f"mc-random{seed}", [str(path), "--set", "0,3", *mc, "--walks", "2000"]
-                    + ["--weighted"] * weighted))
+        places.append((f"random{seed}", [str(path), "--set", "0,3"], ["--walks", "2000"], ["--weighted"] * weighted))
     star = work / "star.edges"
     star.write_text("".join(f"0 {v}\n" for v in range(1, 3001)))
     leaves = ",".join(str(v) for v in range(1, 51))
-    out.append(("mc-star-3001", [str(star), "--set", leaves, *mc, "--walks", "2"]))
+    places.append(("star-3001", [str(star), "--set", leaves], ["--walks", "2"], []))
     sparse = work / "sparse.edges"
     sparse.write_text(_sparse(1000, 2016))
-    out.append(("mc-sparse-1000", [str(sparse), "--set", "1,200,400,600,800", *mc, "--walks", "20"]))
+    places.append(("sparse-1000", [str(sparse), "--set", "1,200,400,600,800"], ["--walks", "20"], []))
+    out = []
+    for place, graph, walks, flags in places:
+        out.append((f"mc-{place}", [*graph, "--route", "montecarlo", "--seed", "7", *walks, *flags]))
+        if place != "star-3001":
+            out += [(f"{route}-{place}", [*graph, "--route", route, *flags]) for route in ("absorbing", "contraction")]
     return out
 
 

@@ -6,6 +6,7 @@ import itertools
 import json
 import math
 import pickle
+import tracemalloc
 from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 
@@ -351,6 +352,55 @@ class TestMemoryGuard:
             optimumset(novice, 3, measure)
         assert exc.value.subsets is None
 
+
+    def test_random_walk_block_peak_within_its_rows(self, monkeypatch):
+        # The guard's bytes per row are the step between the smallest limits
+        # that allow two and three rows; a full block must peak below its
+        # rows' share.
+        from gcentral.optimize import _scorers
+
+        def rows_at(g, k, limit):
+            monkeypatch.setattr(errors, "MEMORY_LIMIT", limit)
+            try:
+                return _scorers(g, k, Measure.RANDOMWALK).rows
+            except BudgetExceededError:
+                return 0
+
+        def smallest_limit(g, k, rows):
+            low, high = 0, 1 << 30
+            while high - low > 1:
+                mid = (low + high) // 2
+                low, high = (low, mid) if rows_at(g, k, mid) >= rows else (mid, high)
+            return high
+
+        rng = np.random.Generator(np.random.PCG64(89))
+        for g in (torus_graph(6, 7), random_connected_graph(rng, 60, extra_edge_prob=0.05, weighted=True)):
+            row_bytes = smallest_limit(g, 2, 3) - smallest_limit(g, 2, 2)
+            rows = rows_at(g, 2, 1 << 30)
+            assert rows == 512
+            block = np.array(list(itertools.islice(colex_subsets(g.n, 2), rows)), dtype=np.intp)
+            score = _scorers(g, 2, Measure.RANDOMWALK).block
+            tracemalloc.start()
+            try:
+                score(block)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < rows * row_bytes, (g.n, peak / (rows * row_bytes))
+
+    def test_scan_holds_only_what_the_window_keeps(self, monkeypatch):
+        # Betweenness on the 6 x 7 torus at k = 3 under this limit scores
+        # 2,870 blocks of four rows and keeps 168 of the rows: an empty cut
+        # held per block once took the peak to four times the limit.
+        monkeypatch.setattr(errors, "MEMORY_LIMIT", 280_000)
+        tracemalloc.start()
+        try:
+            result = optimumset(torus_graph(6, 7), 3, Measure.BETWEENNESS)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(result.optimal_sets) == 168
+        assert peak < 1.25 * 280_000
 
     def test_closeness_distances_fit_without_path_counts(self, monkeypatch):
         # csgraph's distances cast to int16 hold 10 bytes per vertex pair.

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import tracemalloc
 
@@ -10,15 +11,19 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg.lapack import dgetrf
 
-from gcentral.errors import InputError, TruncationError
+from gcentral.errors import InputError, NumericalError, TruncationError
 from gcentral.graph import Graph
+from gcentral.measures import Measure
+from gcentral.optimize import _scorers
 from gcentral.randomwalk import (
     ROUTE_ABSORBING,
     ROUTE_CONTRACTION,
     _guide,
     _step_table,
     _walk_step,
+    absorbing_times,
     check_upper_bound,
     contract,
     fundamental_matrix,
@@ -354,6 +359,20 @@ class TestHittingTimeSet:
             else:
                 assert sol.h[v] >= 1.0
 
+    def test_exactly_zero_pivot_raises(self):
+        # Two triangles joined by an edge of weight 1e-16 and a pendant
+        # vertex: from the far triangle the walk's chance of crossing is
+        # below float64 resolution, and LU meets an exactly zero pivot.
+        g = Graph(7, [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (4, 5), (3, 5), (5, 6)],
+                  [1, 1, 1, 1e-16, 1, 1, 1, 1])
+        comp = [0, 1, 2, 4, 5, 6]
+        a = np.eye(6) - transition_matrix(g)[np.ix_(comp, comp)]
+        assert dgetrf(a)[2] > 0
+        healthy = np.eye(6) - transition_matrix(cycle_graph(7))[np.ix_(comp, comp)]
+        for systems in (a, np.stack([healthy, a])):
+            with pytest.raises(NumericalError, match="singular"):
+                absorbing_times(systems)
+
     def test_first_step_recurrence_for_sets(self):
         rng = np.random.Generator(np.random.PCG64(73))
         g = random_connected_graph(rng, 12, weighted=True)
@@ -385,6 +404,19 @@ class TestGroupRandomwalk:
                 for s in itertools.combinations(range(g.n), size):
                     value = group_randomwalk(g, s).value
                     assert (abs(value - 1.0) < 1e-12) == oracles.is_vertex_cover(g, s)
+
+    def test_equals_search_score_bit_for_bit(self, corpus_n7):
+        # ``centrality`` and ``optimum`` solve with one kernel and take one
+        # mean.  The search's block scorer takes every k-subset at once
+        # here; a value does not depend on its block, and score_subset is
+        # the one-row case.
+        weighted = random_connected_graph(np.random.Generator(np.random.PCG64(83)), 12, weighted=True)
+        for g in [*corpus_n7, weighted]:
+            for k in range(1, min(3, g.n - 1) + 1):
+                subsets = np.array(list(itertools.combinations(range(g.n), k)))
+                searched = _scorers(g, k, Measure.RANDOMWALK).block(subsets)
+                for s, value in zip(subsets.tolist(), searched.tolist()):
+                    assert group_randomwalk(g, s).value == value, (g, s)
 
     def test_scale_invariance(self):
         rng = np.random.Generator(np.random.PCG64(79))
