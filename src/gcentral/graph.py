@@ -118,7 +118,9 @@ class Graph:
         overflow = np.flatnonzero(~np.isfinite(wdeg))
         if overflow.size:
             raise InputError(f"weighted degree of vertex {overflow[0]} overflows")
-        if not math.isfinite(np.cumsum(wdeg)[-1]):
+        with np.errstate(over="ignore"):
+            total = np.cumsum(wdeg)[-1]
+        if not math.isfinite(total):
             raise InputError("total weighted degree overflows")
 
         self.n = n

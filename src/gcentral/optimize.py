@@ -351,15 +351,17 @@ def _scorers(g: Graph, k: int, measure: Measure) -> _Scorers:
         # counts, the paths through a member and their mask.  By tracemalloc
         # the base counts held 10 bytes per vertex pair in float64 and 39 to
         # 43 on Python ints, and a block 24 per row and vertex pair in
-        # float64 (a 6 x 7 torus, a 300-vertex cycle and random graph) and
-        # 60 to 95 on Python ints (3 x 36 to 4 x 80 ladders, counts up to
-        # 4**78), at k = 1 and 2.  Per parent from k = 3, the updated counts
-        # and PB and their scratch: a screen batch peaked at under 0.61 of
-        # this at k = 2 to 4 (49 and 66 bytes per vertex pair for the
-        # update), on a 6 x 7 torus and a 300-vertex graph.
+        # float64 at 64 rows, up to 34 at one to four (a 6 x 7 torus, a
+        # 300-vertex cycle and random graphs, k = 1 to 3), and 60 to 95 on
+        # Python ints (3 x 36 to 4 x 80 ladders at k = 1 and 2, counts up to
+        # 4**78); a new process's whole scan peaked at 0.82 of a 280,000-byte
+        # limit (the torus at k = 3).  Per parent from k = 3, the updated counts and PB
+        # and their scratch: a screen batch peaked at under 0.61 of this at
+        # k = 2 to 4 (49 and 66 bytes per vertex pair for the update), on a
+        # 6 x 7 torus and a 300-vertex graph.
         Measure.BETWEENNESS: (
             (48 if ints else 10) * n * n + 9 * c * c + table,
-            (128 if ints else 32) * n * n,
+            (128 if ints else 48) * n * n,
             (64 * n * n if k > 2 else 0) + 8 * width + 128 * extensions,
         ),
         # The transition matrix and its step table, and numpy's buffers for

@@ -6,7 +6,8 @@ upper bound on the group score.
 A walk at vertex ``u`` moves to neighbor ``v`` with probability
 ``w(uv) / w(u)`` where ``w(u)`` is the weighted degree; unit weights give
 the classical uniform-neighbor walk.  Hitting times to a set are computed
-two independent ways, which must agree:
+two independent ways, which must agree (both solve their systems with one
+LU kernel, :func:`_lu_solve`):
 
 ``absorbing-solve``
     Solve ``(I - Q) h = 1`` on the transition submatrix Q over the
@@ -16,8 +17,8 @@ two independent ways, which must agree:
 ``contraction-Z``
     Merge the target set into a single vertex (summing crossing weights),
     build that graph's fundamental matrix ``Z = (I - (P - Pinf))^-1`` and
-    read hitting times to the merged vertex off ``Z``.  Kept as an
-    executable statement of the contraction identity.
+    read hitting times to the merged vertex off :func:`hitting_time_matrix`.
+    Kept as an executable statement of the contraction identity.
 
 One CSR step table (:class:`_StepTable`) serves every walk, without an
 n x n array: the transition matrix scatters its probabilities, the sampler
@@ -34,7 +35,6 @@ from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
 import numpy as np
-import scipy.linalg
 from scipy.linalg.lapack import dgetrf, dgetrs
 
 from .errors import InputError, NumericalError, TruncationError, check_memory
@@ -188,7 +188,8 @@ def stationary(g: Graph) -> np.ndarray:
 
     No eigen-solve is involved; ``pi P = pi`` holds by reversibility.
     """
-    wdeg = np.array([sum(g.neighbor_weights(u)) for u in range(g.n)])
+    # bincount adds each row's weights in slot order, as Graph's check does.
+    wdeg = np.bincount(np.repeat(np.arange(g.n), np.diff(g._indptr)), g._slot_w, minlength=g.n)
     if np.any(wdeg == 0):
         raise InputError("isolated vertex; stationary distribution undefined")
     return wdeg / wdeg.sum()
@@ -197,32 +198,19 @@ def stationary(g: Graph) -> np.ndarray:
 def fundamental_matrix(g: Graph) -> np.ndarray:
     """Fundamental matrix ``Z = (I - (P - Pinf))^-1`` of the walk.
 
-    ``Pinf`` stacks the stationary distribution in every row.  Uses pivoted
-    LU with one step of iterative refinement; raises
-    :class:`~gcentral.errors.NumericalError` if the max-norm residual of
-    ``(I - P + Pinf) Z - I`` is not below 1e-8 (disconnected or degenerate
-    input surfaces here), and BudgetExceededError, before allocating, past
-    the memory limit.
+    ``Pinf`` stacks the stationary distribution in every row.  Solved by the
+    absorbing route's LU kernel for the identity; raises
+    :class:`~gcentral.errors.NumericalError` if ``I - P + Pinf`` is singular
+    or the max-norm residual of ``(I - P + Pinf) Z - I`` is not below 1e-8
+    (disconnected or degenerate input surfaces here), and
+    BudgetExceededError, before allocating, past the memory limit.
     """
     n = g.n
     # Seven n x n float64 arrays at the peak (tracemalloc, n = 300 and 1,000).
     check_memory(56 * n * n + _SLOT_BYTES * g._indices.size, f"the fundamental matrix of {n} vertices")
     p = transition_matrix(g)
-    pi = stationary(g)
-    m = np.eye(n) - p + np.tile(pi, (n, 1))
-    try:
-        lu, piv = scipy.linalg.lu_factor(m)
-    except scipy.linalg.LinAlgError as exc:
-        raise NumericalError(f"fundamental matrix factorization failed: {exc}") from exc
-    eye = np.eye(n)
-    z = scipy.linalg.lu_solve((lu, piv), eye)
-    z += scipy.linalg.lu_solve((lu, piv), eye - m @ z)
-    residual = np.max(np.abs(m @ z - eye))
-    if not residual < _FUNDAMENTAL_RESIDUAL:
-        raise NumericalError(
-            f"fundamental matrix residual {residual:.3e} exceeds {_FUNDAMENTAL_RESIDUAL:.0e}"
-        )
-    return z
+    m = np.eye(n) - p + np.tile(stationary(g), (n, 1))
+    return _lu_solve(m, np.eye(n), _FUNDAMENTAL_RESIDUAL, "fundamental matrix", "I - P + Pinf")
 
 
 def hitting_time_matrix(g: Graph) -> np.ndarray:
@@ -231,7 +219,8 @@ def hitting_time_matrix(g: Graph) -> np.ndarray:
     ``(Z[v, v] - Z[u, v]) / pi(v)``, and ``H[v, v] = 0``."""
     z = fundamental_matrix(g)
     pi = stationary(g)
-    h = (np.diag(z)[None, :] - z) / pi[None, :]
+    h = np.diag(z) - z
+    h /= pi
     np.fill_diagonal(h, 0.0)
     return h
 
@@ -326,30 +315,40 @@ class HittingSolution:
         return json.dumps(self.to_json_dict(), sort_keys=True, indent=2)
 
 
-def absorbing_times(a: np.ndarray) -> np.ndarray:
-    """Expected steps to absorption, ``(I - Q)^-1 1``, for ``a = I - Q`` on a
-    target set's complement: one (c, c) matrix or an (N, c, c) stack.
+def _lu_solve(a: np.ndarray, b: np.ndarray, limit: float, what: str, system: str) -> np.ndarray:
+    """Solve ``a x = b`` for one (c, c) matrix or an (N, c, c) stack of them.
 
     Each system is solved by LAPACK's pivoted LU (``getrf`` and ``getrs``,
     as in scipy's lu_factor and lu_solve) with one refinement step, so its
     bits do not depend on the rest of the stack.  NumericalError on an
-    exactly zero pivot or non-finite times (escape probabilities below
-    float64 resolution), and on a max-norm residual not below 1e-7 (a nearly
-    singular I - Q solves to finite but meaningless times).
+    exactly zero pivot or non-finite entries, and on a max-norm residual not
+    below ``limit`` (a nearly singular system solves to finite but
+    meaningless values).
     """
     stack = a.reshape(-1, *a.shape[-2:])
-    ones = np.ones(a.shape[-1])
-    h = np.empty(stack.shape[:2])
-    for m, x in zip(stack, h):
+    xs = []
+    for m in stack:
         lu, piv, info = dgetrf(m)
-        x[:] = dgetrs(lu, piv, ones)[0]
-        if info > 0 or not np.isfinite(x).all():
-            raise NumericalError("absorbing solve failed: I - Q is singular in floating point")
-        x += dgetrs(lu, piv, ones - m @ x)[0]
-    residual = np.max(np.abs(stack @ h[:, :, None] - 1.0))
-    if not residual < _ABSORBING_RESIDUAL:
-        raise NumericalError(f"absorbing solve residual {residual:.3e} exceeds {_ABSORBING_RESIDUAL:.0e}")
-    return h.reshape(a.shape[:-1])
+        # Refined in getrs's own (Fortran) layout, which sets the bits of m @ y.
+        y = dgetrs(lu, piv, b)[0]
+        if info > 0 or not np.isfinite(y).all():
+            raise NumericalError(f"{what} failed: {system} is singular in floating point")
+        y += dgetrs(lu, piv, b - m @ y)[0]
+        xs.append(y)
+    x = np.array(xs)
+    # Only the stacked copy stays for the residual.
+    del xs, y
+    residual = np.max(np.abs(stack @ x.reshape(len(stack), len(b), -1) - b.reshape(len(b), -1)))
+    if not residual < limit:
+        raise NumericalError(f"{what} residual {residual:.3e} exceeds {limit:.0e}")
+    return x.reshape(*a.shape[:-2], *b.shape)
+
+
+def absorbing_times(a: np.ndarray) -> np.ndarray:
+    """Expected steps to absorption, ``(I - Q)^-1 1``, for ``a = I - Q`` on a
+    target set's complement: one (c, c) matrix or an (N, c, c) stack.  I - Q
+    is singular when escape probabilities fall below float64 resolution."""
+    return _lu_solve(a, np.ones(a.shape[-1]), _ABSORBING_RESIDUAL, "absorbing solve", "I - Q")
 
 
 def _solve_absorbing(g: Graph, vs: VertexSet) -> np.ndarray:
@@ -367,14 +366,7 @@ def _solve_absorbing(g: Graph, vs: VertexSet) -> np.ndarray:
 
 def _solve_contraction(g: Graph, vs: VertexSet) -> np.ndarray:
     contracted = contract(g, vs)
-    z = fundamental_matrix(contracted.base)
-    pi = stationary(contracted.base)
-    t = contracted.merged
-    full = np.zeros(g.n)
-    for v in vs.complement(g.n):
-        cv = contracted.mapping[v]
-        full[v] = (z[t, t] - z[cv, t]) / pi[t]
-    return full
+    return hitting_time_matrix(contracted.base)[list(contracted.mapping), contracted.merged]
 
 
 def hitting_time_set(

@@ -365,12 +365,16 @@ class TestExitCodes:
             ["optimum", "--k", "1", "--measures", "randomwalk"],
             ["centrality", "--set", "3", "--measures", "randomwalk"],
             ["hitting", "--set", "3"],
+            ["hitting", "--set", "0", "--route", "contraction"],
+            ["hitting", "--set", "1", "--route", "contraction"],
+            ["hitting", "--set", "2", "--route", "contraction"],
         ],
     )
     def test_singular_walk_exit_4(self, capsys, tmp_path, argv):
         # Two triangles joined by an edge of weight 1e-16, and a pendant
         # vertex: the chance of crossing that edge is below float64
-        # resolution, so I - Q is singular in floating point.
+        # resolution, so I - Q is singular in floating point, and so is
+        # I - P + Pinf once a vertex of the first triangle is merged.
         path = tmp_path / "feather.edges"
         path.write_text("0 1 1\n1 2 1\n0 2 1\n2 3 1e-16\n3 4 1\n4 5 1\n3 5 1\n5 6 1\n")
         with warnings.catch_warnings(record=True) as caught:
@@ -511,3 +515,14 @@ class TestExitCodes:
         )
         assert code == 2
         assert "non-finite" in err or "overflows" in err
+
+    def test_total_weighted_degree_overflow_exit_2(self, capsys, tmp_path):
+        # Each vertex's weighted degree is finite, their sum is not.
+        path = tmp_path / "w.edges"
+        path.write_text("0 1 1e308\n2 3 1e308\n1 2 1\n")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run(capsys, ["centrality", str(path), "--weighted", "--set", "0"])
+        assert code == 2
+        assert out == "" and not caught
+        assert err == "error: total weighted degree overflows\n"

@@ -6,6 +6,7 @@ import hashlib
 import itertools
 import json
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -242,6 +243,16 @@ class TestFundamentalMatrix:
         # Even cycles are bipartite: P has eigenvalue -1 but I - P + Pinf stays regular.
         z = fundamental_matrix(cycle_graph(6))
         assert np.isfinite(z).all()
+
+    @pytest.mark.parametrize("solve", [fundamental_matrix, hitting_time_matrix])
+    def test_disconnected_graph_raises(self, solve):
+        # Two components: P has eigenvalue 1 twice and Pinf removes only one,
+        # so LU meets an exactly zero pivot.
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(NumericalError, match="singular"):
+                solve(Graph(4, [(0, 1), (2, 3)]))
+        assert not caught
 
 
 class TestHittingTimePair:
