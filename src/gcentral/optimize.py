@@ -46,6 +46,8 @@ worker count.
 
 from __future__ import annotations
 
+import bisect
+import itertools
 import math
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import ExitStack
@@ -145,9 +147,17 @@ def _colex_rows(n: int, k: int, start: int, stop: int, rows: int) -> Iterator[np
     """
     # Entries past the range's end are capped at it (and at the int64
     # range): each column stays nondecreasing, and a capped entry exceeds
-    # every rank, so no search lands on one.
+    # every rank, so no search lands on one.  Column j sums column j - 1:
+    # C(i, j) is the sum of C(m, j - 1) over m < i, in Python ints, and a
+    # sum over a capped entry reaches the cap too.
     cap = min(stop, 2**63 - 1)
-    binom = np.array([[min(math.comb(i, j), cap) for i in range(n)] for j in range(1, k + 1)], dtype=np.int64)
+    col, cols = [1] * n, []
+    for _ in range(k):
+        col = list(itertools.accumulate(col[:-1], initial=0))
+        capped = bisect.bisect_left(col, cap)
+        col[capped:] = [cap] * (n - capped)
+        cols.append(col)
+    binom = np.array(cols, dtype=np.int64)
     for first in range(start, stop, rows):
         rank = np.arange(first, min(first + rows, stop), dtype=np.int64)
         block = np.empty((len(rank), k), dtype=np.intp)
@@ -199,11 +209,18 @@ def _through(dist: np.ndarray, sig: np.ndarray, v: np.ndarray) -> np.ndarray:
     d(x, y), ``dist`` the base hop distances.  Subtracting them removes v
     (Puzis, Elovici and Dolev 2007).  Exact as long as the counts are: a
     masked product never exceeds sig[r, x, y], and the mask zeroes the rest.
+    Python-int counts are multiplied over the masked pairs only.
     """
     s = sig[np.arange(len(v)), v]
     dv = dist[v]
-    through = s[:, :, None] * s[:, None, :]
-    through *= dist[None] == dv[:, :, None] + dv[:, None, :]
+    on = dist[None] == dv[:, :, None] + dv[:, None, :]
+    if sig.dtype != object:
+        through = s[:, :, None] * s[:, None, :]
+        through *= on
+        return through
+    r, x, y = np.nonzero(on)
+    through = np.zeros(on.shape, dtype=object)
+    through[r, x, y] = s[r, x] * s[r, y]
     return through
 
 

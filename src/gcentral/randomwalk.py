@@ -15,10 +15,12 @@ LU kernel, :func:`_lu_solve`):
     kernel (:func:`absorbing_times`) that ``hitting``, ``centrality`` and
     the random-walk search in :mod:`gcentral.optimize` all solve with.
 ``contraction-Z``
-    Merge the target set into a single vertex (summing crossing weights),
-    build that graph's fundamental matrix ``Z = (I - (P - Pinf))^-1`` and
-    read hitting times to the merged vertex off :func:`hitting_time_matrix`.
-    Kept as an executable statement of the contraction identity.
+    Merge the target set into a single vertex v (summing crossing weights)
+    and solve ``(I - P + Pinf) z = e_v`` on that graph for column v of its
+    fundamental matrix ``Z = (I - (P - Pinf))^-1``; the hitting time from u
+    is ``(z[v] - z[u]) / pi(v)``, the formula of
+    :func:`hitting_time_matrix` (Kemeny and Snell 1960).  Kept as an
+    executable statement of the contraction identity.
 
 One CSR step table (:class:`_StepTable`) serves every walk, without an
 n x n array: the transition matrix scatters its probabilities, the sampler
@@ -195,6 +197,21 @@ def stationary(g: Graph) -> np.ndarray:
     return wdeg / wdeg.sum()
 
 
+def _fundamental_system(g: Graph, pair_bytes: int, slot_bytes: int) -> np.ndarray:
+    """``I - P + Pinf``, built in place on the transition matrix: negated,
+    plus ``pi`` in every row, plus 1 on the diagonal.  P's diagonal is zero,
+    so every entry has the bits of ``eye - P + tile(pi)``.  Raises
+    BudgetExceededError, before allocating, when ``pair_bytes`` per vertex
+    pair and ``slot_bytes`` per CSR slot pass the memory limit."""
+    n = g.n
+    check_memory(pair_bytes * n * n + slot_bytes * g._indices.size, f"the fundamental matrix of {n} vertices")
+    m = transition_matrix(g)
+    np.negative(m, out=m)
+    m += stationary(g)
+    m.flat[:: n + 1] += 1.0
+    return m
+
+
 def fundamental_matrix(g: Graph) -> np.ndarray:
     """Fundamental matrix ``Z = (I - (P - Pinf))^-1`` of the walk.
 
@@ -205,12 +222,9 @@ def fundamental_matrix(g: Graph) -> np.ndarray:
     (disconnected or degenerate input surfaces here), and
     BudgetExceededError, before allocating, past the memory limit.
     """
-    n = g.n
-    # Seven n x n float64 arrays at the peak (tracemalloc, n = 300 and 1,000).
-    check_memory(56 * n * n + _SLOT_BYTES * g._indices.size, f"the fundamental matrix of {n} vertices")
-    p = transition_matrix(g)
-    m = np.eye(n) - p + np.tile(stationary(g), (n, 1))
-    return _lu_solve(m, np.eye(n), _FUNDAMENTAL_RESIDUAL, "fundamental matrix", "I - P + Pinf")
+    # Six n x n float64 arrays at the peak (tracemalloc, n = 300 and 1,000).
+    m = _fundamental_system(g, 48, _SLOT_BYTES)
+    return _lu_solve(m, np.eye(g.n), _FUNDAMENTAL_RESIDUAL, "fundamental matrix", "I - P + Pinf")
 
 
 def hitting_time_matrix(g: Graph) -> np.ndarray:
@@ -366,7 +380,20 @@ def _solve_absorbing(g: Graph, vs: VertexSet) -> np.ndarray:
 
 def _solve_contraction(g: Graph, vs: VertexSet) -> np.ndarray:
     contracted = contract(g, vs)
-    return hitting_time_matrix(contracted.base)[list(contracted.mapping), contracted.merged]
+    base, v = contracted.base, contracted.merged
+    # H(u, v) = (Z[v, v] - Z[u, v]) / pi(v) reads only Z's column v, the
+    # solution of (I - P + Pinf) z = e_v.  Two n x n float64 arrays at the
+    # peak, the system and its LU factors, and up to 72 bytes per CSR slot
+    # for the contracted graph, its step table and the solve's vectors;
+    # contract's own lists took up to 137 per slot, before either array
+    # (tracemalloc, n = 300 and 1,000).
+    m = _fundamental_system(base, 16, 4 * _SLOT_BYTES)
+    e = np.zeros(base.n)
+    e[v] = 1.0
+    z = _lu_solve(m, e, _FUNDAMENTAL_RESIDUAL, "fundamental matrix", "I - P + Pinf")
+    h = (z[v] - z) / stationary(base)[v]
+    h[v] = 0.0
+    return h[list(contracted.mapping)]
 
 
 def hitting_time_set(
@@ -380,9 +407,9 @@ def hitting_time_set(
     ----------
     route : str
         ``"absorbing-solve"`` (default) solves ``(I - Q) h = 1`` on the
-        complement; ``"contraction-Z"`` merges the set and reads the
-        fundamental matrix of the contracted graph.  The two agree to 1e-7
-        per vertex on connected inputs.
+        complement; ``"contraction-Z"`` merges the set and solves for the
+        merged vertex's column of the contracted graph's fundamental
+        matrix.  The two agree to 1e-7 per vertex on connected inputs.
     """
     vs = as_vertex_set(s)
     vs.check_proper(g)

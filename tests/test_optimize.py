@@ -266,6 +266,17 @@ class TestOverflowFallback:
         want = [(v,) for v, value in enumerate(values) if math.isclose(value, max(values), rel_tol=1e-9)]
         assert [s.members for s in got.optimal_sets] == want
 
+    def test_big_integer_pairs_score_as_centrality(self):
+        # At k = 2 the second member comes off Python-int counts already less
+        # the first's geodesics; both products are taken on masked pairs only.
+        from gcentral.measures import group_betweenness
+        from gcentral.optimize import _scorers
+
+        g = layered_bipartite(3, 36)
+        picks = np.array([[0, 1], [50, 53], [51, 107], [105, 106]])
+        got = _scorers(g, 2, Measure.BETWEENNESS).block(picks)
+        assert got.tolist() == [group_betweenness(g, s).value for s in picks.tolist()]
+
     def test_base_counts_switching_dtype_between_blocks_stay_exact(self, monkeypatch):
         # A 3 x 36 ladder numbered from its middle layers out, counted eight
         # sources a block: the first blocks' counts stay below 2**53, so they

@@ -14,7 +14,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg.lapack import dgetrf
 
-from gcentral.errors import InputError, NumericalError, TruncationError
+from gcentral import randomwalk
+from gcentral.errors import InputError, NumericalError, TruncationError, check_memory
 from gcentral.graph import Graph
 from gcentral.measures import Measure
 from gcentral.optimize import _scorers
@@ -42,6 +43,7 @@ from conftest import (
     random_connected_graph,
     random_proper_subset,
     star_graph,
+    torus_graph,
 )
 import oracles
 
@@ -395,6 +397,38 @@ class TestHittingTimeSet:
                 continue
             rhs = 1.0 + sum(p[v, u] * sol.h[u] for u in range(g.n) if u not in s)
             assert sol.h[v] == pytest.approx(rhs, abs=1e-7)
+
+    def test_contraction_reads_merged_column_of_hitting_time_matrix(self, novice, expert):
+        # The route solves for Z's merged column alone; the all-pairs matrix
+        # of the contracted graph holds the same times to rounding.
+        rng = np.random.Generator(np.random.PCG64(79))
+        graphs = [novice, expert, torus_graph(6, 7)]
+        graphs += [random_connected_graph(rng, int(rng.integers(8, 60)), weighted=bool(i % 2)) for i in range(20)]
+        for g in graphs:
+            for s in ([0], [g.n - 1, 1], random_proper_subset(rng, g.n)):
+                c = contract(g, s)
+                want = hitting_time_matrix(c.base)[list(c.mapping), c.merged]
+                got = np.array(hitting_time_set(g, s, route=ROUTE_CONTRACTION).h)
+                np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("extra_edge_prob", [0.01, 0.25])
+    def test_contraction_peak_within_its_guard(self, monkeypatch, extra_edge_prob):
+        g = random_connected_graph(np.random.Generator(np.random.PCG64(83)), 300, extra_edge_prob, weighted=True)
+        guards = []
+
+        def record(needed, what):
+            if what.startswith("the fundamental matrix"):
+                guards.append(needed)
+            return check_memory(needed, what)
+
+        monkeypatch.setattr(randomwalk, "check_memory", record)
+        tracemalloc.start()
+        try:
+            hitting_time_set(g, [0, 1, 2], route=ROUTE_CONTRACTION)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(guards) == 1 and peak < guards[0], peak / guards[0]
 
 
 class TestGroupRandomwalk:
