@@ -46,8 +46,6 @@ worker count.
 
 from __future__ import annotations
 
-import bisect
-import itertools
 import math
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import ExitStack
@@ -147,17 +145,9 @@ def _colex_rows(n: int, k: int, start: int, stop: int, rows: int) -> Iterator[np
     """
     # Entries past the range's end are capped at it (and at the int64
     # range): each column stays nondecreasing, and a capped entry exceeds
-    # every rank, so no search lands on one.  Column j sums column j - 1:
-    # C(i, j) is the sum of C(m, j - 1) over m < i, in Python ints, and a
-    # sum over a capped entry reaches the cap too.
+    # every rank, so no search lands on one.
     cap = min(stop, 2**63 - 1)
-    col, cols = [1] * n, []
-    for _ in range(k):
-        col = list(itertools.accumulate(col[:-1], initial=0))
-        capped = bisect.bisect_left(col, cap)
-        col[capped:] = [cap] * (n - capped)
-        cols.append(col)
-    binom = np.array(cols, dtype=np.int64)
+    binom = np.array([[min(math.comb(i, j), cap) for i in range(n)] for j in range(1, k + 1)], dtype=np.int64)
     for first in range(start, stop, rows):
         rank = np.arange(first, min(first + rows, stop), dtype=np.int64)
         block = np.empty((len(rank), k), dtype=np.intp)
@@ -209,18 +199,13 @@ def _through(dist: np.ndarray, sig: np.ndarray, v: np.ndarray) -> np.ndarray:
     d(x, y), ``dist`` the base hop distances.  Subtracting them removes v
     (Puzis, Elovici and Dolev 2007).  Exact as long as the counts are: a
     masked product never exceeds sig[r, x, y], and the mask zeroes the rest.
-    Python-int counts are multiplied over the masked pairs only.
+    The mask selects the first factor, so an unmasked Python-int product
+    is a cheap one by zero.
     """
     s = sig[np.arange(len(v)), v]
     dv = dist[v]
-    on = dist[None] == dv[:, :, None] + dv[:, None, :]
-    if sig.dtype != object:
-        through = s[:, :, None] * s[:, None, :]
-        through *= on
-        return through
-    r, x, y = np.nonzero(on)
-    through = np.zeros(on.shape, dtype=object)
-    through[r, x, y] = s[r, x] * s[r, y]
+    through = np.where(dist[None] == dv[:, :, None] + dv[:, None, :], s[:, :, None], 0)
+    through *= s[:, None, :]
     return through
 
 
@@ -371,7 +356,8 @@ def _scorers(g: Graph, k: int, measure: Measure) -> _Scorers:
         # float64 at 64 rows, up to 34 at one to four (a 6 x 7 torus, a
         # 300-vertex cycle and random graphs, k = 1 to 3), and 60 to 95 on
         # Python ints (3 x 36 to 4 x 80 ladders at k = 1 and 2, counts up to
-        # 4**78); a new process's whole scan peaked at 0.82 of a 280,000-byte
+        # 4**78; 80 on rows whose first member's mask keeps half the vertex
+        # pairs); a new process's whole scan peaked at 0.82 of a 280,000-byte
         # limit (the torus at k = 3).  Per parent from k = 3, the updated counts and PB
         # and their scratch: a screen batch peaked at under 0.61 of this at
         # k = 2 to 4 (49 and 66 bytes per vertex pair for the update), on a

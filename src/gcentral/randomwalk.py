@@ -197,19 +197,20 @@ def stationary(g: Graph) -> np.ndarray:
     return wdeg / wdeg.sum()
 
 
-def _fundamental_system(g: Graph, pair_bytes: int, slot_bytes: int) -> np.ndarray:
-    """``I - P + Pinf``, built in place on the transition matrix: negated,
-    plus ``pi`` in every row, plus 1 on the diagonal.  P's diagonal is zero,
-    so every entry has the bits of ``eye - P + tile(pi)``.  Raises
-    BudgetExceededError, before allocating, when ``pair_bytes`` per vertex
-    pair and ``slot_bytes`` per CSR slot pass the memory limit."""
+def _fundamental_system(g: Graph, pair_bytes: int, slot_bytes: int) -> tuple[np.ndarray, np.ndarray]:
+    """``I - P + Pinf`` and ``pi``.  The system is built in place on the
+    transition matrix: negated, plus ``pi`` in every row, plus 1 on the
+    diagonal.  P's diagonal is zero, so every entry has the bits of
+    ``eye - P + tile(pi)``.  Raises BudgetExceededError, before allocating,
+    when ``pair_bytes`` per vertex pair and ``slot_bytes`` per CSR slot
+    pass the memory limit."""
     n = g.n
     check_memory(pair_bytes * n * n + slot_bytes * g._indices.size, f"the fundamental matrix of {n} vertices")
-    m = transition_matrix(g)
+    m, pi = transition_matrix(g), stationary(g)
     np.negative(m, out=m)
-    m += stationary(g)
+    m += pi
     m.flat[:: n + 1] += 1.0
-    return m
+    return m, pi
 
 
 def fundamental_matrix(g: Graph) -> np.ndarray:
@@ -223,7 +224,7 @@ def fundamental_matrix(g: Graph) -> np.ndarray:
     BudgetExceededError, before allocating, past the memory limit.
     """
     # Six n x n float64 arrays at the peak (tracemalloc, n = 300 and 1,000).
-    m = _fundamental_system(g, 48, _SLOT_BYTES)
+    m, _ = _fundamental_system(g, 48, _SLOT_BYTES)
     return _lu_solve(m, np.eye(g.n), _FUNDAMENTAL_RESIDUAL, "fundamental matrix", "I - P + Pinf")
 
 
@@ -387,11 +388,11 @@ def _solve_contraction(g: Graph, vs: VertexSet) -> np.ndarray:
     # for the contracted graph, its step table and the solve's vectors;
     # contract's own lists took up to 137 per slot, before either array
     # (tracemalloc, n = 300 and 1,000).
-    m = _fundamental_system(base, 16, 4 * _SLOT_BYTES)
+    m, pi = _fundamental_system(base, 16, 4 * _SLOT_BYTES)
     e = np.zeros(base.n)
     e[v] = 1.0
     z = _lu_solve(m, e, _FUNDAMENTAL_RESIDUAL, "fundamental matrix", "I - P + Pinf")
-    h = (z[v] - z) / stationary(base)[v]
+    h = (z[v] - z) / pi[v]
     h[v] = 0.0
     return h[list(contracted.mapping)]
 

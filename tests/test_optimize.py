@@ -364,40 +364,66 @@ class TestMemoryGuard:
         assert exc.value.subsets is None
 
 
-    def test_random_walk_block_peak_within_its_rows(self, monkeypatch):
-        # The guard's bytes per row are the step between the smallest limits
-        # that allow two and three rows; a full block must peak below its
-        # rows' share.
+    @staticmethod
+    def rows_at(monkeypatch, g, k, measure, limit):
         from gcentral.optimize import _scorers
 
-        def rows_at(g, k, limit):
-            monkeypatch.setattr(errors, "MEMORY_LIMIT", limit)
-            try:
-                return _scorers(g, k, Measure.RANDOMWALK).rows
-            except BudgetExceededError:
-                return 0
+        monkeypatch.setattr(errors, "MEMORY_LIMIT", limit)
+        try:
+            return _scorers(g, k, measure).rows
+        except BudgetExceededError:
+            return 0
 
-        def smallest_limit(g, k, rows):
-            low, high = 0, 1 << 30
-            while high - low > 1:
-                mid = (low + high) // 2
-                low, high = (low, mid) if rows_at(g, k, mid) >= rows else (mid, high)
-            return high
+    def smallest_limit(self, monkeypatch, g, k, measure, rows):
+        low, high = 0, 1 << 30
+        while high - low > 1:
+            mid = (low + high) // 2
+            low, high = (low, mid) if self.rows_at(monkeypatch, g, k, measure, mid) >= rows else (mid, high)
+        return high
 
+    def block_peak(self, monkeypatch, g, k, measure, block):
+        # The guard's bytes per row are the step between the smallest limits
+        # that allow two and three rows; returns the block's tracemalloc
+        # peak over its rows' share.
+        from gcentral.optimize import _scorers
+
+        row_bytes = self.smallest_limit(monkeypatch, g, k, measure, 3) - self.smallest_limit(monkeypatch, g, k, measure, 2)
+        assert self.rows_at(monkeypatch, g, k, measure, 1 << 30) >= len(block)
+        score = _scorers(g, k, measure).block
+        tracemalloc.start()
+        try:
+            score(block)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        return peak / (len(block) * row_bytes)
+
+    def test_random_walk_block_peak_within_its_rows(self, monkeypatch):
+        # A full block must peak below its rows' share.
         rng = np.random.Generator(np.random.PCG64(89))
         for g in (torus_graph(6, 7), random_connected_graph(rng, 60, extra_edge_prob=0.05, weighted=True)):
-            row_bytes = smallest_limit(g, 2, 3) - smallest_limit(g, 2, 2)
-            rows = rows_at(g, 2, 1 << 30)
-            assert rows == 512
-            block = np.array(list(itertools.islice(colex_subsets(g.n, 2), rows)), dtype=np.intp)
-            score = _scorers(g, 2, Measure.RANDOMWALK).block
-            tracemalloc.start()
-            try:
-                score(block)
-                _, peak = tracemalloc.get_traced_memory()
-            finally:
-                tracemalloc.stop()
-            assert peak < rows * row_bytes, (g.n, peak / (rows * row_bytes))
+            assert self.rows_at(monkeypatch, g, 2, Measure.RANDOMWALK, 1 << 30) == 512
+            block = np.array(list(itertools.islice(colex_subsets(g.n, 2), 512)), dtype=np.intp)
+            share = self.block_peak(monkeypatch, g, 2, Measure.RANDOMWALK, block)
+            assert share < 1, (g.n, share)
+
+    def test_big_integer_betweenness_block_peak_within_its_rows(self, monkeypatch):
+        # Python-int counts on the 3 x 36 ladder at k = 2, pairs from its
+        # middle layers: about half of all vertex pairs have a geodesic
+        # through the first member, so the masked products are dense.  The
+        # base counts are computed once for the limit search.
+        from gcentral import optimize
+
+        g = layered_bipartite(3, 36)
+        base = optimize._base_counts(g)
+        assert base[1].dtype == object
+        monkeypatch.setattr(optimize, "_base_counts", lambda _: base)
+        dist = base[0]
+        block = np.array(list(itertools.combinations(range(48, 60), 2))[:8], dtype=np.intp)
+        v = block[:, 0]
+        assert np.mean(dist[None] == dist[v][:, :, None] + dist[v][:, None, :]) > 0.45
+        share = self.block_peak(monkeypatch, g, 2, Measure.BETWEENNESS, block)
+        assert share < 1, share
 
     def test_scan_holds_only_what_the_window_keeps(self, monkeypatch):
         # Betweenness on the 6 x 7 torus at k = 3 under this limit scores
