@@ -1,9 +1,21 @@
 """Command-line front end.
 
-Subcommands: ``centrality``, ``optimum``, ``hitting``, ``sample``,
-``family``, ``ingest``.  Exit codes: 0 success, 2 input error, 3 budget
-exceeded, 4 numerical failure.  Every emitted result embeds a run manifest
-(command, input digest, seeds, tolerances, version, wall time).
+Subcommands, and the options beside their own that each takes:
+
+- ``centrality`` and ``optimum`` read a graph and take ``--format`` and
+  ``-o``; ``optimum`` also takes ``--workers``, ``--budget`` and
+  ``--tolerance``;
+- ``hitting`` reads a graph and takes ``--seed`` and ``-o``;
+- ``sample`` reads a graph and takes ``--seed``;
+- ``family`` and ``ingest`` take ``-o``.
+
+A graph is the positional edge-list file with ``--labels`` and
+``--weighted``; ``centrality``, ``optimum`` and ``hitting`` refuse a
+disconnected one.  Any other option is a usage error.  Exit codes: 0
+success, 2 input or usage error, 3 budget exceeded, 4 numerical failure.
+Every emitted result embeds a run manifest (command, input digest, seed,
+tolerances, version, wall time); commands without ``--tolerance`` record
+the default float tie tolerance.
 """
 
 from __future__ import annotations
@@ -14,7 +26,6 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass
 from pathlib import Path
 
 from . import __version__
@@ -59,44 +70,20 @@ MEASURE_COLUMN = {
 }
 
 
-@dataclass
-class RunManifest:
-    """Provenance block embedded in every emitted result."""
-
-    command: str
-    input_digest: str | None
-    seed: int | None
-    tolerances: dict
-    version: str
-    wall_time_s: float
-
-    def to_dict(self) -> dict:
-        return {
-            "command": self.command,
-            "input_digest": self.input_digest,
-            "seed": self.seed,
-            "tolerances": self.tolerances,
-            "version": self.version,
-            "wall_time_s": round(self.wall_time_s, 6),
-        }
-
-
 def _digest(path: Path) -> str:
     return "sha256:" + hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-def _load_graph(args) -> tuple[Graph, Path]:
+def _load_graph(args, connected: bool = True) -> tuple[Graph, Path]:
+    """The graph of ``args.graph`` (with ``--labels`` and ``--weighted``);
+    InputError if ``connected`` and it is not."""
     path = Path(args.graph)
     if not path.exists():
         raise InputError(f"graph file not found: {path}")
-    labels = None
-    if getattr(args, "labels", None):
-        labels = parse_label_file(Path(args.labels).read_text(encoding="utf-8"))
-    g = load_edge_list(
-        path.read_text(encoding="utf-8"),
-        weighted=getattr(args, "weighted", False),
-        labels=labels,
-    )
+    labels = parse_label_file(Path(args.labels).read_text(encoding="utf-8")) if args.labels else None
+    g = load_edge_list(path.read_text(encoding="utf-8"), weighted=args.weighted, labels=labels)
+    if connected and not is_connected(g):
+        raise InputError(f"graph is disconnected; {args.subcommand} needs a connected graph")
     return g, path
 
 
@@ -139,15 +126,23 @@ def _score_dict(score: Score) -> dict:
     return d
 
 
-def _manifest(args, start: float, path: Path | None, seed: int | None = None) -> RunManifest:
-    return RunManifest(
-        command=" ".join(args.argv),
-        input_digest=_digest(path) if path is not None else None,
-        seed=seed,
-        tolerances={"float_tie_rel": args.tolerance},
-        version=__version__,
-        wall_time_s=time.perf_counter() - start,
-    )
+def _manifest(
+    args, start: float, path: Path | None, seed: int | None = None, tie_rel: float = FLOAT_TIE_REL
+) -> dict:
+    """The run manifest embedded in every emitted result."""
+    return {
+        "command": " ".join(args.argv),
+        "input_digest": _digest(path) if path is not None else None,
+        "seed": seed,
+        "tolerances": {"float_tie_rel": tie_rel},
+        "version": __version__,
+        "wall_time_s": round(time.perf_counter() - start, 6),
+    }
+
+
+def _manifest_line(manifest: dict) -> str:
+    """The manifest as the first, comment line of a text output."""
+    return f"# manifest: {json.dumps(manifest, sort_keys=True)}"
 
 
 def _set_label_list(g: Graph, members) -> list[str] | None:
@@ -157,8 +152,6 @@ def _set_label_list(g: Graph, members) -> list[str] | None:
 def cmd_centrality(args) -> int:
     start = time.perf_counter()
     g, path = _load_graph(args)
-    if not is_connected(g):
-        raise InputError("graph is disconnected; group measures need a connected graph")
     members = _parse_set(g, args.set)
     measures = _parse_measures(args.measures)
     scores = {m: evaluate(g, members, m) for m in measures}
@@ -169,12 +162,11 @@ def cmd_centrality(args) -> int:
             "set": list(members),
             "set_labels": _set_label_list(g, members),
             "scores": {MEASURE_COLUMN[m]: _score_dict(s) for m, s in scores.items()},
-            "manifest": manifest.to_dict(),
+            "manifest": manifest,
         }
         _emit(json.dumps(payload, sort_keys=True, indent=2) + "\n", args.out)
     else:
-        lines = [f"# manifest: {json.dumps(manifest.to_dict(), sort_keys=True)}"]
-        lines.append("measure\tvalue\texact")
+        lines = [_manifest_line(manifest), "measure\tvalue\texact"]
         for m, s in scores.items():
             exact = f"{s.exact_num}/{s.exact_den}" if s.exact is not None else "-"
             lines.append(f"{MEASURE_COLUMN[m]}\t{s.value:.6f}\t{exact}")
@@ -193,10 +185,8 @@ def _format_cell(result, g: Graph, use_labels: bool) -> str:
     return ", ".join(parts)
 
 
-def render_report_tsv(
-    report: CrossMeasureReport, g: Graph, manifest: RunManifest, use_labels: bool
-) -> str:
-    lines = [f"# manifest: {json.dumps(manifest.to_dict(), sort_keys=True)}"]
+def render_report_tsv(report: CrossMeasureReport, g: Graph, manifest: dict, use_labels: bool) -> str:
+    lines = [_manifest_line(manifest)]
     lines.append("k\t" + "\t".join(MEASURE_COLUMN[m] for m in report.measures))
     for k in range(1, report.k_max + 1):
         cells = [_format_cell(report.cells[(k, m)], g, use_labels) for m in report.measures]
@@ -215,15 +205,14 @@ def render_report_tsv(
 
 def cmd_optimum(args) -> int:
     start = time.perf_counter()
+    check_tie_rel(args.tolerance)
     g, path = _load_graph(args)
-    if not is_connected(g):
-        raise InputError("graph is disconnected; optimumset needs a connected graph")
     measures = _parse_measures(args.measures)
     report = cross_measure_report(g, args.k, budget=args.budget, workers=args.workers,
                                   measures=measures, tie_rel=args.tolerance)
-    manifest = _manifest(args, start, path)
+    manifest = _manifest(args, start, path, tie_rel=args.tolerance)
     if args.format == "json":
-        payload = {"kind": "optimum-report", "manifest": manifest.to_dict()}
+        payload = {"kind": "optimum-report", "manifest": manifest}
         payload.update(report.to_json_dict())
         _emit(json.dumps(payload, sort_keys=True, indent=2) + "\n", args.out)
     else:
@@ -231,29 +220,26 @@ def cmd_optimum(args) -> int:
     return 0
 
 
+#: ``hitting --route`` values of the analytic routes; the other is ``montecarlo``.
+ANALYTIC_ROUTES = {"absorbing": ROUTE_ABSORBING, "contraction": ROUTE_CONTRACTION}
+
+
 def cmd_hitting(args) -> int:
     start = time.perf_counter()
     g, path = _load_graph(args)
-    if not is_connected(g):
-        raise InputError("graph is disconnected; hitting times need a connected graph")
     members = _parse_set(g, args.set)
-    if args.route == "absorbing":
-        solution = hitting_time_set(g, members, route=ROUTE_ABSORBING)
-    elif args.route == "contraction":
-        solution = hitting_time_set(g, members, route=ROUTE_CONTRACTION)
-    else:
+    seed = None
+    if args.route == "montecarlo":
+        seed = args.seed
         solution = monte_carlo_hitting(
-            g,
-            members,
-            walks_per_source=args.walks,
-            max_steps=args.max_steps,
-            seed=args.seed,
+            g, members, walks_per_source=args.walks, max_steps=args.max_steps, seed=seed
         )
-    manifest = _manifest(args, start, path, seed=args.seed if args.route == "montecarlo" else None)
+    else:
+        solution = hitting_time_set(g, members, route=ANALYTIC_ROUTES[args.route])
     payload = {
         "kind": "hitting",
         "solution": solution.to_json_dict(),
-        "manifest": manifest.to_dict(),
+        "manifest": _manifest(args, start, path, seed=seed),
     }
     _emit(json.dumps(payload, sort_keys=True, indent=2) + "\n", args.out)
     return 0
@@ -261,7 +247,7 @@ def cmd_hitting(args) -> int:
 
 def cmd_sample(args) -> int:
     start = time.perf_counter()
-    g, path = _load_graph(args)
+    g, path = _load_graph(args, connected=False)
     cfg = SampleConfig(
         target_nodes=args.nodes,
         restart_probability=args.restart,
@@ -272,9 +258,8 @@ def cmd_sample(args) -> int:
     prefix = Path(args.out_prefix)
     edge_path = prefix.with_suffix(".edges")
     map_path = prefix.with_suffix(".map")
-    manifest = _manifest(args, start, path, seed=args.seed)
-    header = f"# manifest: {json.dumps(manifest.to_dict(), sort_keys=True)}\n"
-    edge_path.write_text(header + format_edge_list(result.graph), encoding="utf-8")
+    header = _manifest_line(_manifest(args, start, path, seed=args.seed))
+    edge_path.write_text(header + "\n" + format_edge_list(result.graph), encoding="utf-8")
     map_path.write_text("\n".join(result.mapping_lines(g)) + "\n", encoding="utf-8")
     sys.stderr.write(
         f"sampled {result.graph.n} vertices / {result.graph.m} edges "
@@ -286,9 +271,8 @@ def cmd_sample(args) -> int:
 def cmd_family(args) -> int:
     start = time.perf_counter()
     fam = generate_family(FamilyParams(n=args.n, m=args.m))
-    manifest = _manifest(args, start, None)
     lines = [
-        f"# manifest: {json.dumps(manifest.to_dict(), sort_keys=True)}",
+        _manifest_line(_manifest(args, start, None)),
         f"# separating family: n={args.n} (gadget size), m={args.m} (gadgets per kind)",
         f"# hub {fam.hub}",
         "# clique_attach " + " ".join(str(v) for v in fam.clique_attach),
@@ -339,9 +323,8 @@ def cmd_ingest(args) -> int:
     if not path.exists():
         raise InputError(f"triples file not found: {path}")
     lines, stats = ingest_triples(path.read_text(encoding="utf-8"), args.predicate)
-    manifest = _manifest(args, start, path)
-    header = f"# manifest: {json.dumps(manifest.to_dict(), sort_keys=True)}\n"
-    _emit(header + "\n".join(lines) + ("\n" if lines else ""), args.out)
+    header = _manifest_line(_manifest(args, start, path))
+    _emit(header + "\n" + "\n".join(lines) + ("\n" if lines else ""), args.out)
     sys.stderr.write(
         f"kept {len(lines)} edges from {stats['matched']} matching triples "
         f"(dropped {stats['self_loops']} self-loops, {stats['duplicates']} duplicates, "
@@ -351,25 +334,16 @@ def cmd_ingest(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
-        "--workers",
-        type=int,
-        default=os.cpu_count() or 1,
-        help="worker processes (default: available parallelism)",
-    )
-    common.add_argument("--seed", type=int, default=0, help="random seed")
-    common.add_argument(
-        "--budget", type=int, default=DEFAULT_BUDGET, help="max subsets to enumerate"
-    )
-    common.add_argument("--format", choices=("tsv", "json"), default="tsv")
-    common.add_argument(
-        "--tolerance",
-        type=float,
-        default=FLOAT_TIE_REL,
-        help="relative tie tolerance for betweenness/random-walk scores in this run",
-    )
-    common.add_argument("-o", "--out", default=None, help="output file (default stdout)")
+    graph = argparse.ArgumentParser(add_help=False)
+    graph.add_argument("graph", help="edge list file")
+    graph.add_argument("--labels", default=None, help="index<TAB>label file")
+    graph.add_argument("--weighted", action="store_true", help="edge list has weights")
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("-o", "--out", default=None, help="output file (default stdout)")
+    fmt = argparse.ArgumentParser(add_help=False)
+    fmt.add_argument("--format", choices=("tsv", "json"), default="tsv")
+    seed = argparse.ArgumentParser(add_help=False)
+    seed.add_argument("--seed", type=int, default=0, help="random seed")
 
     parser = argparse.ArgumentParser(
         prog="gcentral",
@@ -378,50 +352,50 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    p = sub.add_parser("centrality", parents=[common], help="score one vertex set")
-    p.add_argument("graph")
+    p = sub.add_parser("centrality", parents=[graph, fmt, out], help="score one vertex set")
     p.add_argument("--set", required=True, help="comma-separated vertex ids or labels")
-    p.add_argument("--labels", default=None, help="index<TAB>label file")
-    p.add_argument("--weighted", action="store_true", help="edge list has weights")
     p.add_argument("--measures", default="all")
     p.set_defaults(func=cmd_centrality)
 
-    p = sub.add_parser("optimum", parents=[common], help="optimal sets for k = 1..K")
-    p.add_argument("graph")
+    p = sub.add_parser("optimum", parents=[graph, fmt, out], help="optimal sets for k = 1..K")
     p.add_argument("--k", type=int, required=True, help="largest set size to enumerate")
-    p.add_argument("--labels", default=None)
-    p.add_argument("--weighted", action="store_true")
     p.add_argument("--measures", default="all")
     p.add_argument("--use-labels", action="store_true", help="print labels instead of ids")
+    p.add_argument(
+        "--workers",
+        type=int,
+        default=os.cpu_count() or 1,
+        help="worker processes (default: available parallelism)",
+    )
+    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET, help="max subsets to enumerate")
+    p.add_argument(
+        "--tolerance",
+        type=float,
+        default=FLOAT_TIE_REL,
+        help="relative tie tolerance for betweenness/random-walk scores in this run",
+    )
     p.set_defaults(func=cmd_optimum)
 
-    p = sub.add_parser("hitting", parents=[common], help="hitting times to a vertex set")
-    p.add_argument("graph")
+    p = sub.add_parser("hitting", parents=[graph, seed, out], help="hitting times to a vertex set")
     p.add_argument("--set", required=True)
-    p.add_argument("--labels", default=None)
-    p.add_argument("--weighted", action="store_true")
-    p.add_argument("--route", choices=("absorbing", "contraction", "montecarlo"),
-                   default="absorbing")
+    p.add_argument("--route", choices=(*ANALYTIC_ROUTES, "montecarlo"), default="absorbing")
     p.add_argument("--walks", type=int, default=10_000, help="Monte-Carlo walks per source")
     p.add_argument("--max-steps", type=int, default=None, help="walk step cap (default 100 n^2)")
     p.set_defaults(func=cmd_hitting)
 
-    p = sub.add_parser("sample", parents=[common], help="random-walk sample of a larger graph")
-    p.add_argument("graph")
-    p.add_argument("--labels", default=None)
-    p.add_argument("--weighted", action="store_true")
+    p = sub.add_parser("sample", parents=[graph, seed], help="random-walk sample of a larger graph")
     p.add_argument("--nodes", type=int, default=40, help="distinct vertices to visit")
     p.add_argument("--restart", type=float, default=DEFAULT_RESTART)
     p.add_argument("--step-budget", type=int, default=DEFAULT_STEP_BUDGET)
     p.add_argument("--out-prefix", required=True, help="writes PREFIX.edges and PREFIX.map")
     p.set_defaults(func=cmd_sample)
 
-    p = sub.add_parser("family", parents=[common], help="generate the clique/star family")
+    p = sub.add_parser("family", parents=[out], help="generate the clique/star family")
     p.add_argument("--n", type=int, required=True, help="gadget size")
     p.add_argument("--m", type=int, required=True, help="gadgets per kind")
     p.set_defaults(func=cmd_family)
 
-    p = sub.add_parser("ingest", parents=[common], help="triples file to edge list")
+    p = sub.add_parser("ingest", parents=[out], help="triples file to edge list")
     p.add_argument("triples")
     p.add_argument("--predicate", required=True, help="keep triples with this predicate")
     p.set_defaults(func=cmd_ingest)
@@ -434,7 +408,6 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     args.argv = ["gcentral"] + argv
     try:
-        check_tie_rel(args.tolerance)
         return args.func(args)
     except (BudgetExceededError, SamplingBudgetError) as exc:
         sys.stderr.write(f"error: {exc}\n")

@@ -60,7 +60,7 @@ from scipy.sparse.csgraph import shortest_path
 from .errors import BudgetExceededError, InputError, NumericalError, check_memory
 from .graph import Graph, VertexSet, geodesic_counts, is_connected
 from .measures import Measure, Score, betweenness_score
-from .randomwalk import absorbing_times, transition_matrix
+from .randomwalk import absorbing_times, escape_system, transition_matrix
 
 __all__ = [
     "OptimumResult",
@@ -412,12 +412,9 @@ def _scorers(g: Graph, k: int, measure: Measure) -> _Scorers:
 
     if measure is Measure.RANDOMWALK:
         p = transition_matrix(g)
-        idx, idx_t = np.arange(c), np.arange(width)
 
         def score(subsets: np.ndarray) -> np.ndarray:
-            comp = _complements_of(n, subsets)
-            a = -p[comp[:, :, None], comp[:, None, :]]
-            a[:, idx, idx] += 1.0
+            a = escape_system(p, _complements_of(n, subsets))
             return np.array([math.fsum(row) / c for row in absorbing_times(a)])
 
         def screen(parents: np.ndarray, owner: np.ndarray, ext: np.ndarray) -> np.ndarray:
@@ -427,11 +424,8 @@ def _scorers(g: Graph, k: int, measure: Measure) -> _Scorers:
             # is never singular: by Jacobi's complementary-minor identity its
             # determinant is det((I - Q) off T) / det(I - Q), a ratio of
             # principal minors of the M-matrix I - Q, so positive.
-            comp = _complements_of(n, parents)
-            m = -p[comp[:, :, None], comp[:, None, :]]
-            m[:, idx_t, idx_t] += 1.0
             try:
-                inv = np.linalg.inv(m)
+                inv = np.linalg.inv(escape_system(p, _complements_of(n, parents)))
             except np.linalg.LinAlgError as exc:
                 raise NumericalError(f"random-walk search inverse failed: {exc}") from exc
             rows, cols = inv.sum(axis=2), inv.sum(axis=1)
@@ -719,14 +713,16 @@ def optimumset(
     budget : int
         Refuse to run when C(n, k) exceeds this subset count.
     workers : int
-        Partition the search across this many processes.  Results are
-        byte-identical for any value.
+        Partition the search across this many processes, at least 1.
+        Results are byte-identical for any value.
     pool : ProcessPoolExecutor, optional
         Reuse an existing pool (its size then caps effective parallelism).
     tie_rel : float
         Relative tolerance within which betweenness and random-walk scores
         tie; in (0, 1).
     """
+    if workers < 1:
+        raise InputError(f"workers must be at least 1; got {workers}")
     if not is_connected(g):
         raise InputError("optimumset requires a connected graph")
     total = _check_enumeration_args(g, k, budget)

@@ -359,6 +359,16 @@ def _lu_solve(a: np.ndarray, b: np.ndarray, limit: float, what: str, system: str
     return x.reshape(*a.shape[:-2], *b.shape)
 
 
+def escape_system(p: np.ndarray, comp: np.ndarray) -> np.ndarray:
+    """I - Q for the transition matrix ``p`` restricted to a target set's
+    complement ``comp``: one (c,) index array or an (N, c) stack of them,
+    giving one (c, c) matrix or an (N, c, c) stack."""
+    a = -p[comp[..., :, None], comp[..., None, :]]
+    diag = np.arange(comp.shape[-1])
+    a[..., diag, diag] += 1.0
+    return a
+
+
 def absorbing_times(a: np.ndarray) -> np.ndarray:
     """Expected steps to absorption, ``(I - Q)^-1 1``, for ``a = I - Q`` on a
     target set's complement: one (c, c) matrix or an (N, c, c) stack.  I - Q
@@ -367,15 +377,14 @@ def absorbing_times(a: np.ndarray) -> np.ndarray:
 
 
 def _solve_absorbing(g: Graph, vs: VertexSet) -> np.ndarray:
-    comp = vs.complement(g.n)
+    comp = np.array(vs.complement(g.n), dtype=np.intp)
     # The transition matrix, then three c x c arrays: Q, I - Q and its LU factors.
     check_memory(
         8 * g.n * g.n + _SLOT_BYTES * g._indices.size + 24 * len(comp) ** 2,
         f"the absorbing solve on {g.n} vertices",
     )
-    p = transition_matrix(g)
     full = np.zeros(g.n)
-    full[list(comp)] = absorbing_times(np.eye(len(comp)) - p[np.ix_(comp, comp)])
+    full[comp] = absorbing_times(escape_system(transition_matrix(g), comp))
     return full
 
 
@@ -456,6 +465,8 @@ def monte_carlo_hitting(
     vs.check_proper(g)
     if walks_per_source < 1:
         raise InputError("walks_per_source must be at least 1")
+    if max_steps is not None and max_steps < 1:
+        raise InputError("max_steps must be at least 1")
     if max_steps is None:
         max_steps = 100 * g.n * g.n
     n = g.n

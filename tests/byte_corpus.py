@@ -1,12 +1,15 @@
-"""Write the byte corpus: ``optimum --format json`` on a fixed set of
-graphs, for ``--workers`` 1 and 2, ``centrality --measures all`` on the same
-graphs, and ``hitting`` by every route on most of them, one file per run.
+"""Write the byte corpus: every ``gcentral`` subcommand's output on a fixed
+set of inputs, one file per run.
 
     PYTHONPATH=src python3 tests/byte_corpus.py OUT_DIR
 
-Each file is the report less the manifest's ``wall_time_s`` and
-``command``, so two checkouts' corpora compare with ``diff -r``.  The
-search corpus: both fixtures with ``labels.tsv`` at k = 4; the 6 x 7 torus
+Each file is the output less the manifest's ``wall_time_s`` and
+``command``, so two checkouts' corpora compare with ``diff -r``.  JSON
+reports are written as ``.json`` without those two keys; text outputs keep
+every byte but those two values in the ``# manifest:`` line, written as
+``null``.  The search corpus, by ``optimum --format json``
+for ``--workers`` 1 and 2 and in TSV for ``--workers`` 1: both fixtures with
+``labels.tsv`` at k = 4 (in TSV also with ``--use-labels``); the 6 x 7 torus
 at k = 3 for every measure and at k = 4 for random walk; eight seeded
 random connected graphs of 8 to 15 vertices at k = 3, the odd ones
 weighted; the 8-wide, 20-layer complete-bipartite ladder at k = 1, and
@@ -17,12 +20,16 @@ counts past 2**53.  Searches at one k that
 cycle at k = 69 for degree and closeness, whose colex enumeration reads
 binomials past the int64 range.  The centrality corpus scores each search
 graph at {0}, at {0, n - 1} and at the first optimal set its report lists
-at its largest k.  The hitting corpus, by seeded Monte Carlo: both
-fixtures at the default 10,000 walks per source, the torus, the eight
-random graphs, a 3,001-vertex star whose hub row spans many guide cells,
-and a 1,000-vertex random tree plus 500 edges; and by the absorbing and
-contraction routes at each of these but the star.  Pytest does not
-collect this file.
+at its largest k, in JSON and in TSV.  The hitting corpus, by seeded Monte
+Carlo: both fixtures at the default 10,000 walks per source, the torus,
+the eight random graphs, a 3,001-vertex star whose hub row spans many
+guide cells, and a 1,000-vertex random tree plus 500 edges; and by the
+absorbing and contraction routes at each of these but the star.  The
+sample corpus writes ``sample``'s ``.edges`` and ``.map`` files for both
+labelled fixtures, the torus, a weighted random graph and the 1,000-vertex
+graph; the family corpus three clique/star families; the ingest corpus a
+seeded triples file filtered by two predicates and by one it lacks.
+Pytest does not collect this file.
 """
 
 from __future__ import annotations
@@ -31,6 +38,7 @@ import contextlib
 import io
 import itertools
 import json
+import re
 import sys
 import tempfile
 from importlib import resources
@@ -166,34 +174,110 @@ def walk_cases(work: Path) -> list[tuple[str, list[str]]]:
     return out
 
 
-def _run(argv: list[str], name: str) -> dict:
-    buf = io.StringIO()
-    with contextlib.redirect_stdout(buf):
+def sample_cases(work: Path) -> list[tuple[str, list[str]]]:
+    """(name, sample arguments without --out-prefix) for every ``sample`` entry."""
+    fixtures = resources.files("gcentral").joinpath("fixtures")
+    labels = str(fixtures.joinpath("labels.tsv"))
+    out = [
+        (f"sample-{name}", [str(fixtures.joinpath(f"{name}.edges")), "--labels", labels, "--nodes", "10", "--seed", "3"])
+        for name in ("novice", "expert")
+    ]
+    torus = work / "torus.edges"
+    torus.write_text(_torus(6, 7))
+    out.append(("sample-torus", [str(torus), "--nodes", "20", "--seed", "5", "--restart", "0.3"]))
+    text, _ = _random_graph(1)
+    path = work / "random1.edges"
+    path.write_text(text)
+    out.append(("sample-random1", [str(path), "--weighted", "--nodes", "6", "--seed", "9"]))
+    sparse = work / "sparse.edges"
+    sparse.write_text(_sparse(1000, 2016))
+    out.append(("sample-sparse-1000", [str(sparse), "--nodes", "40", "--seed", "11"]))
+    return out
+
+
+def _triples() -> str:
+    """Seeded subject-predicate-object lines over two predicates, with both
+    orders of some pairs, self-loops, a comment and trailing dots."""
+    rng = np.random.Generator(np.random.PCG64(5))
+    lines = ["# seeded triples", ""]
+    for _ in range(200):
+        s, o = rng.integers(30, size=2)
+        dot = " ." if rng.random() < 0.5 else ""
+        lines.append(f"w{s} {('related', 'isa')[rng.integers(2)]} w{o}{dot}")
+    return "\n".join(lines) + "\n"
+
+
+# The manifest line's command (a JSON string) and wall time (a number).
+_VARYING = re.compile(r'"(command|wall_time_s)": ("(?:[^"\\]|\\.)*"|[^,}]+)')
+
+
+def _mask(text: str) -> str:
+    """``text`` with its manifest line's wall time and command nulled in
+    place, every other byte kept."""
+    lines = text.split("\n")
+    for i, line in enumerate(lines):
+        if line.startswith("# manifest: "):
+            lines[i] = _VARYING.sub(r'"\1": null', line)
+    return "\n".join(lines)
+
+
+def _run(argv: list[str], name: str) -> str:
+    """The standard output of one run, which must succeed."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
     if code != 0:
-        raise SystemExit(f"{name} exited {code}")
-    report = json.loads(buf.getvalue())
+        raise SystemExit(f"{name} exited {code}: {err.getvalue()}")
+    return out.getvalue()
+
+
+def _report(argv: list[str], name: str) -> dict:
+    report = json.loads(_run(argv, name))
     del report["manifest"]["wall_time_s"], report["manifest"]["command"]
     return report
 
 
 def write_corpus(out_dir: Path) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
+    texts: dict[str, str] = {}
     with tempfile.TemporaryDirectory() as tmp:
-        searches = cases(Path(tmp))
+        work = Path(tmp)
+        searches = cases(work)
         runs = [
             (f"{name}-w{workers}", ["optimum", *graph, *search, "--format", "json", "--workers", workers])
             for (name, graph, search), workers in itertools.product(searches, ("1", "2"))
         ]
-        runs += [(name, ["hitting", *args]) for name, args in walk_cases(Path(tmp))]
-        reports = {name: _run(argv, name) for name, argv in runs}
+        runs += [(name, ["hitting", *args]) for name, args in walk_cases(work)]
+        reports = {name: _report(argv, name) for name, argv in runs}
+        for name, graph, search in searches:
+            variants = [("", [])] + [("-labels", ["--use-labels"])] * ("--labels" in graph)
+            for tag, flag in variants:
+                argv = ["optimum", *graph, *search, *flag, "--workers", "1"]
+                texts[f"{name}{tag}-w1.tsv"] = _run(argv, name)
         scored = [(name, graph, reports[f"{name}-w1"]) for name, graph, _ in searches]
         for name, args in centrality_cases(scored):
-            reports[name] = _run(["centrality", *args, "--format", "json"], name)
+            reports[name] = _report(["centrality", *args, "--format", "json"], name)
+            texts[f"{name}.tsv"] = _run(["centrality", *args], name)
+        for name, args in sample_cases(work):
+            prefix = work / name
+            _run(["sample", *args, "--out-prefix", str(prefix)], name)
+            for suffix in (".edges", ".map"):
+                texts[name + suffix] = prefix.with_suffix(suffix).read_text()
+        for n, m in ((2, 1), (3, 2), (4, 3)):
+            texts[f"family-n{n}-m{m}.txt"] = _run(["family", "--n", str(n), "--m", str(m)], "family")
+        triples = work / "triples.nt"
+        triples.write_text(_triples())
+        for predicate in ("isa", "absent"):
+            texts[f"ingest-{predicate}.txt"] = _run(["ingest", str(triples), "--predicate", predicate], "ingest")
+        edges = work / "ingest.edges"
+        _run(["ingest", str(triples), "--predicate", "related", "-o", str(edges)], "ingest")
+        texts["ingest-related.txt"] = edges.read_text()
     for (name, g, k, measure), workers in itertools.product(search_cases(), (1, 2)):
         reports[f"{name}-w{workers}"] = optimumset(g, k, measure, workers=workers).to_json_dict()
     for name, report in reports.items():
         (out_dir / f"{name}.json").write_text(json.dumps(report, indent=1, sort_keys=True) + "\n")
+    for name, text in texts.items():
+        (out_dir / name).write_text(_mask(text))
 
 
 if __name__ == "__main__":

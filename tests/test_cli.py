@@ -11,7 +11,7 @@ import jsonschema
 import pytest
 
 from gcentral import errors
-from gcentral.cli import ingest_triples, main
+from gcentral.cli import build_parser, ingest_triples, main
 from gcentral.graph import load_edge_list
 
 # `optimum --k 4 --format json` on both fixtures with labels.tsv, as the
@@ -216,7 +216,7 @@ class TestOptimum:
 class TestHitting:
     def test_absorbing_route_values(self, capsys, p2_file, schema):
         code, out, _ = run(
-            capsys, ["hitting", str(p2_file), "--set", "2", "--format", "json"]
+            capsys, ["hitting", str(p2_file), "--set", "2"]
         )
         assert code == 0
         payload = json.loads(out)
@@ -249,6 +249,14 @@ class TestHitting:
         assert sol["rng"] == "numpy.random.PCG64"
         for v, analytic in (("0", 4.0), ("1", 3.0)):
             assert abs(sol["hitting_times"][v] - analytic) <= 4 * sol["stderr"][v]
+
+    @pytest.mark.parametrize(
+        "argv", [["hitting", "--set", "2"], ["centrality", "--set", "1", "--format", "json"]]
+    )
+    def test_json_records_default_tie_tolerance(self, capsys, p2_file, argv):
+        code, out, _ = run(capsys, [argv[0], str(p2_file), *argv[1:]])
+        assert code == 0
+        assert '"float_tie_rel": 1e-09' in out
 
     def test_centrality_json_validates(self, capsys, p2_file, schema):
         code, out, _ = run(
@@ -343,10 +351,73 @@ class TestIngest:
         assert format_edge_list(g, use_labels=True) == body
 
 
+# The six options that some subcommands take, each with a value, and the
+# ones each subcommand takes; it must refuse the rest.
+SHARED_OPTIONS = {
+    "--workers": "2", "--seed": "1", "--budget": "5", "--format": "tsv", "--tolerance": "1e-3", "-o": "x",
+}
+TAKES = {
+    "optimum": {"--workers", "--budget", "--tolerance", "--format", "-o"},
+    "centrality": {"--format", "-o"},
+    "hitting": {"--seed", "-o"},
+    "sample": {"--seed"},
+    "family": {"-o"},
+    "ingest": {"-o"},
+}
+
+
+def _base_argv(command: str, graph: Path, prefix: Path) -> list[str]:
+    return {
+        "optimum": ["optimum", str(graph), "--k", "1"],
+        "centrality": ["centrality", str(graph), "--set", "1"],
+        "hitting": ["hitting", str(graph), "--set", "2"],
+        "sample": ["sample", str(graph), "--out-prefix", str(prefix)],
+        "family": ["family", "--n", "2", "--m", "1"],
+        "ingest": ["ingest", str(graph), "--predicate", "p"],
+    }[command]
+
+
+class TestOptions:
+    @pytest.mark.parametrize("command", TAKES)
+    def test_options_read_are_parsed(self, tmp_path, p2_file, command):
+        argv = _base_argv(command, p2_file, tmp_path / "s")
+        for option in TAKES[command]:
+            argv += [option, SHARED_OPTIONS[option]]
+        args = build_parser().parse_args(argv)
+        assert args.subcommand == command
+
+    @pytest.mark.parametrize(
+        "command, option",
+        [(c, o) for c, takes in TAKES.items() for o in SHARED_OPTIONS if o not in takes],
+    )
+    def test_option_not_read_is_rejected(self, capsys, tmp_path, p2_file, command, option):
+        argv = _base_argv(command, p2_file, tmp_path / "s")
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, option, SHARED_OPTIONS[option]])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert not (tmp_path / "s.edges").exists()
+
+
 class TestExitCodes:
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, ["centrality", "/nonexistent.edges", "--set", "0"])
         assert code == 2
+
+    @pytest.mark.parametrize("steps", ["0", "-5"])
+    def test_nonpositive_max_steps_exit_2(self, capsys, p2_file, steps):
+        code, out, err = run(
+            capsys,
+            ["hitting", str(p2_file), "--set", "2", "--route", "montecarlo", "--max-steps", steps],
+        )
+        assert code == 2
+        assert out == "" and err == "error: max_steps must be at least 1\n"
+
+    @pytest.mark.parametrize("workers", ["0", "-4"])
+    def test_nonpositive_workers_exit_2(self, capsys, p2_file, workers):
+        code, out, err = run(capsys, ["optimum", str(p2_file), "--k", "1", "--workers", workers])
+        assert code == 2
+        assert out == "" and err == f"error: workers must be at least 1; got {workers}\n"
 
     def test_numerical_exit_4_on_truncation(self, capsys, tmp_path):
         path = tmp_path / "p6.edges"

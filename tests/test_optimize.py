@@ -161,6 +161,11 @@ class TestOptimumset:
         with pytest.raises(InputError, match="connected"):
             optimumset(g, 1, Measure.DEGREE)
 
+    @pytest.mark.parametrize("workers", [0, -4])
+    def test_nonpositive_workers_rejected(self, workers):
+        with pytest.raises(InputError, match="workers must be at least 1"):
+            optimumset(Graph(3, [(0, 1), (1, 2)]), 1, Measure.DEGREE, workers=workers)
+
     def test_every_nonoptimal_strictly_worse(self):
         rng = np.random.Generator(np.random.PCG64(97))
         for _ in range(10):

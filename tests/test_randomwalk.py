@@ -559,6 +559,11 @@ class TestMonteCarlo:
         with pytest.raises(TruncationError):
             monte_carlo_hitting(path_graph(6), [5], walks_per_source=500, max_steps=2, seed=5)
 
+    @pytest.mark.parametrize("arg", [{"walks_per_source": 0}, {"max_steps": 0}, {"max_steps": -5}])
+    def test_nonpositive_counts_rejected(self, arg):
+        with pytest.raises(InputError, match="must be at least 1"):
+            monte_carlo_hitting(path_graph(6), [5], seed=5, **arg)
+
     def test_weighted_walk_bias(self):
         # Heavy edge 0-2 should pull the walk toward 2 and shrink the hitting time.
         light = Graph(3, [(0, 1), (0, 2), (1, 2)], [1, 1, 1])
