@@ -5,22 +5,24 @@ Subcommands, and the options beside their own that each takes:
 - ``centrality`` and ``optimum`` read a graph and take ``--format`` and
   ``-o``; ``optimum`` also takes ``--workers``, ``--budget`` and
   ``--tolerance``;
-- ``hitting`` reads a graph and takes ``--seed`` and ``-o``;
+- ``hitting`` reads a graph and takes ``-o``, and with ``--route
+  montecarlo`` also ``--walks``, ``--max-steps`` and ``--seed``;
 - ``sample`` reads a graph and takes ``--seed``;
 - ``family`` and ``ingest`` take ``-o``.
 
 A graph is the positional edge-list file with ``--labels`` and
 ``--weighted``; ``centrality``, ``optimum`` and ``hitting`` refuse a
-disconnected one.  Any other option is a usage error.  Exit codes: 0
-success, 2 input or usage error, 3 budget exceeded, 4 numerical failure.
-Every emitted result embeds a run manifest (command, input digest, seed,
-tolerances, version, wall time); commands without ``--tolerance`` record
-the default float tie tolerance.
+disconnected one.  Any other option, or a prefix of one, is a usage
+error.  Exit codes: 0 success, 2 input or usage error, 3 budget exceeded,
+4 numerical failure.  Every emitted result embeds a run manifest (command,
+input digest, seed, tolerances, version, wall time); commands without
+``--tolerance`` record the default float tie tolerance.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import os
@@ -226,20 +228,20 @@ ANALYTIC_ROUTES = {"absorbing": ROUTE_ABSORBING, "contraction": ROUTE_CONTRACTIO
 
 def cmd_hitting(args) -> int:
     start = time.perf_counter()
+    # The Monte Carlo options given, by monte_carlo_hitting's keywords.
+    walk_options = {k: getattr(args, k) for k in ("walks_per_source", "max_steps", "seed") if k in args}
+    if walk_options and args.route != "montecarlo":
+        raise InputError("--walks, --max-steps and --seed apply only to --route montecarlo")
     g, path = _load_graph(args)
     members = _parse_set(g, args.set)
-    seed = None
     if args.route == "montecarlo":
-        seed = args.seed
-        solution = monte_carlo_hitting(
-            g, members, walks_per_source=args.walks, max_steps=args.max_steps, seed=seed
-        )
+        solution = monte_carlo_hitting(g, members, **walk_options)
     else:
         solution = hitting_time_set(g, members, route=ANALYTIC_ROUTES[args.route])
     payload = {
         "kind": "hitting",
         "solution": solution.to_json_dict(),
-        "manifest": _manifest(args, start, path, seed=seed),
+        "manifest": _manifest(args, start, path, seed=solution.seed),
     }
     _emit(json.dumps(payload, sort_keys=True, indent=2) + "\n", args.out)
     return 0
@@ -342,22 +344,22 @@ def build_parser() -> argparse.ArgumentParser:
     out.add_argument("-o", "--out", default=None, help="output file (default stdout)")
     fmt = argparse.ArgumentParser(add_help=False)
     fmt.add_argument("--format", choices=("tsv", "json"), default="tsv")
-    seed = argparse.ArgumentParser(add_help=False)
-    seed.add_argument("--seed", type=int, default=0, help="random seed")
 
     parser = argparse.ArgumentParser(
         prog="gcentral",
         description="Group centrality, optimal central sets, and random-walk hitting times.",
+        allow_abbrev=False,
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="subcommand", required=True)
+    add = functools.partial(sub.add_parser, allow_abbrev=False)
 
-    p = sub.add_parser("centrality", parents=[graph, fmt, out], help="score one vertex set")
+    p = add("centrality", parents=[graph, fmt, out], help="score one vertex set")
     p.add_argument("--set", required=True, help="comma-separated vertex ids or labels")
     p.add_argument("--measures", default="all")
     p.set_defaults(func=cmd_centrality)
 
-    p = sub.add_parser("optimum", parents=[graph, fmt, out], help="optimal sets for k = 1..K")
+    p = add("optimum", parents=[graph, fmt, out], help="optimal sets for k = 1..K")
     p.add_argument("--k", type=int, required=True, help="largest set size to enumerate")
     p.add_argument("--measures", default="all")
     p.add_argument("--use-labels", action="store_true", help="print labels instead of ids")
@@ -376,26 +378,30 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.set_defaults(func=cmd_optimum)
 
-    p = sub.add_parser("hitting", parents=[graph, seed, out], help="hitting times to a vertex set")
+    p = add("hitting", parents=[graph, out], help="hitting times to a vertex set")
     p.add_argument("--set", required=True)
     p.add_argument("--route", choices=(*ANALYTIC_ROUTES, "montecarlo"), default="absorbing")
-    p.add_argument("--walks", type=int, default=10_000, help="Monte-Carlo walks per source")
-    p.add_argument("--max-steps", type=int, default=None, help="walk step cap (default 100 n^2)")
+    walk = p.add_argument_group("Monte Carlo only", argument_default=argparse.SUPPRESS)
+    walk.add_argument("--walks", type=int, dest="walks_per_source", metavar="N",
+                      help="walks per source (default 10000)")
+    walk.add_argument("--max-steps", type=int, help="walk step cap (default 100 n^2)")
+    walk.add_argument("--seed", type=int, help="random seed (default 0)")
     p.set_defaults(func=cmd_hitting)
 
-    p = sub.add_parser("sample", parents=[graph, seed], help="random-walk sample of a larger graph")
+    p = add("sample", parents=[graph], help="random-walk sample of a larger graph")
+    p.add_argument("--seed", type=int, default=0, help="random seed")
     p.add_argument("--nodes", type=int, default=40, help="distinct vertices to visit")
     p.add_argument("--restart", type=float, default=DEFAULT_RESTART)
     p.add_argument("--step-budget", type=int, default=DEFAULT_STEP_BUDGET)
     p.add_argument("--out-prefix", required=True, help="writes PREFIX.edges and PREFIX.map")
     p.set_defaults(func=cmd_sample)
 
-    p = sub.add_parser("family", parents=[out], help="generate the clique/star family")
+    p = add("family", parents=[out], help="generate the clique/star family")
     p.add_argument("--n", type=int, required=True, help="gadget size")
     p.add_argument("--m", type=int, required=True, help="gadgets per kind")
     p.set_defaults(func=cmd_family)
 
-    p = sub.add_parser("ingest", parents=[out], help="triples file to edge list")
+    p = add("ingest", parents=[out], help="triples file to edge list")
     p.add_argument("triples")
     p.add_argument("--predicate", required=True, help="keep triples with this predicate")
     p.set_defaults(func=cmd_ingest)

@@ -2,7 +2,9 @@
 
 A :class:`Graph` is immutable after construction: every operation in this
 package is a pure function of (graph, arguments), so graphs can be shared
-freely across threads and worker processes.
+freely across threads and worker processes.  Its CSR arrays are its only
+edge store: ``edges`` and ``weights``, induced subgraphs and contractions
+(:func:`_renamed_edges`) are read off them.
 
 Every distance and connectivity question is answered by
 :mod:`scipy.sparse.csgraph` on the graph's one CSR matrix: here
@@ -47,27 +49,27 @@ __all__ = [
 
 
 #: Bytes a Graph allocates per vertex and per edge once its edge list is
-#: validated: the CSR arrays and the sort that builds them.  Tracemalloc
-#: peaks were 24 per vertex and at most 88 per edge (paths and random graphs
-#: of 300 to 10**6 vertices).
+#: validated, with room for the sorted slots it still holds.  Tracemalloc
+#: peaks after the check were 24 per vertex and at most 24 per edge (paths
+#: and random graphs of 3 * 10**4 to 10**6 vertices).
 _GRAPH_BYTES = (32, 96)
 
 
 class Graph:
     """Simple undirected graph with strictly positive edge weights.
 
-    Vertex ids are the integers ``0..n-1``.  Edges are stored once as
-    ``(u, v)`` pairs with ``u < v``; neighbor queries are symmetric.
-    Construction validates simplicity (no self-loops, no duplicates) and
-    positive finite weights and weighted degrees, then freezes adjacency in
-    one read-only CSR layout: row pointers ``_indptr``, neighbor ids
-    ``_indices`` (ascending within a row) and per-slot weights ``_slot_w``,
-    with the weighted adjacency matrix ``_csr`` over those arrays.  The
-    matrix is symmetric, so csgraph's default directed traversal of it is
-    the undirected one.
+    Vertex ids are the integers ``0..n-1``.  Construction validates
+    simplicity (no self-loops, no duplicates) and positive finite weights
+    and weighted degrees, then freezes adjacency in one read-only CSR
+    layout, the graph's only edge store: row pointers ``_indptr``, neighbor
+    ids ``_indices`` (ascending within a row) and per-slot weights
+    ``_slot_w``, with the symmetric weighted adjacency matrix ``_csr`` over
+    them, whose directed csgraph traversal is the undirected one.  An edge
+    has a slot in either end's row; ``edges`` (``(u, v)`` with ``u < v``,
+    sorted) and ``weights`` are views of the slots above the diagonal.
     """
 
-    __slots__ = ("n", "edges", "weights", "labels", "_indptr", "_indices", "_slot_w", "_csr", "_hash")
+    __slots__ = ("n", "labels", "_indptr", "_indices", "_slot_w", "_csr")
 
     def __init__(
         self,
@@ -91,15 +93,19 @@ class Graph:
             weight_list = [float(w) for w in weights]
             if len(weight_list) != len(edge_list):
                 raise InputError("weights must parallel edges")
-        order = sorted(range(len(edge_list)), key=lambda i: edge_list[i])
-        edge_list = [edge_list[i] for i in order]
-        weight_list = [weight_list[i] for i in order]
-        for e, after in zip(edge_list, edge_list[1:]):
-            if e == after:
-                raise InputError(f"duplicate edge {e}")
-        for e, w in zip(edge_list, weight_list):
-            if not 0 < w < math.inf:
-                raise InputError(f"non-positive or non-finite weight {w} on edge {e}")
+        # A slot per edge in either end's row, sorted by row, then neighbor: the
+        # first equal pair is the first duplicate edge's, in its smaller end's
+        # row.  Ids past int64 sort as Python ints; the memory check refuses them.
+        ends = np.array(edge_list, dtype=np.intp if n <= 2**63 else object).reshape(-1, 2)
+        rows, cols = ends.T.ravel(), ends[:, ::-1].T.ravel()
+        order = np.lexsort((cols, rows))
+        rows, cols = rows[order], cols[order]
+        same = np.flatnonzero((rows[1:] == rows[:-1]) & (cols[1:] == cols[:-1]))
+        if same.size:
+            raise InputError(f"duplicate edge {edge_list[order[same[0]]]}")
+        bad = min(((e, w) for e, w in zip(edge_list, weight_list) if not 0 < w < math.inf), default=None)
+        if bad:
+            raise InputError(f"non-positive or non-finite weight {bad[1]} on edge {bad[0]}")
         if labels is not None:
             labels = tuple(labels)
             if len(labels) != n:
@@ -107,12 +113,7 @@ class Graph:
 
         per_vertex, per_edge = _GRAPH_BYTES
         check_memory(per_vertex * n + per_edge * len(edge_list), f"a graph of {n} vertices")
-        # Each edge takes one slot in either endpoint's row; sorted by row,
-        # then neighbor, the rows list their neighbors in ascending order.
-        ends = np.array(edge_list, dtype=np.intp).reshape(-1, 2)
-        rows, cols = ends.T.ravel(), ends[:, ::-1].T.ravel()
-        order = np.lexsort((cols, rows))
-        rows, cols, slot_w = rows[order], cols[order], np.tile(weight_list, 2)[order]
+        slot_w = np.tile(weight_list, 2)[order]
         # bincount adds each row's weights in slot order, as a running sum would.
         wdeg = np.bincount(rows, slot_w, minlength=n)
         overflow = np.flatnonzero(~np.isfinite(wdeg))
@@ -123,26 +124,24 @@ class Graph:
         if not math.isfinite(total):
             raise InputError("total weighted degree overflows")
 
-        self.n = n
-        self.edges = tuple(edge_list)
-        self.weights = tuple(weight_list)
-        self.labels = labels
-        self._indptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=n))))
-        self._indices = cols
-        self._slot_w = slot_w
-        self._freeze()
+        indptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=n))))
+        self.__setstate__((n, labels, indptr, cols, slot_w))
 
-    def _freeze(self) -> None:
-        """Make the CSR arrays read-only, build the matrix over them, and hash."""
-        for a in (self._indptr, self._indices, self._slot_w):
-            a.flags.writeable = False
-        csr = (self._slot_w, self._indices, self._indptr)
-        self._csr = scipy.sparse.csr_array(csr, shape=(self.n, self.n))
-        self._hash = hash((self.n, self.edges, self.weights, self.labels))
+    @property
+    def edges(self) -> tuple[tuple[int, int], ...]:
+        rows = np.repeat(np.arange(self.n), np.diff(self._indptr))
+        upper = rows < self._indices
+        return tuple(zip(rows[upper].tolist(), self._indices[upper].tolist()))
+
+    @property
+    def weights(self) -> tuple[float, ...]:
+        """Weights parallel to ``edges``."""
+        rows = np.repeat(np.arange(self.n), np.diff(self._indptr))
+        return tuple(self._slot_w[rows < self._indices].tolist())
 
     @property
     def m(self) -> int:
-        return len(self.edges)
+        return self._indices.size // 2
 
     def neighbors(self, v: int) -> tuple[int, ...]:
         return tuple(self._indices[self._indptr[v] : self._indptr[v + 1]].tolist())
@@ -155,7 +154,7 @@ class Graph:
         return tuple(self._slot_w[self._indptr[v] : self._indptr[v + 1]].tolist())
 
     def is_unweighted(self) -> bool:
-        return all(w == 1.0 for w in self.weights)
+        return bool((self._slot_w == 1.0).all())
 
     def vertices(self) -> range:
         return range(self.n)
@@ -176,33 +175,46 @@ class Graph:
     def relabel(self, labels: Sequence[str]) -> "Graph":
         return Graph(self.n, self.edges, self.weights, labels)
 
+    def _key(self) -> tuple:
+        # Positive finite weights are equal exactly when their bytes are.
+        return (self.n, self.labels, self._indptr.tobytes(), self._indices.tobytes(), self._slot_w.tobytes())
+
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Graph):
             return NotImplemented
-        return (
-            self.n == other.n
-            and self.edges == other.edges
-            and self.weights == other.weights
-            and self.labels == other.labels
-        )
+        return self._key() == other._key()
 
     def __hash__(self) -> int:
-        return self._hash
+        return hash(self._key())
 
     def __repr__(self) -> str:
         kind = "unweighted" if self.is_unweighted() else "weighted"
         return f"Graph(n={self.n}, m={self.m}, {kind})"
 
-    # Pickle support: __slots__ without __dict__ needs explicit state.  The
-    # state was validated where it was pickled, so unpickling skips
-    # validation; the hash is recomputed because str hashes are salted per
-    # process.
+    # Pickle support: __slots__ without __dict__ needs explicit state.
     def __getstate__(self):
-        return (self.n, self.edges, self.weights, self.labels, self._indptr, self._indices, self._slot_w)
+        return (self.n, self.labels, self._indptr, self._indices, self._slot_w)
 
     def __setstate__(self, state):
-        self.n, self.edges, self.weights, self.labels, self._indptr, self._indices, self._slot_w = state
-        self._freeze()
+        """Take state ``__init__`` validated: freeze the CSR arrays, build the matrix over them."""
+        self.n, self.labels, self._indptr, self._indices, self._slot_w = state
+        for a in (self._indptr, self._indices, self._slot_w):
+            a.flags.writeable = False
+        self._csr = scipy.sparse.csr_array((self._slot_w, self._indices, self._indptr), shape=(self.n, self.n))
+
+
+def _renamed_edges(g: Graph, new_id: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Ends ``u < v`` (sorted) and weights of the edges of ``g`` once each
+    vertex ``x`` is renamed ``new_id[x]`` (below ``g.n``; negative drops it).
+    Edges with a dropped end or two ends of one name vanish.  Edges joining
+    one pair merge, their weights added in slot order as a running sum
+    would: ``g.edges`` order where one vertex has the smaller name."""
+    rows = np.repeat(np.arange(g.n), np.diff(g._indptr))
+    u, v = new_id[rows], new_id[g._indices]
+    # One slot per edge: the one in the row of its smaller new end.
+    keep = (0 <= u) & (u < v)
+    pair, slot = np.unique(u[keep] * g.n + v[keep], return_inverse=True)
+    return pair // g.n, pair % g.n, np.bincount(slot, g._slot_w[keep])
 
 
 @dataclass(frozen=True)

@@ -40,7 +40,7 @@ import numpy as np
 from scipy.linalg.lapack import dgetrf, dgetrs
 
 from .errors import InputError, NumericalError, TruncationError, check_memory
-from .graph import Graph, VertexSet, as_vertex_set, multi_source_distances
+from .graph import Graph, VertexSet, _renamed_edges, as_vertex_set, multi_source_distances
 from .measures import Score
 
 __all__ = [
@@ -259,36 +259,22 @@ def contract(g: Graph, s: VertexSet | Iterable[int]) -> ContractedGraph:
     """Merge the set into one vertex, summing crossing edge weights."""
     vs = as_vertex_set(s)
     vs.check_proper(g)
-    inside = set(vs.members)
     comp = vs.complement(g.n)
-    idmap: dict[int, int] = {v: i for i, v in enumerate(comp)}
     merged = len(comp)
-
-    edges: list[tuple[int, int]] = []
-    weights: list[float] = []
-    into_merged: dict[int, float] = {}
-    boundary: set[int] = set()
-    for (u, v), w in zip(g.edges, g.weights):
-        u_in, v_in = u in inside, v in inside
-        if u_in and v_in:
-            continue
-        if not u_in and not v_in:
-            edges.append((idmap[u], idmap[v]))
-            weights.append(w)
-        else:
-            out, bnd = (v, u) if u_in else (u, v)
-            into_merged[idmap[out]] = into_merged.get(idmap[out], 0.0) + w
-            boundary.add(bnd)
-    for cu in sorted(into_merged):
-        edges.append((cu, merged))
-        weights.append(into_merged[cu])
+    new_id = np.full(g.n, merged)
+    new_id[list(comp)] = np.arange(merged)
+    # Edges inside the set vanish; those into it fold onto one edge per
+    # outside vertex, their weights added in edge order.
+    u, v, w = _renamed_edges(g, new_id)
+    # A member is on the boundary if it has a positive weight to the outside.
+    reach = g._csr @ (new_id < merged).astype(float)
+    boundary = [v for v in vs.members if reach[v] > 0]
 
     labels = None
     if g.labels is not None:
         labels = [g.label(v) for v in comp] + [",".join(g.label(v) for v in vs.members)]
-    mapping = tuple(idmap.get(v, merged) for v in range(g.n))
-    base = Graph(merged + 1, edges, weights, labels)
-    return ContractedGraph(base=base, mapping=mapping, merged=merged, boundary=as_vertex_set(boundary))
+    base = Graph(merged + 1, zip(u.tolist(), v.tolist()), w.tolist(), labels)
+    return ContractedGraph(base, tuple(new_id.tolist()), merged, as_vertex_set(boundary))
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError, SamplingBudgetError
-from .graph import Graph, VertexSet
+from .graph import Graph, VertexSet, _renamed_edges
 from .randomwalk import RNG_NAME, _step_table
 
 __all__ = [
@@ -122,15 +122,11 @@ def random_walk_sample(g: Graph, cfg: SampleConfig) -> SampleResult:
 
 def _induced(g: Graph, ids: list[int]) -> tuple[Graph, tuple[int, ...]]:
     """The subgraph of ``g`` induced by the ascending ``ids``, renumbered in their order."""
-    idmap = {v: i for i, v in enumerate(ids)}
-    edges = []
-    weights = []
-    for (u, v), w in zip(g.edges, g.weights):
-        if u in idmap and v in idmap:
-            edges.append((idmap[u], idmap[v]))
-            weights.append(w)
+    new_id = np.full(g.n, -1)
+    new_id[ids] = np.arange(len(ids))
+    u, v, w = _renamed_edges(g, new_id)
     labels = [g.label(v) for v in ids] if g.labels is not None else None
-    return Graph(len(ids), edges, weights, labels), tuple(ids)
+    return Graph(len(ids), zip(u.tolist(), v.tolist()), w.tolist(), labels), tuple(ids)
 
 
 @dataclass(frozen=True)

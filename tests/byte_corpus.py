@@ -22,9 +22,11 @@ binomials past the int64 range.  The centrality corpus scores each search
 graph at {0}, at {0, n - 1} and at the first optimal set its report lists
 at its largest k, in JSON and in TSV.  The hitting corpus, by seeded Monte
 Carlo: both fixtures at the default 10,000 walks per source, the torus,
-the eight random graphs, a 3,001-vertex star whose hub row spans many
-guide cells, and a 1,000-vertex random tree plus 500 edges; and by the
-absorbing and contraction routes at each of these but the star.  The
+the eight random graphs, a weighted random graph with a vertex joined to
+all four members of the set (contraction folds its four crossing weights
+onto one edge), a 3,001-vertex star whose hub row spans many guide cells,
+and a 1,000-vertex random tree plus 500 edges; and by the absorbing and
+contraction routes at each of these but the star.  The
 sample corpus writes ``sample``'s ``.edges`` and ``.map`` files for both
 labelled fixtures, the torus, a weighted random graph and the 1,000-vertex
 graph; the family corpus three clique/star families; the ingest corpus a
@@ -80,6 +82,17 @@ def _ladder(width: int, layers: int) -> str:
         for a in range(width)
         for b in range(width)
     )
+
+
+def _fan(seed: int) -> str:
+    """The weighted random graph of ``_random_graph(seed)`` on n vertices
+    plus vertex n, joined to 0, 1, 2 and 3 by weights whose sum depends on
+    the order of the additions, and to 4.  Contracting {0, 1, 2, 3} folds
+    the four onto one edge, whose weight shows in the walk from n."""
+    text, _ = _random_graph(seed)
+    n = 1 + max(int(t) for line in text.splitlines() for t in line.split()[:2])
+    weights = (0.1, 0.2, 0.3, 0.4, 0.7)
+    return text + "".join(f"{v} {n} {w!r}\n" for v, w in enumerate(weights))
 
 
 def _sparse(n: int, seed: int) -> str:
@@ -159,6 +172,9 @@ def walk_cases(work: Path) -> list[tuple[str, list[str]]]:
         path = work / f"random{seed}.edges"
         path.write_text(text)
         places.append((f"random{seed}", [str(path), "--set", "0,3"], ["--walks", "2000"], ["--weighted"] * weighted))
+    fan = work / "fan.edges"
+    fan.write_text(_fan(3))
+    places.append(("fan", [str(fan), "--set", "0,1,2,3"], ["--walks", "1000"], ["--weighted"]))
     star = work / "star.edges"
     star.write_text("".join(f"0 {v}\n" for v in range(1, 3001)))
     leaves = ",".join(str(v) for v in range(1, 51))

@@ -238,3 +238,48 @@ def naive_optimumset(g: Graph, k: int, measure: Measure):
             if abs(v - best) <= max(1e-9 * max(abs(v), abs(best)), 1e-12)
         ]
     return best, sorted(optima)
+
+
+def contract_oracle(g: Graph, members: tuple[int, ...]) -> tuple[Graph, tuple[int, ...], tuple[int, ...]]:
+    """Contract ``members`` by one loop over the edges: the merged graph (each
+    outside vertex's crossing weights added in edge order by a running sum),
+    the vertex mapping and the members with an outside neighbor."""
+    inside = set(members)
+    comp = [v for v in range(g.n) if v not in inside]
+    idmap = {v: i for i, v in enumerate(comp)}
+    merged = len(comp)
+    edges, weights = [], []
+    into_merged: dict[int, float] = {}
+    boundary = set()
+    for (u, v), w in zip(g.edges, g.weights):
+        u_in, v_in = u in inside, v in inside
+        if u_in and v_in:
+            continue
+        if not u_in and not v_in:
+            edges.append((idmap[u], idmap[v]))
+            weights.append(w)
+        else:
+            out, bnd = (v, u) if u_in else (u, v)
+            into_merged[idmap[out]] = into_merged.get(idmap[out], 0.0) + w
+            boundary.add(bnd)
+    for cu in sorted(into_merged):
+        edges.append((cu, merged))
+        weights.append(into_merged[cu])
+    labels = None
+    if g.labels is not None:
+        labels = [g.label(v) for v in comp] + [",".join(g.label(v) for v in sorted(inside))]
+    mapping = tuple(idmap.get(v, merged) for v in range(g.n))
+    return Graph(merged + 1, edges, weights, labels), mapping, tuple(sorted(boundary))
+
+
+def induced_oracle(g: Graph, ids: list[int]) -> Graph:
+    """The subgraph induced by the ascending ``ids``, renumbered in their
+    order, by one loop over the edges."""
+    idmap = {v: i for i, v in enumerate(ids)}
+    edges, weights = [], []
+    for (u, v), w in zip(g.edges, g.weights):
+        if u in idmap and v in idmap:
+            edges.append((idmap[u], idmap[v]))
+            weights.append(w)
+    labels = [g.label(v) for v in ids] if g.labels is not None else None
+    return Graph(len(ids), edges, weights, labels)

@@ -250,6 +250,29 @@ class TestHitting:
         for v, analytic in (("0", 4.0), ("1", 3.0)):
             assert abs(sol["hitting_times"][v] - analytic) <= 4 * sol["stderr"][v]
 
+    def test_montecarlo_default_seed_is_zero(self, capsys, p2_file):
+        argv = ["hitting", str(p2_file), "--set", "2", "--route", "montecarlo", "--walks", "50"]
+        code, out, _ = run(capsys, argv)
+        code0, out0, _ = run(capsys, [*argv, "--seed", "0"])
+        assert code == code0 == 0
+        payload, payload0 = json.loads(out), json.loads(out0)
+        assert payload["manifest"]["seed"] == payload["solution"]["seed"] == 0
+        assert payload["solution"] == payload0["solution"]
+
+    @pytest.mark.parametrize(
+        "extra",
+        [
+            ["--route", "absorbing", "--walks", "5", "--max-steps", "-3", "--seed", "9"],
+            ["--walks", "5"],
+            ["--route", "contraction", "--max-steps", "10"],
+            ["--route", "contraction", "--seed", "0"],
+        ],
+    )
+    def test_analytic_routes_refuse_walk_options(self, capsys, p2_file, extra):
+        code, out, err = run(capsys, ["hitting", str(p2_file), "--set", "2", *extra])
+        assert code == 2
+        assert out == "" and err == "error: --walks, --max-steps and --seed apply only to --route montecarlo\n"
+
     @pytest.mark.parametrize(
         "argv", [["hitting", "--set", "2"], ["centrality", "--set", "1", "--format", "json"]]
     )
@@ -385,6 +408,23 @@ class TestOptions:
             argv += [option, SHARED_OPTIONS[option]]
         args = build_parser().parse_args(argv)
         assert args.subcommand == command
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sample", "GRAPH", "--nodes", "2", "--out", "PREFIX"],
+            ["optimum", "GRAPH", "--k", "1", "--work", "3"],
+            ["--vers"],
+        ],
+    )
+    def test_abbreviated_option_is_rejected(self, capsys, tmp_path, p2_file, argv):
+        prefix = tmp_path / "x"
+        argv = [{"GRAPH": str(p2_file), "PREFIX": str(prefix)}.get(a, a) for a in argv]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert capsys.readouterr().out == ""
+        assert not prefix.with_suffix(".edges").exists()
 
     @pytest.mark.parametrize(
         "command, option",

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from gcentral.errors import InputError
+from gcentral.errors import BudgetExceededError, InputError
 from gcentral.graph import (
     Graph,
     VertexSet,
@@ -144,6 +144,39 @@ class TestGraphInvariants:
     def test_rejects_non_finite_weight(self):
         with pytest.raises(InputError, match="non-finite"):
             Graph(2, [(0, 1)], [float("inf")])
+
+    @pytest.mark.parametrize(
+        "n, edges, weights, labels, error",
+        [
+            # Two faults at once: the first in the order self-loop or range
+            # (input order), weight count, duplicate, weight value, label
+            # count, memory reports.
+            (3, [(0, 1), (0, 1)], [1.0, -1.0], None, "duplicate edge (0, 1)"),
+            (3, [(0, 1), (1, 0)], [float("nan"), 1.0], None, "duplicate edge (0, 1)"),
+            (3, [(0, 5), (1, 1)], None, None, "edge (0, 5) outside vertex range 0..2"),
+            (3, [(1, 1), (0, 5)], None, None, "self-loop at vertex 1"),
+            (3, [(1, 2), (0, 1), (1, 2)], [1, 2], None, "weights must parallel edges"),
+            (3, [(2, 1), (0, 1)], [0.0, float("inf")], None, "non-positive or non-finite weight inf on edge (0, 1)"),
+            (3, [(2, 1), (0, 1)], [1.0, float("inf")], ["a"], "non-positive or non-finite weight inf on edge (0, 1)"),
+            (3, [(2, 1), (0, 1)], [1.0, 2.0], ["a"], "expected 3 labels, got 1"),
+            (2, [(0, 1), (1, 0)], [1e308, 1e308], None, "duplicate edge (0, 1)"),
+            (3, [(0, 1), (0, 2)], [1e308, 1e308], None, "weighted degree of vertex 0 overflows"),
+            # Ids past int64, which the memory check refuses once the
+            # checks before it pass.
+            (10**30, [(0, 10**25), (10**25, 0)], None, None, "duplicate edge (0, 10000000000000000000000000)"),
+            (10**30, [(0, 10**25), (5, 0)], [1, -2], None, "non-positive or non-finite weight -2.0 on edge (0, 5)"),
+            (10**30, [(0, 10**25), (5, 0)], [1, 2], ["x"], f"expected {10**30} labels, got 1"),
+        ],
+    )
+    def test_first_fault_reported(self, n, edges, weights, labels, error):
+        with pytest.raises(InputError) as exc:
+            Graph(n, edges, weights, labels)
+        assert str(exc.value) == error
+
+    @pytest.mark.parametrize("n", [10**30, 2**63 + 1])
+    def test_ids_past_int64_refused_by_memory_check(self, n):
+        with pytest.raises(BudgetExceededError, match=f"a graph of {n} vertices needs about"):
+            Graph(n, [(0, n - 1), (n - 2, n - 1)])
 
     def test_vertex_by_label_rejects_unicode_digit(self):
         g = Graph(3, [(0, 1), (1, 2)])

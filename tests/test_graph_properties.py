@@ -1,4 +1,5 @@
-"""Property tests: the csgraph traversals agree with the oracles' BFS.
+"""Property tests: the csgraph traversals agree with the oracles' BFS, and
+a graph's views of its CSR arrays do not depend on how its edges were given.
 
 Random graphs of at most 9 vertices with every edge drawn independently,
 so many are disconnected or have isolated vertices.  Examples are
@@ -8,6 +9,7 @@ derandomized, so every run checks the same inputs.
 from __future__ import annotations
 
 import itertools
+import pickle
 
 import pytest
 
@@ -46,3 +48,40 @@ def test_multi_source_distances_match_nearest_bfs(g, data):
         reached = [row[v] for row in rows if row[v] >= 0]
         want.append(min(reached) if reached else -1)
     assert multi_source_distances(g, members).dist == tuple(want)
+
+
+@st.composite
+def shuffled_edge_lists(draw) -> tuple[int, list[tuple[int, int]], list[float], list, list]:
+    """n, the sorted edges ``u < v`` with their weights, and the same edges
+    in a random order and orientation with their weights."""
+    n = draw(st.integers(1, 9))
+    pairs = list(itertools.combinations(range(n), 2))
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    edges = [p for p, k in zip(pairs, keep) if k]
+    weight = st.one_of(st.just(1.0), st.floats(1e-300, 1e300))
+    weights = draw(st.lists(weight, min_size=len(edges), max_size=len(edges)))
+    order = draw(st.permutations(range(len(edges))))
+    flips = draw(st.lists(st.booleans(), min_size=len(edges), max_size=len(edges)))
+    shuffled = [edges[i][::-1] if flip else edges[i] for i, flip in zip(order, flips)]
+    return n, edges, weights, shuffled, [weights[i] for i in order]
+
+
+@DETERMINISTIC
+@given(case=shuffled_edge_lists())
+def test_edge_order_and_orientation_do_not_matter(case):
+    n, edges, weights, shuffled, shuffled_weights = case
+    g, h = Graph(n, edges, weights), Graph(n, shuffled, shuffled_weights)
+    # edges and weights keep the values and types of the stored tuples they replace.
+    for x in (g, h):
+        assert x.edges == tuple(edges) and x.weights == tuple(weights) and x.m == len(edges)
+        assert all(type(u) is int and type(v) is int for u, v in x.edges)
+        assert all(type(w) is float for w in x.weights)
+    for v in range(n):
+        want = sorted((b if a == v else a, w) for (a, b), w in zip(edges, weights) if v in (a, b))
+        assert g.neighbors(v) == h.neighbors(v) == tuple(u for u, _ in want)
+        assert g.neighbor_weights(v) == h.neighbor_weights(v) == tuple(w for _, w in want)
+    assert g == h and hash(g) == hash(h)
+    assert g.is_unweighted() == h.is_unweighted() == all(w == 1.0 for w in weights)
+    back = pickle.loads(pickle.dumps(h))
+    assert back == g and hash(back) == hash(g)
+    assert back.edges == g.edges and back.weights == g.weights

@@ -333,6 +333,37 @@ class TestContract:
         c = contract(g, [0, 1, 4])
         assert c.boundary.members == (1, 4)
 
+    def test_matches_edge_loop_oracle(self):
+        # Bit for bit: the folded weights are the oracle's running sums.
+        rng = np.random.Generator(np.random.PCG64(2026))
+        for i in range(60):
+            g = random_connected_graph(rng, int(rng.integers(2, 30)), extra_edge_prob=0.3, weighted=True)
+            if i % 3 == 0:
+                g = g.relabel([f"v{v}" for v in range(g.n)])
+            s = random_proper_subset(rng, g.n)
+            base, mapping, boundary = oracles.contract_oracle(g, s)
+            c = contract(g, s)
+            assert c.base == base and c.base.labels == base.labels
+            assert c.base.edges == base.edges and c.base.weights == base.weights
+            assert c.mapping == mapping and c.merged == g.n - len(s)
+            assert c.boundary.members == boundary
+
+    @pytest.mark.parametrize(
+        "edges, weights, members, want",
+        [
+            # One outside vertex, 0, 3 or 2, with crossing weights 1, 1, 1e16
+            # in edge order: 1 + 1 = 2 survives the addition of 1e16.
+            ([(0, 1), (0, 2), (0, 3)], [1.0, 1.0, 1e16], [1, 2, 3], 1.0000000000000002e16),
+            ([(0, 3), (1, 3), (2, 3)], [1.0, 1.0, 1e16], [0, 1, 2], 1.0000000000000002e16),
+            ([(0, 2), (1, 2), (2, 3)], [1.0, 1.0, 1e16], [0, 1, 3], 1.0000000000000002e16),
+            # 1e16 first: each 1 then rounds away.
+            ([(0, 1), (0, 2), (0, 3)], [1e16, 1.0, 1.0], [1, 2, 3], 1e16),
+        ],
+    )
+    def test_crossing_weights_add_in_edge_order(self, edges, weights, members, want):
+        c = contract(Graph(4, edges, weights), members)
+        assert c.base.edges == ((0, 1),) and c.base.weights == (want,)
+
 
 class TestHittingTimeSet:
     def test_k2_single_target(self):

@@ -16,11 +16,13 @@ from gcentral.measures import group_closeness
 from gcentral.sampling import (
     FamilyParams,
     SampleConfig,
+    _induced,
     generate_family,
     random_walk_sample,
 )
 
 from conftest import complete_graph, path_graph, random_connected_graph
+import oracles
 
 
 class TestSampleConfig:
@@ -115,6 +117,18 @@ class TestRandomWalkSample:
                 result = random_walk_sample(g, SampleConfig(target_nodes=20, seed=seed))
                 assert result.graph.n == result.visited == 20
                 assert is_connected(result.graph)
+
+    def test_induced_matches_edge_loop_oracle(self):
+        rng = np.random.Generator(np.random.PCG64(2027))
+        for i in range(60):
+            g = random_connected_graph(rng, int(rng.integers(2, 30)), extra_edge_prob=0.3, weighted=True)
+            if i % 3 == 0:
+                g = g.relabel([f"v{v}" for v in range(g.n)])
+            ids = sorted(rng.choice(g.n, int(rng.integers(1, g.n + 1)), replace=False).tolist())
+            sub, original_ids = _induced(g, ids)
+            want = oracles.induced_oracle(g, ids)
+            assert sub == want and sub.labels == want.labels and original_ids == tuple(ids)
+            assert sub.edges == want.edges and sub.weights == want.weights
 
     def test_mapping_lines_with_labels(self):
         g = path_graph(5).relabel(["a", "b", "c", "d", "e"])
