@@ -21,7 +21,6 @@ from .graph import (
     load_edge_list,
     multi_source_distances,
     parse_label_file,
-    shortest_path_counts,
 )
 from .measures import (
     Measure,

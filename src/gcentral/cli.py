@@ -24,11 +24,16 @@ from __future__ import annotations
 import argparse
 import functools
 import hashlib
+import itertools
 import json
 import os
 import sys
 import time
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
+from typing import Iterable, Iterator
+
+import numpy as np
 
 from . import __version__
 from .errors import (
@@ -113,11 +118,89 @@ def _parse_measures(spec: str | None) -> tuple[Measure, ...]:
     return tuple(dict.fromkeys(out))
 
 
-def _emit(text: str, out: str | None) -> None:
-    if out:
-        Path(out).write_text(text, encoding="utf-8")
-    else:
-        sys.stdout.write(text)
+#: Tie rows per piece of :func:`json_pieces` output.
+_ROWS_PER_PIECE = 4096
+#: Tie rows up to which ``json.dumps`` writes a subtree faster than the walk:
+#: its pure-Python encoder takes about 3 us per row of four, the walk about
+#: 25 us per dict it splits (by ``timeit`` on a 2-vCPU Xeon KVM guest).
+_FEW_ROWS = 8
+_NESTED = (dict, list, tuple, np.ndarray)
+
+
+def _rows_held(obj) -> int:
+    if isinstance(obj, np.ndarray):
+        return len(obj)
+    if isinstance(obj, dict):
+        obj = obj.values()
+    elif not isinstance(obj, (list, tuple)):
+        return 0
+    return sum(_rows_held(v) for v in obj if isinstance(v, _NESTED))
+
+
+def _dumps(obj, pad: str) -> str:
+    """``json.dumps(obj, sort_keys=True, indent=2)``, arrays as nested
+    lists, on a line indented by ``pad``: exact, since json's output never
+    holds a raw newline inside a string."""
+    if isinstance(obj, _NESTED):
+        return json.dumps(obj, sort_keys=True, indent=2, default=np.ndarray.tolist).replace("\n", "\n" + pad)
+    # A scalar's text has no indent or keys: json's C encoder writes it.
+    return json.dumps(obj)
+
+
+def json_pieces(obj) -> Iterator[str]:
+    """The text of ``json.dumps(obj, sort_keys=True, indent=2)``, in pieces,
+    where ``obj`` may also hold tie lists as (T, k) integer arrays, k >= 1,
+    written as lists of rows.
+
+    Dicts and lists whose arrays hold more than ``_FEW_ROWS`` rows are
+    walked (their keys must be strings), and their arrays written by a row
+    template, at most ``_ROWS_PER_PIECE`` rows to a piece; the rest is
+    written by ``json.dumps``.
+    """
+    return _walk(obj, "") if _rows_held(obj) > _FEW_ROWS else iter([_dumps(obj, "")])
+
+
+def _walk(obj, pad: str) -> Iterator[str]:
+    """The pieces of ``obj``, an array or a dict or list holding one, on a
+    line indented by ``pad``."""
+    inner = pad + "  "
+    if isinstance(obj, np.ndarray):
+        row = inner + "[\n" + ",\n".join([inner + "  %d"] * obj.shape[1]) + "\n" + inner + "]"
+        sep = "[\n"
+        for first in range(0, len(obj), _ROWS_PER_PIECE):
+            rows = obj[first : first + _ROWS_PER_PIECE]
+            yield sep + ",\n".join([row] * len(rows)) % tuple(rows.ravel().tolist())
+            sep = ",\n"
+        yield "\n" + pad + "]"
+        return
+    is_dict = isinstance(obj, dict)
+    yield "{" if is_dict else "["
+    for i, key in enumerate(sorted(obj) if is_dict else range(len(obj))):
+        head = (",\n" if i else "\n") + inner + (encode_basestring_ascii(key) + ": " if is_dict else "")
+        if _rows_held(obj[key]) > _FEW_ROWS:
+            yield head
+            yield from _walk(obj[key], inner)
+        else:
+            yield head + _dumps(obj[key], inner)
+    yield "\n" + pad + ("}" if is_dict else "]")
+
+
+def json_text(obj) -> str:
+    """``json.dumps(obj, sort_keys=True, indent=2)``, tie arrays as in :func:`json_pieces`."""
+    return "".join(json_pieces(obj))
+
+
+def _emit(pieces: Iterable[str], out: str | None) -> None:
+    """Write ``pieces`` in turn to the file ``out``, or to standard output."""
+    if not out:
+        sys.stdout.writelines(pieces)
+        return
+    with open(out, "w", encoding="utf-8") as fh:
+        fh.writelines(pieces)
+
+
+def _emit_json(payload: dict, out: str | None) -> None:
+    _emit(itertools.chain(json_pieces(payload), ["\n"]), out)
 
 
 def _score_dict(score: Score) -> dict:
@@ -166,21 +249,20 @@ def cmd_centrality(args) -> int:
             "scores": {MEASURE_COLUMN[m]: _score_dict(s) for m, s in scores.items()},
             "manifest": manifest,
         }
-        _emit(json.dumps(payload, sort_keys=True, indent=2) + "\n", args.out)
+        _emit_json(payload, args.out)
     else:
         lines = [_manifest_line(manifest), "measure\tvalue\texact"]
         for m, s in scores.items():
             exact = f"{s.exact_num}/{s.exact_den}" if s.exact is not None else "-"
             lines.append(f"{MEASURE_COLUMN[m]}\t{s.value:.6f}\t{exact}")
-        _emit("\n".join(lines) + "\n", args.out)
+        _emit(["\n".join(lines) + "\n"], args.out)
     return 0
 
 
 def _format_cell(result, g: Graph, use_labels: bool) -> str:
-    shown = result.optimal_sets[:2]
     parts = []
-    for s in shown:
-        names = [g.label(v) for v in s.members] if use_labels else [str(v) for v in s.members]
+    for s in result.ties[:2].tolist():
+        names = [g.label(v) for v in s] if use_labels else [str(v) for v in s]
         parts.append("{" + ", ".join(names) + "}")
     if result.extra_count:
         parts.append(f"... ({result.extra_count})")
@@ -216,9 +298,9 @@ def cmd_optimum(args) -> int:
     if args.format == "json":
         payload = {"kind": "optimum-report", "manifest": manifest}
         payload.update(report.to_json_dict())
-        _emit(json.dumps(payload, sort_keys=True, indent=2) + "\n", args.out)
+        _emit_json(payload, args.out)
     else:
-        _emit(render_report_tsv(report, g, manifest, args.use_labels), args.out)
+        _emit([render_report_tsv(report, g, manifest, args.use_labels)], args.out)
     return 0
 
 
@@ -243,7 +325,7 @@ def cmd_hitting(args) -> int:
         "solution": solution.to_json_dict(),
         "manifest": _manifest(args, start, path, seed=solution.seed),
     }
-    _emit(json.dumps(payload, sort_keys=True, indent=2) + "\n", args.out)
+    _emit_json(payload, args.out)
     return 0
 
 
@@ -281,7 +363,7 @@ def cmd_family(args) -> int:
         "# star_roots " + " ".join(str(v) for v in fam.star_roots),
     ]
     body = format_edge_list(fam.graph)
-    _emit("\n".join(lines) + "\n" + body, args.out)
+    _emit(["\n".join(lines) + "\n" + body], args.out)
     return 0
 
 
@@ -326,7 +408,7 @@ def cmd_ingest(args) -> int:
         raise InputError(f"triples file not found: {path}")
     lines, stats = ingest_triples(path.read_text(encoding="utf-8"), args.predicate)
     header = _manifest_line(_manifest(args, start, path))
-    _emit(header + "\n" + "\n".join(lines) + ("\n" if lines else ""), args.out)
+    _emit([header + "\n" + "\n".join(lines) + ("\n" if lines else "")], args.out)
     sys.stderr.write(
         f"kept {len(lines)} edges from {stats['matched']} matching triples "
         f"(dropped {stats['self_loops']} self-loops, {stats['duplicates']} duplicates, "

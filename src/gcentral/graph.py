@@ -13,10 +13,9 @@ Every distance and connectivity question is answered by
 counts, which csgraph does not give, come from :func:`geodesic_counts`:
 one numpy pass over the CSR arrays that runs breadth-first layers from a
 block of sources at once, counting all geodesics and those avoiding a
-vertex set (for group betweenness and :func:`shortest_path_counts`), in
-float64 while that is exact and on Python ints past it.  The betweenness
-search takes its base distances and counts from the same pass, once, from
-every vertex.
+vertex set (for group betweenness), in float64 while that is exact and on
+Python ints past it.  The betweenness search takes its base distances and
+counts from the same pass, once, from every vertex.
 """
 
 from __future__ import annotations
@@ -34,7 +33,6 @@ from .errors import InputError, check_memory
 __all__ = [
     "Graph",
     "VertexSet",
-    "PathCounts",
     "GeodesicCounts",
     "as_vertex_set",
     "load_edge_list",
@@ -42,9 +40,7 @@ __all__ = [
     "format_edge_list",
     "is_connected",
     "multi_source_distances",
-    "shortest_path_counts",
     "geodesic_counts",
-    "weighted_degree",
 ]
 
 
@@ -213,8 +209,13 @@ def _renamed_edges(g: Graph, new_id: np.ndarray) -> tuple[np.ndarray, np.ndarray
     u, v = new_id[rows], new_id[g._indices]
     # One slot per edge: the one in the row of its smaller new end.
     keep = (0 <= u) & (u < v)
-    pair, slot = np.unique(u[keep] * g.n + v[keep], return_inverse=True)
-    return pair // g.n, pair % g.n, np.bincount(slot, g._slot_w[keep])
+    u, v, w = u[keep], v[keep], g._slot_w[keep]
+    named = new_id[new_id >= 0]
+    if (named[1:] > named[:-1]).all():
+        # Names rise with the ids: the slots keep their sorted order and no two meet.
+        return u, v, w
+    pair, slot = np.unique(u * g.n + v, return_inverse=True)
+    return pair // g.n, pair % g.n, np.bincount(slot, w)
 
 
 @dataclass(frozen=True)
@@ -264,18 +265,6 @@ class DistanceField:
 
     source: VertexSet
     dist: tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class PathCounts:
-    """Per-vertex distance and number of shortest paths from ``source``.
-
-    Counts are exact Python integers, so they never overflow.
-    """
-
-    source: int
-    dist: tuple[int, ...]
-    sigma: tuple[int, ...]
 
 
 UNREACHED = -1
@@ -518,19 +507,3 @@ def multi_source_distances(g: Graph, s: VertexSet | Iterable[int]) -> DistanceFi
     dist = csgraph.dijkstra(g._csr, unweighted=True, indices=vs.members, min_only=True)
     dist[np.isinf(dist)] = UNREACHED
     return DistanceField(source=vs, dist=tuple(dist.astype(int).tolist()))
-
-
-def shortest_path_counts(g: Graph, u: int) -> PathCounts:
-    """Distances and exact shortest-path counts from source ``u``."""
-    if not 0 <= u < g.n:
-        raise InputError(f"vertex {u} outside graph")
-    counts = next(geodesic_counts(g, [u]))
-    sigma = tuple(map(int, counts.sigma[0].tolist()))
-    return PathCounts(source=u, dist=tuple(counts.dist[0].tolist()), sigma=sigma)
-
-
-def weighted_degree(g: Graph, u: int) -> float:
-    """Sum of incident edge weights; equals the degree when unweighted."""
-    if not 0 <= u < g.n:
-        raise InputError(f"vertex {u} outside graph")
-    return sum(g.neighbor_weights(u))

@@ -4,7 +4,8 @@ Subsets are enumerated in colexicographic order and scored in blocks; a
 block is a range of colex ranks, unranked at once through the combinatorial
 number system (:func:`_colex_rows`).  The global optimum is returned
 together with the *complete* list of tying sets, since several measures
-routinely produce many co-optimal groups.
+routinely produce many co-optimal groups: one (T, k) array of sorted rows,
+from the partitions' merge to the output.
 
 Each search builds the arrays its measure reads once (:func:`_scorers`).
 Degree and closeness score from the members' rows as integer numerators
@@ -556,6 +557,8 @@ def _absorb(parts: Iterable[_Candidates], ties: _TieWindow) -> _Candidates:
         held += cut(part.values, part.subsets)
     (values, subsets), *rest = held
     if rest:
+        # Joining copies what is held, so the tie list counts twice.
+        check_memory(2 * sum(v.nbytes + s.nbytes for v, s in held), "the search's tie list")
         values, subsets = map(np.concatenate, zip(*held))
     return _Candidates(values, subsets, evaluated)
 
@@ -632,26 +635,34 @@ def _scan_partitions(task: tuple[Graph, int, Measure, Sequence[int], float]) -> 
     return _absorb((_Candidates(scorers.block(b), b, len(b)) for b in _blocks(k, leading, scorers.rows)), ties)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OptimumResult:
-    """Optimal value and the complete, lexicographically sorted tie list."""
+    """Optimal value and the complete tie list: ``ties``, one read-only
+    ``(T, k)`` intp array of sorted member rows in lexicographic order."""
 
     measure: Measure
     k: int
     best: Score
-    optimal_sets: tuple[VertexSet, ...]
+    ties: np.ndarray
     evaluated: int
 
     @property
+    def optimal_sets(self) -> tuple[VertexSet, ...]:
+        """The tie list as vertex sets, built on each call."""
+        return tuple(VertexSet(s) for s in map(tuple, self.ties.tolist()))
+
+    @property
     def extra_count(self) -> int:
-        return max(0, len(self.optimal_sets) - 2)
+        return max(0, len(self.ties) - 2)
 
     def to_json_dict(self) -> dict:
+        """The JSON fields, ``optimal_sets`` the ``ties`` array itself, as
+        :func:`gcentral.cli.json_text` writes it."""
         out: dict = {
             "measure": self.measure.value,
             "k": self.k,
             "best": {"value": self.best.value},
-            "optimal_sets": [list(s.members) for s in self.optimal_sets],
+            "optimal_sets": self.ties,
             "evaluated": self.evaluated,
         }
         if self.best.exact is not None:
@@ -738,7 +749,10 @@ def optimumset(
     merged = _absorb(partials, ties)
     assert merged.evaluated == total
     best = ties.best(merged.values)
-    optimal = sorted(map(tuple, merged.subsets[ties.ties(merged.values, best)].tolist()))
+    optimal = merged.subsets[ties.ties(merged.values, best)]
+    # Rows are sorted, so ordering by each column in turn orders the sets lexicographically.
+    optimal = optimal[np.lexsort(optimal.T[::-1])]
+    optimal.flags.writeable = False
     if measure.exact:
         score = Score.from_fraction(Fraction(int(best), g.n - k))
     else:
@@ -747,7 +761,7 @@ def optimumset(
         measure=measure,
         k=k,
         best=score,
-        optimal_sets=tuple(VertexSet(s) for s in optimal),
+        ties=optimal,
         evaluated=merged.evaluated,
     )
 
@@ -777,10 +791,7 @@ class CrossMeasureReport:
 
 
 def _optima_union(result: OptimumResult) -> frozenset[int]:
-    members: set[int] = set()
-    for s in result.optimal_sets:
-        members.update(s.members)
-    return frozenset(members)
+    return frozenset(np.unique(result.ties).tolist())
 
 
 def cross_measure_report(

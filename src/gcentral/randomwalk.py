@@ -31,7 +31,6 @@ number of gathers per step.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple
@@ -313,7 +312,9 @@ class HittingSolution:
         return out
 
     def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True, indent=2)
+        from .cli import json_text  # the package's one JSON writer; cli imports this module
+
+        return json_text(self.to_json_dict())
 
 
 def _lu_solve(a: np.ndarray, b: np.ndarray, limit: float, what: str, system: str) -> np.ndarray:

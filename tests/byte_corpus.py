@@ -48,7 +48,7 @@ from pathlib import Path
 
 import numpy as np
 
-from gcentral.cli import main
+from gcentral.cli import json_text, main
 from gcentral.graph import Graph, load_edge_list, parse_label_file
 from gcentral.measures import Measure
 from gcentral.optimize import optimumset
@@ -289,7 +289,7 @@ def write_corpus(out_dir: Path) -> None:
         _run(["ingest", str(triples), "--predicate", "related", "-o", str(edges)], "ingest")
         texts["ingest-related.txt"] = edges.read_text()
     for (name, g, k, measure), workers in itertools.product(search_cases(), (1, 2)):
-        reports[f"{name}-w{workers}"] = optimumset(g, k, measure, workers=workers).to_json_dict()
+        reports[f"{name}-w{workers}"] = json.loads(json_text(optimumset(g, k, measure, workers=workers).to_json_dict()))
     for name, report in reports.items():
         (out_dir / f"{name}.json").write_text(json.dumps(report, indent=1, sort_keys=True) + "\n")
     for name, text in texts.items():

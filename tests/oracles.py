@@ -3,6 +3,8 @@
 Everything here is deliberately written from scratch against the raw
 definitions (explicit path enumeration, neighbor scans, hand-built linear
 systems) rather than reusing library internals, so agreement is meaningful.
+The last two, single-vertex views of library results, are the exception:
+only tests read them.
 """
 
 from __future__ import annotations
@@ -10,11 +12,13 @@ from __future__ import annotations
 import itertools
 import math
 from collections import deque
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from gcentral.graph import Graph
+from gcentral.errors import InputError
+from gcentral.graph import Graph, geodesic_counts
 from gcentral.measures import Measure
 
 
@@ -283,3 +287,31 @@ def induced_oracle(g: Graph, ids: list[int]) -> Graph:
             weights.append(w)
     labels = [g.label(v) for v in ids] if g.labels is not None else None
     return Graph(len(ids), edges, weights, labels)
+
+
+@dataclass(frozen=True)
+class PathCounts:
+    """Per-vertex distance and number of shortest paths from ``source``.
+
+    Counts are exact Python integers, so they never overflow.
+    """
+
+    source: int
+    dist: tuple[int, ...]
+    sigma: tuple[int, ...]
+
+
+def shortest_path_counts(g: Graph, u: int) -> PathCounts:
+    """Distances and exact shortest-path counts from source ``u``, by the library's counting pass."""
+    if not 0 <= u < g.n:
+        raise InputError(f"vertex {u} outside graph")
+    counts = next(geodesic_counts(g, [u]))
+    sigma = tuple(map(int, counts.sigma[0].tolist()))
+    return PathCounts(source=u, dist=tuple(counts.dist[0].tolist()), sigma=sigma)
+
+
+def weighted_degree(g: Graph, u: int) -> float:
+    """Sum of incident edge weights; equals the degree when unweighted."""
+    if not 0 <= u < g.n:
+        raise InputError(f"vertex {u} outside graph")
+    return sum(g.neighbor_weights(u))

