@@ -26,6 +26,7 @@ import functools
 import hashlib
 import itertools
 import json
+import math
 import os
 import sys
 import time
@@ -81,14 +82,24 @@ def _digest(path: Path) -> str:
     return "sha256:" + hashlib.sha256(path.read_bytes()).hexdigest()
 
 
+def _read(path: Path, what: str) -> str:
+    """The UTF-8 text of the ``what`` file ``path``; InputError if it cannot be read."""
+    try:
+        return path.read_text(encoding="utf-8")
+    except FileNotFoundError:
+        raise InputError(f"{what} file not found: {path}") from None
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{what} file {path} is not UTF-8 text: byte {exc.start} does not decode") from None
+    except OSError as exc:
+        raise InputError(f"cannot read {what} file {path}: {exc.strerror}") from None
+
+
 def _load_graph(args, connected: bool = True) -> tuple[Graph, Path]:
     """The graph of ``args.graph`` (with ``--labels`` and ``--weighted``);
     InputError if ``connected`` and it is not."""
     path = Path(args.graph)
-    if not path.exists():
-        raise InputError(f"graph file not found: {path}")
-    labels = parse_label_file(Path(args.labels).read_text(encoding="utf-8")) if args.labels else None
-    g = load_edge_list(path.read_text(encoding="utf-8"), weighted=args.weighted, labels=labels)
+    labels = parse_label_file(_read(Path(args.labels), "labels")) if args.labels else None
+    g = load_edge_list(_read(path, "graph"), weighted=args.weighted, labels=labels)
     if connected and not is_connected(g):
         raise InputError(f"graph is disconnected; {args.subcommand} needs a connected graph")
     return g, path
@@ -120,49 +131,25 @@ def _parse_measures(spec: str | None) -> tuple[Measure, ...]:
 
 #: Tie rows per piece of :func:`json_pieces` output.
 _ROWS_PER_PIECE = 4096
-#: Tie rows up to which ``json.dumps`` writes a subtree faster than the walk:
-#: its pure-Python encoder takes about 3 us per row of four, the walk about
-#: 25 us per dict it splits (by ``timeit`` on a 2-vCPU Xeon KVM guest).
-_FEW_ROWS = 8
-_NESTED = (dict, list, tuple, np.ndarray)
 
 
-def _rows_held(obj) -> int:
-    if isinstance(obj, np.ndarray):
-        return len(obj)
-    if isinstance(obj, dict):
-        obj = obj.values()
-    elif not isinstance(obj, (list, tuple)):
-        return 0
-    return sum(_rows_held(v) for v in obj if isinstance(v, _NESTED))
+def _leaf(obj) -> str | None:
+    """The JSON text of ``obj`` by json's own rules if it is a scalar or
+    empty; None for a non-empty dict, list, tuple or array."""
+    if isinstance(obj, str):
+        return encode_basestring_ascii(obj)
+    if isinstance(obj, float) and math.isfinite(obj):
+        return float.__repr__(obj)
+    if isinstance(obj, int) and not isinstance(obj, bool):
+        return int.__repr__(obj)
+    if isinstance(obj, (dict, list, tuple, np.ndarray)) and len(obj):
+        return None
+    return json.dumps(obj, default=np.ndarray.tolist)  # None, bools, NaN, infinities, empty containers
 
 
-def _dumps(obj, pad: str) -> str:
-    """``json.dumps(obj, sort_keys=True, indent=2)``, arrays as nested
-    lists, on a line indented by ``pad``: exact, since json's output never
-    holds a raw newline inside a string."""
-    if isinstance(obj, _NESTED):
-        return json.dumps(obj, sort_keys=True, indent=2, default=np.ndarray.tolist).replace("\n", "\n" + pad)
-    # A scalar's text has no indent or keys: json's C encoder writes it.
-    return json.dumps(obj)
-
-
-def json_pieces(obj) -> Iterator[str]:
-    """The text of ``json.dumps(obj, sort_keys=True, indent=2)``, in pieces,
-    where ``obj`` may also hold tie lists as (T, k) integer arrays, k >= 1,
-    written as lists of rows.
-
-    Dicts and lists whose arrays hold more than ``_FEW_ROWS`` rows are
-    walked (their keys must be strings), and their arrays written by a row
-    template, at most ``_ROWS_PER_PIECE`` rows to a piece; the rest is
-    written by ``json.dumps``.
-    """
-    return _walk(obj, "") if _rows_held(obj) > _FEW_ROWS else iter([_dumps(obj, "")])
-
-
-def _walk(obj, pad: str) -> Iterator[str]:
-    """The pieces of ``obj``, an array or a dict or list holding one, on a
-    line indented by ``pad``."""
+def _pieces(obj, pad: str) -> Iterator[str]:
+    """The pieces of ``obj``, a non-empty dict, list, tuple or array, on a
+    line indented by ``pad``; its scalar children are written inline."""
     inner = pad + "  "
     if isinstance(obj, np.ndarray):
         row = inner + "[\n" + ",\n".join([inner + "  %d"] * obj.shape[1]) + "\n" + inner + "]"
@@ -174,15 +161,26 @@ def _walk(obj, pad: str) -> Iterator[str]:
         yield "\n" + pad + "]"
         return
     is_dict = isinstance(obj, dict)
-    yield "{" if is_dict else "["
+    text = "{" if is_dict else "["
     for i, key in enumerate(sorted(obj) if is_dict else range(len(obj))):
-        head = (",\n" if i else "\n") + inner + (encode_basestring_ascii(key) + ": " if is_dict else "")
-        if _rows_held(obj[key]) > _FEW_ROWS:
-            yield head
-            yield from _walk(obj[key], inner)
+        text += (",\n" if i else "\n") + inner + (encode_basestring_ascii(key) + ": " if is_dict else "")
+        leaf = _leaf(obj[key])
+        if leaf is None:
+            yield text
+            yield from _pieces(obj[key], inner)
+            text = ""
         else:
-            yield head + _dumps(obj[key], inner)
-    yield "\n" + pad + ("}" if is_dict else "]")
+            text += leaf
+    yield text + "\n" + pad + ("}" if is_dict else "]")
+
+
+def json_pieces(obj) -> Iterator[str]:
+    """The text of ``json.dumps(obj, sort_keys=True, indent=2)``, in pieces,
+    where ``obj`` may also hold tie lists as (T, k) integer arrays, k >= 1,
+    written as lists of rows, at most ``_ROWS_PER_PIECE`` rows to a piece.
+    Dict keys must be strings."""
+    leaf = _leaf(obj)
+    return _pieces(obj, "") if leaf is None else iter([leaf])
 
 
 def json_text(obj) -> str:
@@ -195,8 +193,11 @@ def _emit(pieces: Iterable[str], out: str | None) -> None:
     if not out:
         sys.stdout.writelines(pieces)
         return
-    with open(out, "w", encoding="utf-8") as fh:
-        fh.writelines(pieces)
+    try:
+        with open(out, "w", encoding="utf-8") as fh:
+            fh.writelines(pieces)
+    except OSError as exc:
+        raise InputError(f"cannot write {out}: {exc.strerror}") from None
 
 
 def _emit_json(payload: dict, out: str | None) -> None:
@@ -230,10 +231,6 @@ def _manifest_line(manifest: dict) -> str:
     return f"# manifest: {json.dumps(manifest, sort_keys=True)}"
 
 
-def _set_label_list(g: Graph, members) -> list[str] | None:
-    return [g.label(v) for v in members] if g.labels is not None else None
-
-
 def cmd_centrality(args) -> int:
     start = time.perf_counter()
     g, path = _load_graph(args)
@@ -245,7 +242,7 @@ def cmd_centrality(args) -> int:
         payload = {
             "kind": "centrality",
             "set": list(members),
-            "set_labels": _set_label_list(g, members),
+            "set_labels": [g.label(v) for v in members] if g.labels is not None else None,
             "scores": {MEASURE_COLUMN[m]: _score_dict(s) for m, s in scores.items()},
             "manifest": manifest,
         }
@@ -331,6 +328,9 @@ def cmd_hitting(args) -> int:
 
 def cmd_sample(args) -> int:
     start = time.perf_counter()
+    if os.path.basename(args.out_prefix) in ("", ".", ".."):
+        raise InputError(f"--out-prefix must end in a file name; got {args.out_prefix!r}")
+    edge_path, map_path = args.out_prefix + ".edges", args.out_prefix + ".map"
     g, path = _load_graph(args, connected=False)
     cfg = SampleConfig(
         target_nodes=args.nodes,
@@ -339,12 +339,9 @@ def cmd_sample(args) -> int:
         step_budget=args.step_budget,
     )
     result = random_walk_sample(g, cfg)
-    prefix = Path(args.out_prefix)
-    edge_path = prefix.with_suffix(".edges")
-    map_path = prefix.with_suffix(".map")
     header = _manifest_line(_manifest(args, start, path, seed=args.seed))
-    edge_path.write_text(header + "\n" + format_edge_list(result.graph), encoding="utf-8")
-    map_path.write_text("\n".join(result.mapping_lines(g)) + "\n", encoding="utf-8")
+    _emit([header + "\n" + format_edge_list(result.graph)], edge_path)
+    _emit(["\n".join(result.mapping_lines(g)) + "\n"], map_path)
     sys.stderr.write(
         f"sampled {result.graph.n} vertices / {result.graph.m} edges "
         f"(seed {args.seed}, rng {result.rng}) -> {edge_path}, {map_path}\n"
@@ -404,9 +401,7 @@ def ingest_triples(text: str, predicate: str) -> tuple[list[str], dict]:
 def cmd_ingest(args) -> int:
     start = time.perf_counter()
     path = Path(args.triples)
-    if not path.exists():
-        raise InputError(f"triples file not found: {path}")
-    lines, stats = ingest_triples(path.read_text(encoding="utf-8"), args.predicate)
+    lines, stats = ingest_triples(_read(path, "triples"), args.predicate)
     header = _manifest_line(_manifest(args, start, path))
     _emit([header + "\n" + "\n".join(lines) + ("\n" if lines else "")], args.out)
     sys.stderr.write(

@@ -8,7 +8,8 @@ from __future__ import annotations
 
 import copyreg
 
-#: Bytes one search process or one Monte Carlo run may allocate for its arrays.
+#: Bytes one process may allocate for the arrays of a graph, a search and its
+#: tie list, a Monte Carlo run, a dense walk solve or a path-count block.
 MEMORY_LIMIT = 1 << 30
 
 #: Source-slot visits (outside vertices times CSR slots) one group

@@ -47,6 +47,7 @@ worker count.
 
 from __future__ import annotations
 
+import itertools
 import math
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import ExitStack
@@ -546,6 +547,8 @@ def _absorb(parts: Iterable[_Candidates], ties: _TieWindow) -> _Candidates:
 
     def cut(values: np.ndarray, subsets: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
         mask = ties.keep(values, best)
+        if mask.all():
+            return [(values, subsets)]
         return [(values[mask], subsets[mask])] if mask.any() else []
 
     for part in parts:
@@ -555,11 +558,15 @@ def _absorb(parts: Iterable[_Candidates], ties: _TieWindow) -> _Candidates:
             best = top
             held = [pair for kept in held for pair in cut(*kept)]
         held += cut(part.values, part.subsets)
+    del part  # a cut part's uncut arrays are not held
     (values, subsets), *rest = held
     if rest:
-        # Joining copies what is held, so the tie list counts twice.
+        # Joining copies what is held, so it counts twice; values go first.
         check_memory(2 * sum(v.nbytes + s.nbytes for v, s in held), "the search's tie list")
-        values, subsets = map(np.concatenate, zip(*held))
+        values, subsets = zip(*held)
+        del held, rest
+        values = np.concatenate(values)
+        subsets = np.concatenate(subsets)
     return _Candidates(values, subsets, evaluated)
 
 
@@ -739,17 +746,19 @@ def optimumset(
     total = _check_enumeration_args(g, k, budget)
     ties = _TieWindow.of(measure, tie_rel)
     tasks = [(g, k, measure, chunk, tie_rel) for chunk in _leading_chunks(g.n, k, workers)]
-    if (workers <= 1 and pool is None) or len(tasks) == 1:
-        partials = map(_scan_partitions, tasks)
-    elif pool is not None:
-        partials = pool.map(_scan_partitions, tasks)
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as own:
-            partials = list(own.map(_scan_partitions, tasks))
-    merged = _absorb(partials, ties)
+    with ExitStack() as stack:
+        if len(tasks) > 1 and pool is None:
+            pool = stack.enter_context(ProcessPoolExecutor(max_workers=workers))
+        scan = pool.map if len(tasks) > 1 else map  # one worker makes one task
+        # Partials are merged as they arrive, so none is held past its cut.
+        merged = _absorb(scan(_scan_partitions, tasks), ties)
     assert merged.evaluated == total
     best = ties.best(merged.values)
-    optimal = merged.subsets[ties.ties(merged.values, best)]
+    tied = ties.ties(merged.values, best)
+    optimal = merged.subsets
+    del merged  # frees the values, and the selection the untied rows, for the sorted copy
+    if not tied.all():
+        optimal = optimal[tied]
     # Rows are sorted, so ordering by each column in turn orders the sets lexicographically.
     optimal = optimal[np.lexsort(optimal.T[::-1])]
     optimal.flags.writeable = False
@@ -762,7 +771,7 @@ def optimumset(
         k=k,
         best=score,
         ties=optimal,
-        evaluated=merged.evaluated,
+        evaluated=total,
     )
 
 
@@ -788,10 +797,6 @@ class CrossMeasureReport:
         ):
             out["jaccard"].append({"k": k, "a": ma.value, "b": mb.value, "overlap": round(j, 9)})
         return out
-
-
-def _optima_union(result: OptimumResult) -> frozenset[int]:
-    return frozenset(np.unique(result.ties).tolist())
 
 
 def cross_measure_report(
@@ -823,13 +828,13 @@ def cross_measure_report(
                     g, k, m, budget=budget, workers=workers, pool=pool, tie_rel=tie_rel
                 )
     jaccard: dict[tuple[int, Measure, Measure], float] = {}
+    pairs = list(itertools.combinations(measures, 2))
     for k in range(1, k_max + 1):
-        unions = {m: _optima_union(cells[(k, m)]) for m in measures}
-        for i, ma in enumerate(measures):
-            for mb in measures[i + 1 :]:
-                union = unions[ma] | unions[mb]
-                inter = unions[ma] & unions[mb]
-                jaccard[(k, ma, mb)] = len(inter) / len(union) if union else 1.0
+        unions = {m: set(np.unique(cells[(k, m)].ties).tolist()) for m in measures} if pairs else {}
+        for ma, mb in pairs:
+            union = unions[ma] | unions[mb]
+            inter = unions[ma] & unions[mb]
+            jaccard[(k, ma, mb)] = len(inter) / len(union) if union else 1.0
     return CrossMeasureReport(
         k_max=k_max,
         measures=measures,

@@ -311,11 +311,6 @@ class HittingSolution:
             out["rng"] = self.rng
         return out
 
-    def to_json(self) -> str:
-        from .cli import json_text  # the package's one JSON writer; cli imports this module
-
-        return json_text(self.to_json_dict())
-
 
 def _lu_solve(a: np.ndarray, b: np.ndarray, limit: float, what: str, system: str) -> np.ndarray:
     """Solve ``a x = b`` for one (c, c) matrix or an (N, c, c) stack of them.

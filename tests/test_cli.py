@@ -316,6 +316,19 @@ class TestSampleCommand:
         assert len(mapping) == g.n
         assert "sampled" in err
 
+    def test_prefix_keeps_its_dots(self, capsys, tmp_path, p2_file):
+        prefix = tmp_path / "run.v2"
+        code, _, _ = run(capsys, ["sample", str(p2_file), "--nodes", "2", "--out-prefix", str(prefix)])
+        assert code == 0
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["p2.edges", "run.v2.edges", "run.v2.map"]
+
+    @pytest.mark.parametrize("prefix", [".", "..", "out/"])
+    def test_prefix_without_file_name_exit_2(self, capsys, monkeypatch, tmp_path, p2_file, prefix):
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run(capsys, ["sample", str(p2_file), "--nodes", "2", "--out-prefix", prefix])
+        assert code == 2
+        assert out == "" and err == f"error: --out-prefix must end in a file name; got {prefix!r}\n"
+
 
 class TestFamilyCommand:
     def test_output_loadable_with_landmarks(self, capsys):
@@ -445,6 +458,33 @@ class TestExitCodes:
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, ["centrality", "/nonexistent.edges", "--set", "0"])
         assert code == 2
+
+    # {dir} is an existing directory, {p2} a path graph, {bad} an edge list
+    # that is not UTF-8.
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            pytest.param(["centrality", "{p2}", "--set", "0", "--labels", "{dir}/none.tsv"],
+                         "labels file not found: ", id="labels-missing"),
+            pytest.param(["centrality", "{dir}", "--set", "0"], "cannot read graph file ", id="graph-dir"),
+            pytest.param(["centrality", "{bad}", "--set", "0"],
+                         "graph file {bad} is not UTF-8 text: byte 4 does not decode", id="graph-not-utf8"),
+            pytest.param(["ingest", "{dir}", "--predicate", "p"], "cannot read triples file ", id="triples-dir"),
+            pytest.param(["centrality", "{p2}", "--set", "0", "-o", "{dir}"], "cannot write ", id="out-dir"),
+            pytest.param(["family", "--n", "3", "--m", "2", "-o", "{dir}/none/out"],
+                         "cannot write ", id="out-in-missing-dir"),
+            pytest.param(["sample", "{p2}", "--nodes", "2", "--out-prefix", "{dir}/none/s"],
+                         "cannot write ", id="prefix-in-missing-dir"),
+        ],
+    )
+    def test_unreadable_or_unwritable_file_exit_2(self, capsys, tmp_path, p2_file, argv, message):
+        bad = tmp_path / "bad.edges"
+        bad.write_bytes(b"0 1\n\xff 2\n")
+        paths = {"dir": tmp_path, "p2": p2_file, "bad": bad}
+        code, out, err = run(capsys, [arg.format(**paths) for arg in argv])
+        assert code == 2
+        assert out == "" and err.count("\n") == 1
+        assert err.startswith("error: " + message.format(**paths))
 
     @pytest.mark.parametrize("steps", ["0", "-5"])
     def test_nonpositive_max_steps_exit_2(self, capsys, p2_file, steps):

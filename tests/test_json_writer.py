@@ -4,10 +4,8 @@ indent=2)``, with tie lists held as (T, k) integer arrays.
 Checked on every JSON payload the byte corpus has the CLI write, and on
 Hypothesis payloads: nested dicts and lists (empty ones too), tie arrays
 of one row and of k = 1, NaN, infinities, -0.0, big integers and strings
-that need escapes or are not ASCII.  Each check runs with the writer's
-row threshold as shipped and at 0, where every dict and list that holds
-an array is walked.  Examples are derandomized, so every run checks the
-same inputs.
+that need escapes or are not ASCII.  Examples are derandomized, so every
+run checks the same inputs.
 """
 
 from __future__ import annotations
@@ -61,10 +59,7 @@ def corpus_payloads(tmp_path_factory) -> list:
     return payloads + [optimumset(g, k, measure).to_json_dict() for _, g, k, measure in byte_corpus.search_cases()]
 
 
-# 0 walks every dict and list that holds an array, whatever its size.
-@pytest.mark.parametrize("few_rows", [0, cli._FEW_ROWS])
-def test_every_corpus_payload(corpus_payloads, monkeypatch, few_rows):
-    monkeypatch.setattr(cli, "_FEW_ROWS", few_rows)
+def test_every_corpus_payload(corpus_payloads):
     for payload in corpus_payloads:
         assert_writes_as_json_dumps(payload)
 
@@ -73,13 +68,12 @@ def test_tie_rows_span_pieces(monkeypatch):
     monkeypatch.setattr(cli, "_ROWS_PER_PIECE", 3)
     rows = np.arange(40, dtype=np.intp).reshape(10, 4)
     assert len(list(cli.json_pieces(rows))) == 5
-    assert len(list(cli.json_pieces(rows[: cli._FEW_ROWS]))) == 1
+    # Scalar children are written inline, in their parent's piece.
+    assert len(list(cli.json_pieces({"k": 4, "value": 1.5, "exact": None}))) == 1
     assert_writes_as_json_dumps({"rows": [{"optimal_sets": rows}], "k": 4})
 
 
-@pytest.mark.parametrize("few_rows", [0, cli._FEW_ROWS])
-def test_one_row_and_one_column_arrays(monkeypatch, few_rows):
-    monkeypatch.setattr(cli, "_FEW_ROWS", few_rows)
+def test_one_row_and_one_column_arrays():
     one = optimumset(byte_corpus.search_cases()[0][1], 1, Measure.DEGREE).ties
     assert one.shape == (70, 1)
     for obj in (one, one[:1], {"a": {"b": [one[:1], []]}}, [{}, one], {"k": one[:0]}):
@@ -108,10 +102,7 @@ payloads = st.recursive(
 )
 
 
-@pytest.mark.parametrize("few_rows", [0, cli._FEW_ROWS])
 @settings(derandomize=True, deadline=None, database=None, max_examples=400)
 @given(obj=payloads)
-def test_hypothesis_payloads(obj, few_rows):
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(cli, "_FEW_ROWS", few_rows)
-        assert_writes_as_json_dumps(obj)
+def test_hypothesis_payloads(obj):
+    assert_writes_as_json_dumps(obj)

@@ -445,6 +445,33 @@ class TestMemoryGuard:
         assert len(result.optimal_sets) == 168
         assert peak < 280_000
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_search_peak_within_tie_list_guard(self, monkeypatch, workers):
+        # The 10 x 12 torus has 202,600 tied degree sets at k = 3.  The
+        # search once held every partition's rows through the merge, and
+        # the merged rows through the selection and the sorted copy: by
+        # tracemalloc, 1.38 (one worker) and 1.88 (two) times what the
+        # guard counted for the tie list's join.
+        from gcentral import optimize
+
+        counted = []
+
+        def spy(needed, what):
+            if what == "the search's tie list":
+                counted.append(needed)
+            return errors.check_memory(needed, what)
+
+        monkeypatch.setattr(optimize, "check_memory", spy)
+        g = torus_graph(10, 12)
+        tracemalloc.start()
+        try:
+            result = optimumset(g, 3, Measure.DEGREE, workers=workers)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(result.ties) == 202_600
+        assert len(counted) == 1 and peak <= counted[0]
+
     def test_closeness_distances_fit_without_path_counts(self, monkeypatch):
         # csgraph's distances cast to int16 hold 10 bytes per vertex pair.
         # The pass with path counts that closeness once ran held 45, past
