@@ -13,10 +13,13 @@ Subcommands, and the options beside their own that each takes:
 A graph is the positional edge-list file with ``--labels`` and
 ``--weighted``; ``centrality``, ``optimum`` and ``hitting`` refuse a
 disconnected one.  Any other option, or a prefix of one, is a usage
-error.  Exit codes: 0 success, 2 input or usage error, 3 budget exceeded,
-4 numerical failure.  Every emitted result embeds a run manifest (command,
-input digest, seed, tolerances, version, wall time); commands without
-``--tolerance`` record the default float tie tolerance.
+error.  Exit codes: 0 success, 1 standard output closed early, 2 input or
+usage error, 3 budget exceeded, 4 numerical failure.  Every emitted result
+embeds a run manifest (command, input digest, seed, tolerances, version,
+wall time); commands without ``--tolerance`` record the default float tie
+tolerance.  The output formats live here, save the edge-list format that
+:mod:`gcentral.graph` both reads and writes: the result types hold data,
+and one function here writes each payload.
 """
 
 from __future__ import annotations
@@ -52,12 +55,14 @@ from .optimize import (
     FLOAT_TIE_REL,
     MEASURE_ORDER,
     CrossMeasureReport,
+    OptimumResult,
     check_tie_rel,
     cross_measure_report,
 )
 from .randomwalk import (
     ROUTE_ABSORBING,
     ROUTE_CONTRACTION,
+    HittingSolution,
     hitting_time_set,
     monte_carlo_hitting,
 )
@@ -204,14 +209,6 @@ def _emit_json(payload: dict, out: str | None) -> None:
     _emit(itertools.chain(json_pieces(payload), ["\n"]), out)
 
 
-def _score_dict(score: Score) -> dict:
-    d: dict = {"value": score.value}
-    d["exact"] = (
-        f"{score.exact_num}/{score.exact_den}" if score.exact is not None else None
-    )
-    return d
-
-
 def _manifest(
     args, start: float, path: Path | None, seed: int | None = None, tie_rel: float = FLOAT_TIE_REL
 ) -> dict:
@@ -231,6 +228,11 @@ def _manifest_line(manifest: dict) -> str:
     return f"# manifest: {json.dumps(manifest, sort_keys=True)}"
 
 
+def _exact(score: Score) -> str | None:
+    """The score's exact rational as ``num/den``; None if it has none."""
+    return None if score.exact is None else f"{score.exact.numerator}/{score.exact.denominator}"
+
+
 def cmd_centrality(args) -> int:
     start = time.perf_counter()
     g, path = _load_graph(args)
@@ -243,44 +245,74 @@ def cmd_centrality(args) -> int:
             "kind": "centrality",
             "set": list(members),
             "set_labels": [g.label(v) for v in members] if g.labels is not None else None,
-            "scores": {MEASURE_COLUMN[m]: _score_dict(s) for m, s in scores.items()},
+            "scores": {MEASURE_COLUMN[m]: {"value": s.value, "exact": _exact(s)} for m, s in scores.items()},
             "manifest": manifest,
         }
         _emit_json(payload, args.out)
     else:
         lines = [_manifest_line(manifest), "measure\tvalue\texact"]
         for m, s in scores.items():
-            exact = f"{s.exact_num}/{s.exact_den}" if s.exact is not None else "-"
-            lines.append(f"{MEASURE_COLUMN[m]}\t{s.value:.6f}\t{exact}")
+            lines.append(f"{MEASURE_COLUMN[m]}\t{s.value:.6f}\t{_exact(s) or '-'}")
         _emit(["\n".join(lines) + "\n"], args.out)
     return 0
 
 
-def _format_cell(result, g: Graph, use_labels: bool) -> str:
-    parts = []
-    for s in result.ties[:2].tolist():
-        names = [g.label(v) for v in s] if use_labels else [str(v) for v in s]
-        parts.append("{" + ", ".join(names) + "}")
-    if result.extra_count:
-        parts.append(f"... ({result.extra_count})")
-    return ", ".join(parts)
+def _jaccard(report: CrossMeasureReport) -> list[tuple[int, Measure, Measure, float]]:
+    """The report's overlaps as (k, a, b, overlap) rows, in the order both
+    report writers list them: by k, then the two measures' names."""
+    rows = [(k, a, b, j) for (k, a, b), j in report.jaccard.items()]
+    return sorted(rows, key=lambda r: (r[0], r[1].value, r[2].value))
 
 
-def render_report_tsv(report: CrossMeasureReport, g: Graph, manifest: dict, use_labels: bool) -> str:
-    lines = [_manifest_line(manifest)]
-    lines.append("k\t" + "\t".join(MEASURE_COLUMN[m] for m in report.measures))
+def optimum_json(result: OptimumResult) -> dict:
+    """One optimum row: ``optimal_sets`` is the ``ties`` array itself, as
+    :func:`json_pieces` writes it; ``best`` has ``exact`` only where the
+    measure is exact."""
+    best = {"value": result.best.value}
+    if result.best.exact is not None:
+        best["exact"] = _exact(result.best)
+    return {
+        "measure": result.measure.value,
+        "k": result.k,
+        "best": best,
+        "optimal_sets": result.ties,
+        "evaluated": result.evaluated,
+    }
+
+
+def report_json(report: CrossMeasureReport) -> dict:
+    """The ``optimum --format json`` fields of a report, less kind and manifest."""
+    cells = [report.cells[(k, m)] for k in range(1, report.k_max + 1) for m in report.measures]
+    return {
+        "k_max": report.k_max,
+        "rows": [optimum_json(cell) for cell in cells],
+        "jaccard": [{"k": k, "a": a.value, "b": b.value, "overlap": round(j, 9)} for k, a, b, j in _jaccard(report)],
+    }
+
+
+def _report_tsv(report: CrossMeasureReport, g: Graph, manifest: dict, use_labels: bool) -> str:
+    """The ``optimum`` text report: per cell the first two optimal sets and
+    how many more there are, then each cell's best value and the overlaps."""
+    name = g.label if use_labels else str
+    lines = [_manifest_line(manifest), "k\t" + "\t".join(MEASURE_COLUMN[m] for m in report.measures)]
     for k in range(1, report.k_max + 1):
-        cells = [_format_cell(report.cells[(k, m)], g, use_labels) for m in report.measures]
+        cells = []
+        for m in report.measures:
+            ties = report.cells[(k, m)].ties
+            parts = ["{" + ", ".join(map(name, s)) + "}" for s in ties[:2].tolist()]
+            if len(ties) > 2:
+                parts.append(f"... ({len(ties) - 2})")
+            cells.append(", ".join(parts))
         lines.append(f"{k}\t" + "\t".join(cells))
     lines.append("# best value per cell (exact rational first where available)")
     for k in range(1, report.k_max + 1):
         for m in report.measures:
-            lines.append(f"# best\t{k}\t{MEASURE_COLUMN[m]}\t{report.cells[(k, m)].best.render()}")
+            best = report.cells[(k, m)].best
+            value = f"{best.value:.6f}" if best.exact is None else f"{_exact(best)} ({best.value:.6f})"
+            lines.append(f"# best\t{k}\t{MEASURE_COLUMN[m]}\t{value}")
     lines.append("# pairwise Jaccard overlap of optimal-set unions")
-    for (k, ma, mb), j in sorted(
-        report.jaccard.items(), key=lambda kv: (kv[0][0], kv[0][1].value, kv[0][2].value)
-    ):
-        lines.append(f"# jaccard\t{k}\t{MEASURE_COLUMN[ma]}\t{MEASURE_COLUMN[mb]}\t{j:.6f}")
+    for k, a, b, j in _jaccard(report):
+        lines.append(f"# jaccard\t{k}\t{MEASURE_COLUMN[a]}\t{MEASURE_COLUMN[b]}\t{j:.6f}")
     return "\n".join(lines) + "\n"
 
 
@@ -293,12 +325,28 @@ def cmd_optimum(args) -> int:
                                   measures=measures, tie_rel=args.tolerance)
     manifest = _manifest(args, start, path, tie_rel=args.tolerance)
     if args.format == "json":
-        payload = {"kind": "optimum-report", "manifest": manifest}
-        payload.update(report.to_json_dict())
-        _emit_json(payload, args.out)
+        _emit_json({"kind": "optimum-report", "manifest": manifest, **report_json(report)}, args.out)
     else:
-        _emit([render_report_tsv(report, g, manifest, args.use_labels)], args.out)
+        _emit([_report_tsv(report, g, manifest, args.use_labels)], args.out)
     return 0
+
+
+def hitting_json(solution: HittingSolution) -> dict:
+    """The ``solution`` field of ``hitting``'s output: per-vertex values
+    keyed by id, and a Monte Carlo run's errors, truncations and seed."""
+    out: dict = {
+        "target": list(solution.target.members),
+        "route": solution.route,
+        "hitting_times": {str(v): h for v, h in enumerate(solution.h)},
+    }
+    if solution.walks_per_source is not None:
+        out["stderr"] = {str(v): e for v, e in enumerate(solution.stderr)}
+        out["walks_per_source"] = solution.walks_per_source
+        out["max_steps"] = solution.max_steps
+        out["truncated"] = {str(v): t for v, t in enumerate(solution.truncated) if t}
+        out["seed"] = solution.seed
+        out["rng"] = solution.rng
+    return out
 
 
 #: ``hitting --route`` values of the analytic routes; the other is ``montecarlo``.
@@ -319,7 +367,7 @@ def cmd_hitting(args) -> int:
         solution = hitting_time_set(g, members, route=ANALYTIC_ROUTES[args.route])
     payload = {
         "kind": "hitting",
-        "solution": solution.to_json_dict(),
+        "solution": hitting_json(solution),
         "manifest": _manifest(args, start, path, seed=solution.seed),
     }
     _emit_json(payload, args.out)
@@ -341,7 +389,11 @@ def cmd_sample(args) -> int:
     result = random_walk_sample(g, cfg)
     header = _manifest_line(_manifest(args, start, path, seed=args.seed))
     _emit([header + "\n" + format_edge_list(result.graph)], edge_path)
-    _emit(["\n".join(result.mapping_lines(g)) + "\n"], map_path)
+    # A .map line per sampled vertex: its sample id, its source id and, with labels, its label.
+    rows = [f"{i}\t{v}" for i, v in enumerate(result.original_ids)]
+    if g.labels is not None:
+        rows = [f"{row}\t{g.label(v)}" for row, v in zip(rows, result.original_ids)]
+    _emit(["\n".join(rows) + "\n"], map_path)
     sys.stderr.write(
         f"sampled {result.graph.n} vertices / {result.graph.m} edges "
         f"(seed {args.seed}, rng {result.rng}) -> {edge_path}, {map_path}\n"
@@ -491,7 +543,16 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     args.argv = ["gcentral"] + argv
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader closed standard output early (``| head``): point it at devnull
+        # so the interpreter's last flush is quiet, and exit as Python's signal docs advise.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
     except (BudgetExceededError, SamplingBudgetError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 3

@@ -123,17 +123,20 @@ class Graph:
         indptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=n))))
         self.__setstate__((n, labels, indptr, cols, slot_w))
 
+    def _slot_rows(self) -> np.ndarray:
+        """The vertex whose row holds each CSR slot, built on each call."""
+        return np.repeat(np.arange(self.n), np.diff(self._indptr))
+
     @property
     def edges(self) -> tuple[tuple[int, int], ...]:
-        rows = np.repeat(np.arange(self.n), np.diff(self._indptr))
+        rows = self._slot_rows()
         upper = rows < self._indices
         return tuple(zip(rows[upper].tolist(), self._indices[upper].tolist()))
 
     @property
     def weights(self) -> tuple[float, ...]:
         """Weights parallel to ``edges``."""
-        rows = np.repeat(np.arange(self.n), np.diff(self._indptr))
-        return tuple(self._slot_w[rows < self._indices].tolist())
+        return tuple(self._slot_w[self._slot_rows() < self._indices].tolist())
 
     @property
     def m(self) -> int:
@@ -205,8 +208,7 @@ def _renamed_edges(g: Graph, new_id: np.ndarray) -> tuple[np.ndarray, np.ndarray
     Edges with a dropped end or two ends of one name vanish.  Edges joining
     one pair merge, their weights added in slot order as a running sum
     would: ``g.edges`` order where one vertex has the smaller name."""
-    rows = np.repeat(np.arange(g.n), np.diff(g._indptr))
-    u, v = new_id[rows], new_id[g._indices]
+    u, v = new_id[g._slot_rows()], new_id[g._indices]
     # One slot per edge: the one in the row of its smaller new end.
     keep = (0 <= u) & (u < v)
     u, v, w = u[keep], v[keep], g._slot_w[keep]
@@ -381,10 +383,10 @@ def load_edge_list(
 
     Lines hold ``u v`` or ``u v w`` with a positive finite weight ``w``;
     ``#`` starts a comment.  If every endpoint token is ASCII digits the
-    tokens are vertex ids and
-    ``n`` is the largest id plus one.  Otherwise tokens are string names:
-    they are interned in first-seen order, unless ``labels`` is given, in
-    which case the label list fixes the id of every name.
+    tokens are vertex ids and ``n`` is the largest id plus one.  Otherwise
+    tokens are string names: they are interned in first-seen order, unless
+    ``labels`` is given, in which case that list of distinct labels fixes
+    the id of every name.
     """
     raw: list[tuple[str, str, float, int]] = []
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -408,18 +410,18 @@ def load_edge_list(
     # str.isdigit alone also accepts Unicode digits such as "²", which int() rejects.
     all_numeric = all(t.isascii() and t.isdigit() for a, b, _, _ in raw for t in (a, b))
     name_to_id: dict[str, int] = {}
-    if labels is not None:
-        name_to_id = {name: i for i, name in enumerate(labels)}
+    for i, name in enumerate(() if labels is None else labels):
+        if name_to_id.setdefault(name, i) != i:
+            raise InputError(f"duplicate label {name!r}")
 
     def resolve(token: str, lineno: int) -> int:
-        if labels is not None and token in name_to_id:
+        if token in name_to_id:
             return name_to_id[token]
-        if all_numeric and labels is None:
-            return int(token)
         if labels is not None:
             raise InputError(f"line {lineno}: token {token!r} not in label file")
-        if token not in name_to_id:
-            name_to_id[token] = len(name_to_id)
+        if all_numeric:
+            return int(token)
+        name_to_id[token] = len(name_to_id)
         return name_to_id[token]
 
     edges: list[tuple[int, int]] = []
@@ -436,21 +438,16 @@ def load_edge_list(
         edges.append(key)
         weights.append(w)
 
-    if labels is not None:
-        n = len(labels)
-        final_labels: Sequence[str] | None = labels
-    elif all_numeric:
-        n = max(max(u, v) for u, v in edges) + 1
-        final_labels = None
-    else:
-        n = len(name_to_id)
-        final_labels = [name for name, _ in sorted(name_to_id.items(), key=lambda kv: kv[1])]
-    return Graph(n, edges, weights, final_labels)
+    if labels is None and not all_numeric:
+        labels = list(name_to_id)  # the names in first-seen order, which is id order
+    n = max(max(u, v) for u, v in edges) + 1 if labels is None else len(labels)
+    return Graph(n, edges, weights, labels)
 
 
 def parse_label_file(text: str) -> list[str]:
-    """Parse ``index<TAB>label`` lines into a dense label list."""
+    """Parse ``index<TAB>label`` lines into a dense list of distinct labels."""
     entries: dict[int, str] = {}
+    seen: set[str] = set()
     for lineno, line in enumerate(text.splitlines(), start=1):
         body = line.split("#", 1)[0].rstrip("\n")
         if not body.strip():
@@ -466,7 +463,11 @@ def parse_label_file(text: str) -> list[str]:
         idx = int(idx_s)
         if idx in entries:
             raise InputError(f"label line {lineno}: duplicate index {idx}")
-        entries[idx] = label.strip()
+        label = label.strip()
+        if label in seen:
+            raise InputError(f"label line {lineno}: duplicate label {label!r}")
+        seen.add(label)
+        entries[idx] = label
     if not entries:
         raise InputError("label file is empty")
     n = max(entries) + 1

@@ -67,23 +67,9 @@ class Score:
     value: float
     exact: Fraction | None = None
 
-    @property
-    def exact_num(self) -> int | None:
-        return self.exact.numerator if self.exact is not None else None
-
-    @property
-    def exact_den(self) -> int | None:
-        return self.exact.denominator if self.exact is not None else None
-
     @staticmethod
     def from_fraction(f: Fraction) -> "Score":
         return Score(value=float(f), exact=f)
-
-    def render(self) -> str:
-        """Human-readable form: exact rational first when one exists."""
-        if self.exact is not None:
-            return f"{self.exact.numerator}/{self.exact.denominator} ({self.value:.6f})"
-        return f"{self.value:.6f}"
 
 
 def group_degree(g: Graph, s: VertexSet | Iterable[int]) -> Score:
@@ -127,15 +113,16 @@ def group_betweenness(g: Graph, s: VertexSet | Iterable[int]) -> Score:
 
     Exact integer path counts per pair, summed as shares by
     :func:`betweenness_score`, as in the search.  Value 1 iff the set is a
-    vertex cover.  Refused (BudgetExceededError) when the outside
+    vertex cover, so 1 with one outside vertex, which leaves no pairs (the
+    search's convention too).  Refused (BudgetExceededError) when the outside
     vertices times the CSR slots pass ``errors.PATH_COUNT_LIMIT``.
     """
     vs = as_vertex_set(s)
     vs.check_proper(g)
     comp = np.asarray(vs.complement(g.n))
     c = len(comp)
-    if c < 2:
-        raise InputError("group betweenness needs at least two outside vertices")
+    if c == 1:
+        return Score(value=1.0)
     work = c * g._indices.size
     if work > errors.PATH_COUNT_LIMIT:
         raise BudgetExceededError(

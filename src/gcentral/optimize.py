@@ -173,7 +173,7 @@ def colex_subsets(n: int, k: int) -> Iterator[tuple[int, ...]]:
 
 def _adjacency(g: Graph, dtype) -> np.ndarray:
     a = np.zeros((g.n, g.n), dtype=dtype)
-    a[np.repeat(np.arange(g.n), np.diff(g._indptr)), g._indices] = 1
+    a[g._slot_rows(), g._indices] = 1
     return a
 
 
@@ -658,23 +658,6 @@ class OptimumResult:
         """The tie list as vertex sets, built on each call."""
         return tuple(VertexSet(s) for s in map(tuple, self.ties.tolist()))
 
-    @property
-    def extra_count(self) -> int:
-        return max(0, len(self.ties) - 2)
-
-    def to_json_dict(self) -> dict:
-        """The JSON fields, ``optimal_sets`` the ``ties`` array itself, as
-        :func:`gcentral.cli.json_text` writes it."""
-        out: dict = {
-            "measure": self.measure.value,
-            "k": self.k,
-            "best": {"value": self.best.value},
-            "optimal_sets": self.ties,
-            "evaluated": self.evaluated,
-        }
-        if self.best.exact is not None:
-            out["best"]["exact"] = f"{self.best.exact_num}/{self.best.exact_den}"
-        return out
 
 
 def _check_enumeration_args(g: Graph, k: int, budget: int) -> int:
@@ -786,17 +769,6 @@ class CrossMeasureReport:
     measures: tuple[Measure, ...]
     cells: dict[tuple[int, Measure], OptimumResult]
     jaccard: dict[tuple[int, Measure, Measure], float]
-
-    def to_json_dict(self) -> dict:
-        out: dict = {"k_max": self.k_max, "rows": [], "jaccard": []}
-        for k in range(1, self.k_max + 1):
-            for m in self.measures:
-                out["rows"].append(self.cells[(k, m)].to_json_dict())
-        for (k, ma, mb), j in sorted(
-            self.jaccard.items(), key=lambda kv: (kv[0][0], kv[0][1].value, kv[0][2].value)
-        ):
-            out["jaccard"].append({"k": k, "a": ma.value, "b": mb.value, "overlap": round(j, 9)})
-        return out
 
 
 def cross_measure_report(

@@ -96,7 +96,7 @@ def _step_table(g: Graph) -> _StepTable:
     deg = np.diff(g._indptr)
     if not deg.all():
         raise InputError(f"vertex {int(np.argmin(deg))} is isolated; the walk is undefined")
-    rows = np.repeat(np.arange(g.n), deg)
+    rows = g._slot_rows()
     prob, cum = np.empty(rows.size), np.empty(rows.size)
     # One degree at a time: numpy reduces each row of a 2-D block exactly as
     # it reduces that row alone, so the bits match a per-vertex loop.
@@ -190,7 +190,7 @@ def stationary(g: Graph) -> np.ndarray:
     No eigen-solve is involved; ``pi P = pi`` holds by reversibility.
     """
     # bincount adds each row's weights in slot order, as Graph's check does.
-    wdeg = np.bincount(np.repeat(np.arange(g.n), np.diff(g._indptr)), g._slot_w, minlength=g.n)
+    wdeg = np.bincount(g._slot_rows(), g._slot_w, minlength=g.n)
     if np.any(wdeg == 0):
         raise InputError("isolated vertex; stationary distribution undefined")
     return wdeg / wdeg.sum()
@@ -294,22 +294,6 @@ class HittingSolution:
     truncated: tuple[int, ...] | None = None
     seed: int | None = None
     rng: str | None = None
-
-    def to_json_dict(self) -> dict:
-        out: dict = {
-            "target": list(self.target.members),
-            "route": self.route,
-            "hitting_times": {str(v): self.h[v] for v in range(len(self.h))},
-        }
-        if self.stderr is not None:
-            out["stderr"] = {str(v): self.stderr[v] for v in range(len(self.stderr))}
-        if self.walks_per_source is not None:
-            out["walks_per_source"] = self.walks_per_source
-            out["max_steps"] = self.max_steps
-            out["truncated"] = {str(v): t for v, t in enumerate(self.truncated) if t}
-            out["seed"] = self.seed
-            out["rng"] = self.rng
-        return out
 
 
 def _lu_solve(a: np.ndarray, b: np.ndarray, limit: float, what: str, system: str) -> np.ndarray:

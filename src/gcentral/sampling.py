@@ -70,15 +70,6 @@ class SampleResult:
     seed: int
     rng: str = RNG_NAME
 
-    def mapping_lines(self, source: Graph) -> list[str]:
-        lines = []
-        for sample_id, orig in enumerate(self.original_ids):
-            if source.labels is not None:
-                lines.append(f"{sample_id}\t{orig}\t{source.label(orig)}")
-            else:
-                lines.append(f"{sample_id}\t{orig}")
-        return lines
-
 
 def random_walk_sample(g: Graph, cfg: SampleConfig) -> SampleResult:
     """Visit vertices by a restarting random walk and induce the subgraph.

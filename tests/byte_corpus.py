@@ -2,6 +2,14 @@
 set of inputs, one file per run.
 
     PYTHONPATH=src python3 tests/byte_corpus.py OUT_DIR
+    PYTHONPATH=src python3 tests/byte_corpus.py --parent REF OUT_DIR
+
+The second form compares this checkout with the commit REF: it extracts
+REF by ``git archive`` into a temporary directory, writes REF's corpus by
+REF's own copy of this script on REF's ``src`` to ``OUT_DIR/parent`` and
+this checkout's by this copy on this ``src`` to ``OUT_DIR/change``, then
+lists every file that differs or is in one corpus only, and exits 1 if
+there is any.
 
 Each file is the output less the manifest's ``wall_time_s`` and
 ``command``, so two checkouts' corpora compare with ``diff -r``.  JSON
@@ -40,15 +48,18 @@ import contextlib
 import io
 import itertools
 import json
+import os
 import re
+import subprocess
 import sys
+import tarfile
 import tempfile
 from importlib import resources
 from pathlib import Path
 
 import numpy as np
 
-from gcentral.cli import json_text, main
+from gcentral.cli import json_text, main, optimum_json
 from gcentral.graph import Graph, load_edge_list, parse_label_file
 from gcentral.measures import Measure
 from gcentral.optimize import optimumset
@@ -289,14 +300,46 @@ def write_corpus(out_dir: Path) -> None:
         _run(["ingest", str(triples), "--predicate", "related", "-o", str(edges)], "ingest")
         texts["ingest-related.txt"] = edges.read_text()
     for (name, g, k, measure), workers in itertools.product(search_cases(), (1, 2)):
-        reports[f"{name}-w{workers}"] = json.loads(json_text(optimumset(g, k, measure, workers=workers).to_json_dict()))
+        reports[f"{name}-w{workers}"] = json.loads(json_text(optimum_json(optimumset(g, k, measure, workers=workers))))
     for name, report in reports.items():
         (out_dir / f"{name}.json").write_text(json.dumps(report, indent=1, sort_keys=True) + "\n")
     for name, text in texts.items():
         (out_dir / name).write_text(_mask(text))
 
 
+def _corpus_of(tree: Path, out_dir: Path) -> None:
+    """Write the corpus of the checkout ``tree`` by its own script and package."""
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"))
+    subprocess.run([sys.executable, str(tree / "tests" / "byte_corpus.py"), str(out_dir)], env=env, check=True)
+
+
+def compare_with(ref: str, out_dir: Path) -> int:
+    """Write the corpora of the commit ``ref`` and of this checkout under
+    ``out_dir``, print the files that differ, and return 1 if any do."""
+    here = Path(__file__).resolve().parents[1]
+    for side in ("parent", "change"):
+        (out_dir / side).mkdir(parents=True)  # a fresh directory each, so no old file is compared
+    with tempfile.TemporaryDirectory() as tmp:
+        archive = subprocess.run(["git", "archive", "--format=tar", ref], cwd=here, check=True, capture_output=True)
+        with tarfile.open(fileobj=io.BytesIO(archive.stdout)) as tar:
+            tar.extractall(tmp, filter="data")
+        _corpus_of(Path(tmp), out_dir / "parent")
+    _corpus_of(here, out_dir / "change")
+    names = {p.name for p in (out_dir / "parent").iterdir()} | {p.name for p in (out_dir / "change").iterdir()}
+    bad = 0
+    for name in sorted(names):
+        files = [out_dir / side / name for side in ("parent", "change")]
+        missing = [f.parent.name for f in files if not f.is_file()]
+        if missing or files[0].read_bytes() != files[1].read_bytes():
+            bad += 1
+            print(f"{name}: " + (f"missing in {missing[0]}" if missing else "differs"))
+    print(f"{bad} of {len(names)} files differ")
+    return 1 if bad else 0
+
+
 if __name__ == "__main__":
+    if len(sys.argv) == 4 and sys.argv[1] == "--parent":
+        sys.exit(compare_with(sys.argv[2], Path(sys.argv[3])))
     if len(sys.argv) != 2:
-        raise SystemExit(f"usage: {sys.argv[0]} OUT_DIR")
+        raise SystemExit(f"usage: {sys.argv[0]} OUT_DIR | --parent REF OUT_DIR")
     write_corpus(Path(sys.argv[1]))

@@ -24,7 +24,7 @@ from concurrent.futures import ProcessPoolExecutor
 import numpy as np
 import pytest
 
-from gcentral.cli import json_text
+from gcentral.cli import json_text, optimum_json, report_json
 from gcentral.graph import Graph
 from gcentral.measures import (
     Measure,
@@ -214,7 +214,7 @@ def test_criterion_5_family_separation_as_stated():
 
 def _canonical_report_json(g: Graph, k_max: int, workers: int, pool) -> str:
     rep = cross_measure_report(g, k_max, workers=workers, pool=pool)
-    return json_text(rep.to_json_dict())
+    return json_text(report_json(rep))
 
 
 def test_criterion_6_concept_network_fixtures(novice, expert):
@@ -236,7 +236,7 @@ def test_criterion_6_concept_network_fixtures(novice, expert):
     assert degree_sets == [(animal,), (livingthing,)]
 
     rerun = cross_measure_report(novice, 4)
-    deterministic = json_text(novice_report.to_json_dict()) == json_text(rerun.to_json_dict())
+    deterministic = json_text(report_json(novice_report)) == json_text(report_json(rerun))
     assert deterministic
     ok = expert_elapsed < 5.0 and novice_elapsed < 5.0
     report(6, "concept-network fixtures k=1..4", ok,
@@ -266,7 +266,7 @@ def _digest_criterion5(workers: int, pool) -> str:
         fam = generate_family(FamilyParams(n, m))
         for measure in (Measure.RANDOMWALK, Measure.CLOSENESS):
             r = optimumset(fam.graph, m + 1, measure, workers=workers, pool=pool)
-            h.update(json_text(r.to_json_dict()).encode())
+            h.update(json_text(optimum_json(r)).encode())
     return h.hexdigest()
 
 
@@ -283,7 +283,7 @@ def _digest_criterion7(corpus, workers: int, pool) -> str:
         for k in range(1, min(3, g.n - 1) + 1):
             for m in MEASURE_ORDER:
                 r = optimumset(g, k, m, workers=workers, pool=pool)
-                h.update(json_text(r.to_json_dict()).encode())
+                h.update(json_text(optimum_json(r)).encode())
     return h.hexdigest()
 
 

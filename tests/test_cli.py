@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 import warnings
 from importlib import resources
 from pathlib import Path
@@ -10,9 +13,11 @@ from pathlib import Path
 import jsonschema
 import pytest
 
-from gcentral import errors
+from gcentral import cli, errors
 from gcentral.cli import build_parser, ingest_triples, main
 from gcentral.graph import format_edge_list, load_edge_list
+from gcentral.measures import Measure
+from gcentral.optimize import score_subset
 
 from conftest import torus_graph
 
@@ -105,12 +110,33 @@ class TestCentrality:
         assert code == 2
         assert "dragon" in err
 
+    def test_duplicate_label_exit_2(self, capsys, tmp_path):
+        (tmp_path / "g.edges").write_text("a b\nb c\n")
+        (tmp_path / "labels.tsv").write_text("0\ta\n1\tb\n2\tc\n3\ta\n")
+        code, out, err = run(capsys, ["centrality", str(tmp_path / "g.edges"), "--labels",
+                                      str(tmp_path / "labels.tsv"), "--set", "b"])
+        assert code == 2 and out == ""
+        assert err == "error: label line 4: duplicate label 'a'\n"
+
     def test_disconnected_exit_2(self, capsys, tmp_path):
         path = tmp_path / "two.edges"
         path.write_text("0 1\n2 3\n")
         code, _, err = run(capsys, ["centrality", str(path), "--set", "0"])
         assert code == 2
         assert "disconnected" in err
+
+    def test_one_outside_vertex_betweenness_is_one(self, capsys, tmp_path):
+        # The search scores {0, 1, 2} on this path at 1.0: no outside pairs
+        # are left, and a set missing one vertex covers every edge.
+        path = tmp_path / "p4.edges"
+        path.write_text("0 1\n1 2\n2 3\n")
+        for measures in ("betweenness", "all"):
+            code, out, err = run(capsys, ["centrality", str(path), "--set", "0,1,2", "--measures", measures])
+            assert code == 0 and err == ""
+            assert "betweenness\t1.000000\t-" in out.splitlines()
+        code, out, _ = run(capsys, ["centrality", str(path), "--set", "0,1,2", "--format", "json"])
+        value = json.loads(out)["scores"]["betweenness"]["value"]
+        assert value == score_subset(load_edge_list(path.read_text()), (0, 1, 2), Measure.BETWEENNESS) == 1.0
 
     def test_tsv_has_manifest_comment(self, capsys, p2_file):
         code, out, _ = run(capsys, ["centrality", str(p2_file), "--set", "1"])
@@ -458,6 +484,24 @@ class TestExitCodes:
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, ["centrality", "/nonexistent.edges", "--set", "0"])
         assert code == 2
+
+    def test_stdout_closed_early_exits_1_quietly(self, tmp_path):
+        # The 10 x 12 torus's 202,600 tied degree sets make megabytes of
+        # JSON, far past what a pipe buffers, so the writer meets the closed pipe.
+        path = tmp_path / "torus.edges"
+        path.write_text(format_edge_list(torus_graph(10, 12)))
+        argv = ["optimum", str(path), "--k", "3", "--measures", "degree", "--format", "json", "--workers", "1"]
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        entry = "import sys; from gcentral.cli import main; sys.exit(main())"
+        with subprocess.Popen([sys.executable, "-c", entry, *argv], env=env,
+                              stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+            assert proc.stdout.readline() == b"{\n"
+            proc.stdout.close()
+            err = proc.stderr.read()
+            code = proc.wait(timeout=120)
+        assert code == 1
+        assert err == b""
 
     # {dir} is an existing directory, {p2} a path graph, {bad} an edge list
     # that is not UTF-8.

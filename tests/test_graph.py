@@ -48,6 +48,11 @@ class TestLoadEdgeList:
         with pytest.raises(InputError, match="duplicate"):
             load_edge_list("0 1\n1 0")
 
+    def test_duplicate_label_rejected(self):
+        # Otherwise 'a' names vertex 3 in the edges but vertex 0 by lookup.
+        with pytest.raises(InputError, match="^duplicate label 'a'$"):
+            load_edge_list("a b\nb c\n", labels=["a", "b", "c", "a"])
+
     def test_malformed_line_reports_number(self):
         with pytest.raises(InputError, match="line 3"):
             load_edge_list("0 1\n1 2\nbroken")
@@ -114,6 +119,10 @@ class TestLabelFile:
     def test_duplicate_index_rejected(self):
         with pytest.raises(InputError, match="duplicate"):
             parse_label_file("0\ta\n0\tb\n")
+
+    def test_duplicate_label_rejected(self):
+        with pytest.raises(InputError, match="^label line 4: duplicate label 'a'$"):
+            parse_label_file("0\ta\n1\tb\n2\tc\n3\ta \n")
 
     def test_negative_index_rejected(self):
         with pytest.raises(InputError, match="label line 1: negative index -1"):

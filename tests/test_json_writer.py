@@ -56,7 +56,7 @@ def corpus_payloads(tmp_path_factory) -> list:
         patch.setattr(cli, "_emit_json", record)
         byte_corpus.write_corpus(tmp_path_factory.mktemp("corpus"))
     assert {p["kind"] for p in payloads} == {"optimum-report", "hitting", "centrality"}
-    return payloads + [optimumset(g, k, measure).to_json_dict() for _, g, k, measure in byte_corpus.search_cases()]
+    return payloads + [cli.optimum_json(optimumset(g, k, measure)) for _, g, k, measure in byte_corpus.search_cases()]
 
 
 def test_every_corpus_payload(corpus_payloads):

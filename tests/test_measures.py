@@ -16,7 +16,7 @@ from gcentral.measures import (
     group_closeness,
     group_degree,
 )
-from gcentral.optimize import _scorers
+from gcentral.optimize import _scorers, score_subset
 
 from conftest import complete_graph, cycle_graph, layered_bipartite, path_graph, star_graph
 import oracles
@@ -68,9 +68,12 @@ class TestGroupBetweenness:
     def test_four_cycle(self):
         assert group_betweenness(cycle_graph(4), [0]).value == pytest.approx(1 / 6, abs=1e-15)
 
-    def test_rejects_single_outside_vertex(self):
-        with pytest.raises(InputError):
-            group_betweenness(complete_graph(3), [0, 1])
+    def test_single_outside_vertex_scores_one(self):
+        # No outside pairs are left, and V less one vertex covers every
+        # edge: 1, as the search scores it.
+        for g in (complete_graph(3), path_graph(4)):
+            members = tuple(range(g.n - 1))
+            assert group_betweenness(g, members).value == score_subset(g, members, Measure.BETWEENNESS) == 1.0
 
     def test_equals_search_score_bit_for_bit(self, corpus_n7):
         # ``centrality`` and ``optimum`` score a set with one kernel.  The

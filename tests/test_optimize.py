@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from gcentral import errors
-from gcentral.cli import json_text
+from gcentral.cli import json_text, optimum_json, report_json
 from gcentral.errors import (
     BudgetExceededError,
     InputError,
@@ -340,7 +340,7 @@ class TestMemoryGuard:
     def test_smallest_blocks_give_the_same_result(self, novice, monkeypatch, measure):
         from gcentral.optimize import _scorers
 
-        want = json_text(optimumset(novice, 3, measure).to_json_dict())
+        want = json_text(optimum_json(optimumset(novice, 3, measure)))
         limit = 1024
         monkeypatch.setattr(errors, "MEMORY_LIMIT", limit)
         while True:
@@ -351,7 +351,7 @@ class TestMemoryGuard:
                 limit *= 2
                 monkeypatch.setattr(errors, "MEMORY_LIMIT", limit)
         assert rows < 512
-        assert json_text(optimumset(novice, 3, measure, workers=2).to_json_dict()) == want
+        assert json_text(optimum_json(optimumset(novice, 3, measure, workers=2))) == want
         if measure in (Measure.BETWEENNESS, Measure.RANDOMWALK):
             # The smallest limit with a screen: one parent per batch.
             low, high = limit, 1 << 30
@@ -361,7 +361,7 @@ class TestMemoryGuard:
                 low, high = (low, mid) if _scorers(novice, 3, measure).parents else (mid, high)
             monkeypatch.setattr(errors, "MEMORY_LIMIT", high)
             assert _scorers(novice, 3, measure).parents == 1
-            assert json_text(optimumset(novice, 3, measure).to_json_dict()) == want
+            assert json_text(optimum_json(optimumset(novice, 3, measure))) == want
         # Half that limit cannot hold the per-graph arrays and one row.
         monkeypatch.setattr(errors, "MEMORY_LIMIT", limit // 2)
         with pytest.raises(BudgetExceededError, match="memory limit") as exc:
@@ -564,7 +564,7 @@ class TestPrefixScreen:
         build = optimize._scorers
         # One-vertex extensions at k = 2, two-vertex ones at k = 3.
         for k in (2, 3):
-            want = json_text(optimumset(novice, k, measure).to_json_dict())
+            want = json_text(optimum_json(optimumset(novice, k, measure)))
             scored = []
 
             def moved(g, k, m):
@@ -580,7 +580,7 @@ class TestPrefixScreen:
             monkeypatch.setattr(optimize, "_scorers", moved)
             got = optimumset(novice, k, measure)
             monkeypatch.setattr(optimize, "_scorers", build)
-            assert json_text(got.to_json_dict()) == want
+            assert json_text(optimum_json(got)) == want
             # The confirmation, then the whole partition through the block scorer.
             assert sum(scored) > got.evaluated
 
@@ -624,14 +624,14 @@ class TestWorkers:
             blobs = []
             for workers in (1, 2, 8):
                 r = optimumset(novice, 3, m, workers=workers)
-                blobs.append(json_text(r.to_json_dict()))
+                blobs.append(json_text(optimum_json(r)))
             assert blobs[0] == blobs[1] == blobs[2]
 
     def test_degree_ties_split_across_partitions(self):
         # 3,738 tied degree sets on the torus at k = 3: the partitions' rank
         # ranges cut the tie list in the middle.
         g = torus_graph(6, 7)
-        blobs = {json_text(optimumset(g, 3, Measure.DEGREE, workers=w).to_json_dict()) for w in (1, 2, 8)}
+        blobs = {json_text(optimum_json(optimumset(g, 3, Measure.DEGREE, workers=w))) for w in (1, 2, 8)}
         assert len(blobs) == 1
 
     def test_external_pool_reuse(self, novice):
@@ -639,7 +639,7 @@ class TestWorkers:
             a = optimumset(novice, 2, Measure.RANDOMWALK, workers=2, pool=pool)
             b = optimumset(novice, 2, Measure.RANDOMWALK, workers=2, pool=pool)
         c = optimumset(novice, 2, Measure.RANDOMWALK, workers=1)
-        assert json_text(a.to_json_dict()) == json_text(b.to_json_dict()) == json_text(c.to_json_dict())
+        assert json_text(optimum_json(a)) == json_text(optimum_json(b)) == json_text(optimum_json(c))
 
 
 class TestNaiveEquivalence:
@@ -715,7 +715,7 @@ class TestCrossMeasureReport:
         rep = cross_measure_report(expert, 2)
         assert len(rep.cells) == 8
         assert len(rep.jaccard) == 12
-        payload = rep.to_json_dict()
+        payload = report_json(rep)
         assert len(payload["rows"]) == 8
 
     def test_budget_guard_reports_largest_k(self):

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from scipy.linalg.lapack import dgetrf
 
 from gcentral import randomwalk
-from gcentral.cli import json_text
+from gcentral.cli import hitting_json, json_text
 from gcentral.errors import InputError, NumericalError, TruncationError, check_memory
 from gcentral.graph import Graph
 from gcentral.measures import Measure
@@ -608,7 +608,7 @@ class TestMonteCarlo:
 
     def test_json_payload(self):
         sol = monte_carlo_hitting(path_graph(3), [2], walks_per_source=100, seed=23)
-        payload = json.loads(json_text(sol.to_json_dict()))
+        payload = json.loads(json_text(hitting_json(sol)))
         assert payload["route"] == "monte-carlo"
         assert payload["rng"] == "numpy.random.PCG64"
         assert payload["seed"] == 23

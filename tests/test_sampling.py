@@ -7,6 +7,7 @@ import hashlib
 import numpy as np
 import pytest
 
+from gcentral.cli import main
 from gcentral.errors import InputError, SamplingBudgetError
 from gcentral.graph import format_edge_list, is_connected
 from gcentral.measures import Measure
@@ -130,10 +131,17 @@ class TestRandomWalkSample:
             assert sub == want and sub.labels == want.labels and original_ids == tuple(ids)
             assert sub.edges == want.edges and sub.weights == want.weights
 
-    def test_mapping_lines_with_labels(self):
+    def test_mapping_lines_with_labels(self, tmp_path, capsys):
         g = path_graph(5).relabel(["a", "b", "c", "d", "e"])
+        (tmp_path / "p5.edges").write_text(format_edge_list(g, use_labels=True))
+        (tmp_path / "p5.tsv").write_text("".join(f"{v}\t{g.label(v)}\n" for v in g.vertices()))
+        prefix = tmp_path / "sample"
+        argv = ["sample", str(tmp_path / "p5.edges"), "--labels", str(tmp_path / "p5.tsv"),
+                "--nodes", "3", "--seed", "5", "--out-prefix", str(prefix)]
+        assert main(argv) == 0
+        capsys.readouterr()
         result = random_walk_sample(g, SampleConfig(target_nodes=3, seed=5))
-        lines = result.mapping_lines(g)
+        lines = (tmp_path / "sample.map").read_text().splitlines()
         assert len(lines) == result.graph.n
         assert all(len(line.split("\t")) == 3 for line in lines)
 
