@@ -13,8 +13,13 @@ Subcommands, and the options beside their own that each takes:
 A graph is the positional edge-list file with ``--labels`` and
 ``--weighted``; ``centrality``, ``optimum`` and ``hitting`` refuse a
 disconnected one.  Any other option, or a prefix of one, is a usage
-error.  Exit codes: 0 success, 1 standard output closed early, 2 input or
-usage error, 3 budget exceeded, 4 numerical failure.  Every emitted result
+error.  :func:`main` builds the parser of the subcommand that its first
+argument names and no other, which prints the same help, errors and
+exit codes as the parser of all six; with no argument, an option or an
+unknown name first, it builds all six.
+
+Exit codes: 0 success, 1 standard output closed early, 2 input or usage
+error, 3 budget exceeded, 4 numerical failure.  Every emitted result
 embeds a run manifest (command, input digest, seed, tolerances, version,
 wall time); commands without ``--tolerance`` record the default float tie
 tolerance.  The output formats live here, save the edge-list format that
@@ -464,40 +469,38 @@ def cmd_ingest(args) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
-    graph = argparse.ArgumentParser(add_help=False)
-    graph.add_argument("graph", help="edge list file")
-    graph.add_argument("--labels", default=None, help="index<TAB>label file")
-    graph.add_argument("--weighted", action="store_true", help="edge list has weights")
-    out = argparse.ArgumentParser(add_help=False)
-    out.add_argument("-o", "--out", default=None, help="output file (default stdout)")
-    fmt = argparse.ArgumentParser(add_help=False)
-    fmt.add_argument("--format", choices=("tsv", "json"), default="tsv")
+def _graph_options(p: argparse.ArgumentParser) -> None:
+    """Add the options of a subcommand that reads a graph."""
+    p.add_argument("graph", help="edge list file")
+    p.add_argument("--labels", default=None, help="index<TAB>label file")
+    p.add_argument("--weighted", action="store_true", help="edge list has weights")
 
-    parser = argparse.ArgumentParser(
-        prog="gcentral",
-        description="Group centrality, optimal central sets, and random-walk hitting times.",
-        allow_abbrev=False,
-    )
-    parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
-    sub = parser.add_subparsers(dest="subcommand", required=True)
-    add = functools.partial(sub.add_parser, allow_abbrev=False)
 
-    p = add("centrality", parents=[graph, fmt, out], help="score one vertex set")
+def _out_option(p: argparse.ArgumentParser) -> None:
+    p.add_argument("-o", "--out", default=None, help="output file (default stdout)")
+
+
+def _add_centrality(add) -> None:
+    p = add(help="score one vertex set")
+    _graph_options(p)
+    p.add_argument("--format", choices=("tsv", "json"), default="tsv")
+    _out_option(p)
     p.add_argument("--set", required=True, help="comma-separated vertex ids or labels")
     p.add_argument("--measures", default="all")
     p.set_defaults(func=cmd_centrality)
 
-    p = add("optimum", parents=[graph, fmt, out], help="optimal sets for k = 1..K")
+
+def _add_optimum(add) -> None:
+    p = add(help="optimal sets for k = 1..K")
+    _graph_options(p)
+    p.add_argument("--format", choices=("tsv", "json"), default="tsv")
+    _out_option(p)
     p.add_argument("--k", type=int, required=True, help="largest set size to enumerate")
     p.add_argument("--measures", default="all")
     p.add_argument("--use-labels", action="store_true", help="print labels instead of ids")
-    p.add_argument(
-        "--workers",
-        type=int,
-        default=os.cpu_count() or 1,
-        help="worker processes (default: available parallelism)",
-    )
+    # The CPUs this process may run on, which can be fewer than the host's.
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    p.add_argument("--workers", type=int, default=cpus, help="worker processes (default: available parallelism)")
     p.add_argument("--budget", type=int, default=DEFAULT_BUDGET, help="max subsets to enumerate")
     p.add_argument(
         "--tolerance",
@@ -507,7 +510,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.set_defaults(func=cmd_optimum)
 
-    p = add("hitting", parents=[graph, out], help="hitting times to a vertex set")
+
+def _add_hitting(add) -> None:
+    p = add(help="hitting times to a vertex set")
+    _graph_options(p)
+    _out_option(p)
     p.add_argument("--set", required=True)
     p.add_argument("--route", choices=(*ANALYTIC_ROUTES, "montecarlo"), default="absorbing")
     walk = p.add_argument_group("Monte Carlo only", argument_default=argparse.SUPPRESS)
@@ -517,7 +524,10 @@ def build_parser() -> argparse.ArgumentParser:
     walk.add_argument("--seed", type=int, help="random seed (default 0)")
     p.set_defaults(func=cmd_hitting)
 
-    p = add("sample", parents=[graph], help="random-walk sample of a larger graph")
+
+def _add_sample(add) -> None:
+    p = add(help="random-walk sample of a larger graph")
+    _graph_options(p)
     p.add_argument("--seed", type=int, default=0, help="random seed")
     p.add_argument("--nodes", type=int, default=40, help="distinct vertices to visit")
     p.add_argument("--restart", type=float, default=DEFAULT_RESTART)
@@ -525,22 +535,62 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-prefix", required=True, help="writes PREFIX.edges and PREFIX.map")
     p.set_defaults(func=cmd_sample)
 
-    p = add("family", parents=[out], help="generate the clique/star family")
+
+def _add_family(add) -> None:
+    p = add(help="generate the clique/star family")
+    _out_option(p)
     p.add_argument("--n", type=int, required=True, help="gadget size")
     p.add_argument("--m", type=int, required=True, help="gadgets per kind")
     p.set_defaults(func=cmd_family)
 
-    p = add("ingest", parents=[out], help="triples file to edge list")
+
+def _add_ingest(add) -> None:
+    p = add(help="triples file to edge list")
+    _out_option(p)
     p.add_argument("triples")
     p.add_argument("--predicate", required=True, help="keep triples with this predicate")
     p.set_defaults(func=cmd_ingest)
+
+
+#: Each subcommand's builder, in ``--help`` order; it adds the
+#: subcommand's parser by ``add``, ``add_parser`` with the name bound.
+_SUBCOMMANDS = {
+    "centrality": _add_centrality,
+    "optimum": _add_optimum,
+    "hitting": _add_hitting,
+    "sample": _add_sample,
+    "family": _add_family,
+    "ingest": _add_ingest,
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The ``gcentral`` parser: with ``command`` a subcommand's name, it
+    holds that subcommand alone and parses an argv that starts with it as
+    the whole parser does; otherwise it holds all six."""
+    parser = argparse.ArgumentParser(
+        prog="gcentral",
+        description="Group centrality, optimal central sets, and random-walk hitting times.",
+        allow_abbrev=False,
+    )
+    parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
+    one = command in _SUBCOMMANDS
+    # The metavar keeps all six names in the usage line of a parser that
+    # holds one.  The parser of all six lists them by itself, and must not
+    # take it: its missing-subcommand and invalid-choice errors name the
+    # argument by its dest, which a metavar would replace.
+    metavar = "{" + ",".join(_SUBCOMMANDS) + "}" if one else None
+    sub = parser.add_subparsers(dest="subcommand", required=True, metavar=metavar)
+    for name in [command] if one else _SUBCOMMANDS:
+        _SUBCOMMANDS[name](functools.partial(sub.add_parser, name, allow_abbrev=False))
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    # Building all six subcommands' parsers took a third of a `centrality`
+    # call on a 25-vertex graph, so only the one named is built.
+    args = build_parser(argv[0] if argv else None).parse_args(argv)
     args.argv = ["gcentral"] + argv
     try:
         code = args.func(args)

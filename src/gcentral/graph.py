@@ -385,8 +385,8 @@ def load_edge_list(
     ``#`` starts a comment.  If every endpoint token is ASCII digits the
     tokens are vertex ids and ``n`` is the largest id plus one.  Otherwise
     tokens are string names: they are interned in first-seen order, unless
-    ``labels`` is given, in which case that list of distinct labels fixes
-    the id of every name.
+    ``labels`` is given, in which case that list of distinct labels, each
+    non-empty and free of whitespace, fixes the id of every name.
     """
     raw: list[tuple[str, str, float, int]] = []
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -411,6 +411,8 @@ def load_edge_list(
     all_numeric = all(t.isascii() and t.isdigit() for a, b, _, _ in raw for t in (a, b))
     name_to_id: dict[str, int] = {}
     for i, name in enumerate(() if labels is None else labels):
+        if name.split() != [name]:  # tokens are split on whitespace
+            raise InputError(f"label {name!r} contains whitespace" if name else f"empty label at index {i}")
         if name_to_id.setdefault(name, i) != i:
             raise InputError(f"duplicate label {name!r}")
 
@@ -445,7 +447,8 @@ def load_edge_list(
 
 
 def parse_label_file(text: str) -> list[str]:
-    """Parse ``index<TAB>label`` lines into a dense list of distinct labels."""
+    """Parse ``index<TAB>label`` lines into a dense list of distinct labels,
+    each non-empty and free of whitespace, as an edge-list token is."""
     entries: dict[int, str] = {}
     seen: set[str] = set()
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -464,6 +467,11 @@ def parse_label_file(text: str) -> list[str]:
         if idx in entries:
             raise InputError(f"label line {lineno}: duplicate index {idx}")
         label = label.strip()
+        # An edge-list token is a run of non-whitespace, so none could name these.
+        if not label:
+            raise InputError(f"label line {lineno}: empty label")
+        if len(label.split()) > 1:
+            raise InputError(f"label line {lineno}: label {label!r} contains whitespace")
         if label in seen:
             raise InputError(f"label line {lineno}: duplicate label {label!r}")
         seen.add(label)

@@ -30,11 +30,11 @@ and ``centrality`` also solve with, and means it by the same fsum.
 Betweenness takes the base path counts once per search from
 :func:`gcentral.graph.geodesic_counts`, in float64 or, once a count reaches
 2**53, on Python ints, and both of its scorers remove a member v by one
-rule (:func:`_through`): subtract sigma(x, v) sigma(v, y) wherever
-d(x, v) + d(v, y) = d(x, y).  The block scorer reads each outside pair's
-share of geodesics avoiding the subset as the same correctly rounded ratio
-of exact integers as ``centrality``, summed by its one formula, so a value
-does not depend on the rest of its block.
+rule: subtract sigma(x, v) sigma(v, y) on the pairs :func:`_via` picks,
+those with d(x, v) + d(v, y) = d(x, y).  The block scorer reads each
+outside pair's share of geodesics avoiding the subset as the same
+correctly rounded ratio of exact integers as ``centrality``, summed by its
+one formula, so a value does not depend on the rest of its block.
 
 One reduction, :func:`_absorb`, keeps the scored subsets within a window of
 the best score seen; it folds each scored block into a partition's result
@@ -195,18 +195,23 @@ def _base_counts(g: Graph) -> tuple[np.ndarray, np.ndarray]:
     return np.concatenate(dist).astype(np.int16), sigma
 
 
+def _via(dist: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Per row r, the vertex pairs (x, y) with d(x, v[r]) + d(v[r], y) =
+    d(x, y), ``dist`` the base hop distances: those whose geodesics may
+    pass v[r]."""
+    dv = dist[v]
+    return dist[None] == dv[:, :, None] + dv[:, None, :]
+
+
 def _through(dist: np.ndarray, sig: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Per row r of the stacked path counts ``sig``, the x-y geodesics
-    through v[r]: sig[r, x, v] sig[r, v, y] where d(x, v) + d(v, y) =
-    d(x, y), ``dist`` the base hop distances.  Subtracting them removes v
-    (Puzis, Elovici and Dolev 2007).  Exact as long as the counts are: a
-    masked product never exceeds sig[r, x, y], and the mask zeroes the rest.
-    The mask selects the first factor, so an unmasked Python-int product
-    is a cheap one by zero.
+    through v[r]: sig[r, x, v] sig[r, v, y] on the pairs of :func:`_via`,
+    0 elsewhere.  Subtracting them removes v (Puzis, Elovici and Dolev
+    2007).  Exact as long as the counts are: a masked product never
+    exceeds sig[r, x, y].
     """
     s = sig[np.arange(len(v)), v]
-    dv = dist[v]
-    through = np.where(dist[None] == dv[:, :, None] + dv[:, None, :], s[:, :, None], 0)
+    through = np.where(_via(dist, v), s[:, :, None], 0)
     through *= s[:, None, :]
     return through
 
@@ -461,8 +466,18 @@ def _scorers(g: Graph, k: int, measure: Measure) -> _Scorers:
         # a correctly rounded ratio of exact integers summed by one fsum
         # formula, so a score does not depend on its block.
         sig = np.broadcast_to(sigma, (len(subsets), n, n))
+        if ints:
+            sig = sig.copy()
         for v in subsets.T:
-            sig = sig - _through(dist, sig, v)
+            if ints:
+                # Python-int arithmetic costs per entry, so it runs only on
+                # the pairs a geodesic through v may join (a third of them
+                # over the 3 x 36 ladder's k = 2 search).
+                r, x, y = np.nonzero(_via(dist, v))
+                s = sig[np.arange(len(v)), v]
+                sig[r, x, y] -= s[r, x] * s[r, y]
+            else:
+                sig = sig - _through(dist, sig, v)
         comp = _complements_of(n, subsets)
         rows, cols = comp[:, iu], comp[:, iv]
         shares = sig[np.arange(len(subsets))[:, None], rows, cols] / sigma[rows, cols]

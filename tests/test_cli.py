@@ -118,6 +118,18 @@ class TestCentrality:
         assert code == 2 and out == ""
         assert err == "error: label line 4: duplicate label 'a'\n"
 
+    @pytest.mark.parametrize("label, message", [("", "empty label"),
+                                                ("big cat", "label 'big cat' contains whitespace")])
+    def test_label_no_token_can_name_exit_2(self, capsys, tmp_path, label, message):
+        # No edge could name such a vertex, so it would be isolated and the
+        # graph refused as disconnected, which misnames the fault.
+        (tmp_path / "g.edges").write_text("a b\nb c\n")
+        (tmp_path / "labels.tsv").write_text(f"0\t{label}\n1\ta\n2\tb\n3\tc\n")
+        code, out, err = run(capsys, ["centrality", str(tmp_path / "g.edges"), "--labels",
+                                      str(tmp_path / "labels.tsv"), "--set", "a"])
+        assert code == 2 and out == ""
+        assert err == f"error: label line 1: {message}\n"
+
     def test_disconnected_exit_2(self, capsys, tmp_path):
         path = tmp_path / "two.edges"
         path.write_text("0 1\n2 3\n")
@@ -450,6 +462,18 @@ class TestOptions:
         args = build_parser().parse_args(argv)
         assert args.subcommand == command
 
+    def test_workers_default_counts_usable_cpus(self, monkeypatch):
+        def workers() -> int:
+            return build_parser().parse_args(["optimum", "g.edges", "--k", "1"]).workers
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 5, 7}, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        assert workers() == 3
+        monkeypatch.delattr(os, "sched_getaffinity")
+        assert workers() == 64
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert workers() == 1
+
     @pytest.mark.parametrize(
         "argv",
         [
@@ -478,6 +502,40 @@ class TestOptions:
         assert exc.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
         assert not (tmp_path / "s.edges").exists()
+
+
+# An option of each subcommand, abbreviated.
+ABBREVIATED = {
+    "optimum": "--work", "centrality": "--form", "hitting": "--rou", "sample": "--nod", "family": "--ou",
+    "ingest": "--ou",
+}
+
+
+def _parse_failure(capsys, parse) -> tuple[str, str, int]:
+    with pytest.raises(SystemExit) as exc:
+        parse()
+    captured = capsys.readouterr()
+    return captured.out, captured.err, exc.value.code
+
+
+@pytest.mark.parametrize("argv", [
+    [], ["--help"], ["--version"], ["bogus"],
+    *([command, "--help"] for command in TAKES),
+    *([command] for command in TAKES),
+    *(_base_argv(command, Path("g.edges"), Path("s")) + extra for command in TAKES
+      for extra in (["--bogus"], ["extra"], [ABBREVIATED[command], "1"])),
+], ids=lambda argv: " ".join(argv) or "no-arguments")
+def test_main_parses_as_the_whole_parser(capsys, argv):
+    # main builds only the named subcommand's parser; in one process, so the
+    # help text wraps at the same width, it must say what all six would.
+    got = _parse_failure(capsys, lambda: main(argv))
+    assert got == _parse_failure(capsys, lambda: build_parser().parse_args(argv))
+    _, err, code = got
+    assert code == (0 if "--help" in argv or "--version" in argv else 2)
+    # The whole parser names the missing or unknown subcommand by its dest.
+    if argv in ([], ["bogus"]):
+        assert ("argument subcommand: invalid choice: 'bogus'" if argv
+                else "the following arguments are required: subcommand") in err
 
 
 class TestExitCodes:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 
@@ -52,6 +54,13 @@ class TestLoadEdgeList:
         # Otherwise 'a' names vertex 3 in the edges but vertex 0 by lookup.
         with pytest.raises(InputError, match="^duplicate label 'a'$"):
             load_edge_list("a b\nb c\n", labels=["a", "b", "c", "a"])
+
+    @pytest.mark.parametrize("label, message", [("", "empty label at index 1"),
+                                                ("big cat", "label 'big cat' contains whitespace"),
+                                                (" a", "label ' a' contains whitespace")])
+    def test_label_no_token_can_name_rejected(self, label, message):
+        with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+            load_edge_list("a c\n", labels=["a", label, "c"])
 
     def test_malformed_line_reports_number(self):
         with pytest.raises(InputError, match="line 3"):
@@ -123,6 +132,14 @@ class TestLabelFile:
     def test_duplicate_label_rejected(self):
         with pytest.raises(InputError, match="^label line 4: duplicate label 'a'$"):
             parse_label_file("0\ta\n1\tb\n2\tc\n3\ta \n")
+
+    @pytest.mark.parametrize("line, message", [("1\t", "empty label"), ("1\t \t", "empty label"),
+                                               ("1\tbig cat", "label 'big cat' contains whitespace"),
+                                               ("1\tbig\tcat ", "label 'big\\tcat' contains whitespace")])
+    def test_label_no_token_can_name_rejected(self, line, message):
+        # Edge-list tokens are split on whitespace, so no edge could name these.
+        with pytest.raises(InputError, match=f"^label line 2: {re.escape(message)}$"):
+            parse_label_file(f"0\ta\n{line}\n2\tc\n")
 
     def test_negative_index_rejected(self):
         with pytest.raises(InputError, match="label line 1: negative index -1"):
