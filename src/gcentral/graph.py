@@ -386,7 +386,7 @@ def load_edge_list(
     tokens are vertex ids and ``n`` is the largest id plus one.  Otherwise
     tokens are string names: they are interned in first-seen order, unless
     ``labels`` is given, in which case that list of distinct labels, each
-    non-empty and free of whitespace, fixes the id of every name.
+    non-empty and free of whitespace and ``#``, fixes the id of every name.
     """
     raw: list[tuple[str, str, float, int]] = []
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -413,6 +413,8 @@ def load_edge_list(
     for i, name in enumerate(() if labels is None else labels):
         if name.split() != [name]:  # tokens are split on whitespace
             raise InputError(f"label {name!r} contains whitespace" if name else f"empty label at index {i}")
+        if "#" in name:
+            raise InputError(f"label {name!r} contains '#', which starts a comment")
         if name_to_id.setdefault(name, i) != i:
             raise InputError(f"duplicate label {name!r}")
 

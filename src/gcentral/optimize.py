@@ -18,13 +18,15 @@ For k >= 2, betweenness and random walk screen the subsets in groups: those
 sharing their last k - t elements, the parent, are scored together, with
 t = 2 from k = 3 on (t = 1 at k = 2).  Random walk takes one inverse G per
 parent, over its complement, and each extension T scores from a Schur
-complement of the t x t block G[T, T].  Betweenness builds the
-path-betweenness matrix PB once per search; the first k - 2 vertices of a
-parent update PB and the path counts, and each extension then scores from
-four entries of the result by inclusion-exclusion.  What the screen leaves
-in the keep window is re-scored by the block scorer, the only exact kernel,
-which also serves k = 1 and single subsets; every reported value comes from
-it.  Random walk's block scorer solves each subset's absorbing system with
+complement of the t x t block G[T, T]; from k = 4 the parents that differ
+only in their smallest vertex share one inverse, downdated per parent.
+Betweenness builds the path-betweenness matrix PB once per search; the
+first k - 2 vertices of a parent update PB and the path counts, and each
+extension then scores from four entries of the result by
+inclusion-exclusion.  What the screen leaves in the keep window is
+re-scored by the block scorer, the only exact kernel, which also serves
+k = 1 and single subsets; every reported value comes from it.  Random
+walk's block scorer solves each subset's absorbing system with
 :func:`gcentral.randomwalk.absorbing_times`, the one kernel that ``hitting``
 and ``centrality`` also solve with, and means it by the same fsum.
 Betweenness takes the base path counts once per search from
@@ -381,8 +383,10 @@ def _scorers(g: Graph, k: int, measure: Measure) -> _Scorers:
         # row at 64 to 512 rows, and under 0.97 of this from one row up (a
         # 6 x 7 torus, random 25- to 300-vertex graphs, k = 1 to 4).  Per
         # parent: the system, its inverse and the inverter's identity and
-        # copy; a batch peaked at under 0.63 of this (a 6 x 7 torus at k = 3
-        # to 5, a 300-vertex graph at k = 2 and 3).
+        # copy, or from k = 4 those of its base and its own downdated copy
+        # and the update's product; a batch peaked at under 0.66 of this
+        # (0.58 on a 6 x 7 torus at k = 3 to 5, 0.65 on a random 300-vertex
+        # graph at k = 3 to 5, its first and last batches).
         Measure.RANDOMWALK: (
             8 * n * n + 32 * slots + table + 2**17,
             16 * c * c,
@@ -431,10 +435,33 @@ def _scorers(g: Graph, k: int, measure: Measure) -> _Scorers:
             # is never singular: by Jacobi's complementary-minor identity its
             # determinant is det((I - Q) off T) / det(I - Q), a ratio of
             # principal minors of the M-matrix I - Q, so positive.
+            #
+            # From k = 4 a parent's smallest vertex v lies below the rest of
+            # it, its base B, so v sits at position v of B's complement, and
+            # in colex order the parents of one base come in a run.  A run
+            # takes one inverse M over B's complement, and each parent's G is
+            # M downdated on v, M - M[:, v] M[v, :] / M[v, v]: the Schur
+            # complement that absorbs the walk at v as well, so again a
+            # walk's Green's matrix, here with row and column v cleared and
+            # the positions from v on one further along.  No pivoting is
+            # needed: M[v, v] >= 1 counts the visits to v of a walk that
+            # starts there.  Up to k = 3 the base is empty, and I - P singular.
+            systems, base_of = parents, None
+            if parents.shape[1] > 1:
+                run = np.r_[True, (parents[1:, 1:] != parents[:-1, 1:]).any(axis=1)]
+                systems, base_of = parents[run, 1:], np.cumsum(run) - 1
             try:
-                inv = np.linalg.inv(escape_system(p, _complements_of(n, parents)))
+                inv = np.linalg.inv(escape_system(p, _complements_of(n, systems)))
             except np.linalg.LinAlgError as exc:
                 raise NumericalError(f"random-walk search inverse failed: {exc}") from exc
+            if base_of is not None:
+                at, v = np.arange(len(parents)), parents[:, 0]
+                inv = inv[base_of]
+                col, row = inv[at, :, v], inv[at, v] / inv[at, v, v, None]
+                inv -= col[:, :, None] * row[:, None, :]
+                inv[at, v] = 0.0
+                inv[at, :, v] = 0.0
+                ext = ext + (ext >= v[owner, None])
             rows, cols = inv.sum(axis=2), inv.sum(axis=1)
             # c_T^T G[T, T]^-1 r_T by elimination, x first, then for t = 2
             # y from the Schur complement e - b d / a of x's pivot a (the
@@ -639,13 +666,15 @@ def _scan_partitions(task: tuple[Graph, int, Measure, Sequence[int], float]) -> 
     Where the measure has a screen, the scan keeps what lies in the keep
     window of the screened values and re-scores that with the block scorer,
     so every reported value comes from the block scorer.  The screen is off
-    by rounding only (measured: at most 2.6e-14 relative for random walk,
-    with one- and two-vertex extensions on a 60-vertex path, and 3.2e-14
-    for betweenness, on the fixtures at k = 4 and on a 6 x 7 torus, a 4 x 8
-    ladder with a hub and a random 40-vertex graph at k = 3, where a score
-    of 0 comes out 0), far inside the keep window's margin of nine tie
-    windows; a kept value that moves by more than one tie window on
-    confirmation sends the partition back through the block scorer.
+    by rounding only (measured: at most 2.1e-13 relative for random walk,
+    on a 20-vertex graph with weights spanning six orders of magnitude at
+    k = 4, 6.3e-14 on a 60-vertex path at k = 3 and 4 and 1.6e-15 on a
+    6 x 7 torus at k = 5; and 3.2e-14 for betweenness, on the fixtures at
+    k = 4 and on a 6 x 7 torus, a 4 x 8 ladder with a hub and a random
+    40-vertex graph at k = 3, where a score of 0 comes out 0), far inside
+    the keep window's margin of nine tie windows; a kept value that moves
+    by more than one tie window on confirmation sends the partition back
+    through the block scorer.
     """
     g, k, measure, leading, tie_rel = task
     ties = _TieWindow.of(measure, tie_rel)

@@ -62,6 +62,13 @@ class TestLoadEdgeList:
         with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
             load_edge_list("a c\n", labels=["a", label, "c"])
 
+    @pytest.mark.parametrize("text", ["a b\nb c#d\n", "a b\n"])
+    def test_label_holding_comment_rejected(self, text):
+        # '#' starts a comment, so the token 'c#d' reads as 'c', and without
+        # an edge naming it the label would be an isolated vertex.
+        with pytest.raises(InputError, match="^label 'c#d' contains '#', which starts a comment$"):
+            load_edge_list(text, labels=["a", "b", "c#d"])
+
     def test_malformed_line_reports_number(self):
         with pytest.raises(InputError, match="line 3"):
             load_edge_list("0 1\n1 2\nbroken")

@@ -545,17 +545,40 @@ class TestPrefixScreen:
             ("weights1e6", 2, None),
             ("weights1e6", 3, None),
             ("weights1e6", 4, None),
+            # From k = 4 each parent's inverse is downdated from its base's:
+            # parents cutting the path at its ends, between neighbours and
+            # apart, one holding vertex 0; every fifth pair of the star, six
+            # with the hub; and every tenth 3-subset at k = 5.
+            ("path60", 4, np.array([[0, 59], [3, 4], [12, 40], [29, 30], [31, 57], [50, 51], [57, 58]])),
+            ("star30", 4, np.asarray(list(itertools.combinations(range(31), 2)))[::5]),
+            ("weights1e6", 5, np.asarray(list(itertools.combinations(range(20), 3)))[::10]),
         ],
     )
     def test_random_walk_screen_stress(self, case, k, parents):
         # Long hitting times (a path), one hub (a star) and edge weights
         # spanning six orders of magnitude: the screen stays within 1e-12 of
-        # the block scorer (measured: 2.6e-14 at most, on the path).
+        # the block scorer (measured: 2.1e-13 at most, with the weights at
+        # k = 4; 6.3e-14 on the path).
         g = self.stress_graph(case)
         if case == "weights1e6":
             assert max(g._slot_w) / min(g._slot_w) == pytest.approx(1e6)
         screened, exact = self.screened_and_exact(g, k, Measure.RANDOMWALK, parents)
         assert screened == pytest.approx(exact, rel=1e-12, abs=1e-15)
+
+    def test_random_walk_screen_inverts_once_per_base(self, monkeypatch):
+        # From k = 4 the parents sharing all but their smallest vertex share
+        # one inverse: on the 6 x 7 torus 780 parents have 39 bases, 51
+        # counting those split between batches of 64 parents.
+        inv, systems = np.linalg.inv, []
+
+        def counted(a):
+            systems.append(len(a))
+            return inv(a)
+
+        monkeypatch.setattr(np.linalg, "inv", counted)
+        result = optimumset(torus_graph(6, 7), 4, Measure.RANDOMWALK)
+        assert result.ties.shape == (42, 4)
+        assert sum(systems) <= 51
 
     @pytest.mark.parametrize("measure", [Measure.RANDOMWALK, Measure.BETWEENNESS])
     def test_moved_screen_rescans_with_block_scorer(self, novice, monkeypatch, measure):
