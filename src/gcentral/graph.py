@@ -6,16 +6,16 @@ freely across threads and worker processes.  Its CSR arrays are its only
 edge store: ``edges`` and ``weights``, induced subgraphs and contractions
 (:func:`_renamed_edges`) are read off them.
 
-Every distance and connectivity question is answered by
-:mod:`scipy.sparse.csgraph` on the graph's one CSR matrix: here
-(:func:`is_connected`, :func:`multi_source_distances`) and in
-:mod:`gcentral.optimize` (all-pairs hop distances).  Exact shortest-path
-counts, which csgraph does not give, come from :func:`geodesic_counts`:
-one numpy pass over the CSR arrays that runs breadth-first layers from a
-block of sources at once, counting all geodesics and those avoiding a
-vertex set (for group betweenness), in float64 while that is exact and on
-Python ints past it.  The betweenness search takes its base distances and
-counts from the same pass, once, from every vertex.
+One numpy traversal of the CSR arrays, :func:`_layers`, answers every
+distance question: breadth-first layers of many rows at once, expanding
+only the pairs the last layer reached.  Its distances serve
+:func:`is_connected`, :func:`multi_source_distances` (a row that starts
+at every member) and the closeness search's all-pairs distances
+(:func:`_hop_distances`, in blocks of sources).  :func:`geodesic_counts`
+counts geodesics on the same layers, all of them and those avoiding a
+vertex set (group betweenness), in float64 while that is exact and on
+Python ints past it; the betweenness search takes its base distances and
+counts from it, once, from every vertex.
 """
 
 from __future__ import annotations
@@ -25,8 +25,6 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
-import scipy.sparse
-from scipy.sparse import csgraph
 
 from .errors import InputError, check_memory
 
@@ -59,13 +57,12 @@ class Graph:
     and weighted degrees, then freezes adjacency in one read-only CSR
     layout, the graph's only edge store: row pointers ``_indptr``, neighbor
     ids ``_indices`` (ascending within a row) and per-slot weights
-    ``_slot_w``, with the symmetric weighted adjacency matrix ``_csr`` over
-    them, whose directed csgraph traversal is the undirected one.  An edge
-    has a slot in either end's row; ``edges`` (``(u, v)`` with ``u < v``,
-    sorted) and ``weights`` are views of the slots above the diagonal.
+    ``_slot_w``.  An edge has a slot in either end's row; ``edges``
+    (``(u, v)`` with ``u < v``, sorted) and ``weights`` are views of the
+    slots above the diagonal.
     """
 
-    __slots__ = ("n", "labels", "_indptr", "_indices", "_slot_w", "_csr")
+    __slots__ = ("n", "labels", "_indptr", "_indices", "_slot_w")
 
     def __init__(
         self,
@@ -148,10 +145,6 @@ class Graph:
     def degree(self, v: int) -> int:
         return int(self._indptr[v + 1] - self._indptr[v])
 
-    def neighbor_weights(self, v: int) -> tuple[float, ...]:
-        """Weights parallel to ``neighbors(v)``."""
-        return tuple(self._slot_w[self._indptr[v] : self._indptr[v + 1]].tolist())
-
     def is_unweighted(self) -> bool:
         return bool((self._slot_w == 1.0).all())
 
@@ -170,9 +163,6 @@ class Graph:
         if name.isascii() and name.isdigit() and int(name) < self.n:
             return int(name)
         raise InputError(f"unknown vertex label {name!r}")
-
-    def relabel(self, labels: Sequence[str]) -> "Graph":
-        return Graph(self.n, self.edges, self.weights, labels)
 
     def _key(self) -> tuple:
         # Positive finite weights are equal exactly when their bytes are.
@@ -195,11 +185,10 @@ class Graph:
         return (self.n, self.labels, self._indptr, self._indices, self._slot_w)
 
     def __setstate__(self, state):
-        """Take state ``__init__`` validated: freeze the CSR arrays, build the matrix over them."""
+        """Take state ``__init__`` validated and freeze its CSR arrays."""
         self.n, self.labels, self._indptr, self._indices, self._slot_w = state
         for a in (self._indptr, self._indices, self._slot_w):
             a.flags.writeable = False
-        self._csr = scipy.sparse.csr_array((self._slot_w, self._indices, self._indptr), shape=(self.n, self.n))
 
 
 def _renamed_edges(g: Graph, new_id: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -287,7 +276,7 @@ class GeodesicCounts(NamedTuple):
     avoiding: np.ndarray
 
 
-#: Sources one counting pass takes at once, fewer if the memory limit says so.
+#: Source rows one pass takes at once, fewer if the memory limit says so.
 _SOURCE_BLOCK = 256
 # Bytes per source row, per vertex and per CSR slot: the dense rows (the
 # distance, the two counts, the dedup scratch) with the caller's per-pair
@@ -297,52 +286,98 @@ _SOURCE_BLOCK = 256
 # (3,000-vertex path) and 45 per slot (3,000-leaf star); objects 220 per
 # vertex (8 x 40 layered graph).
 _ROW_BYTES = (240, 48)
+# The same for the distance pass, by tracemalloc 12 to 16 per vertex
+# (3,000-vertex path) and 59 per slot with the vertices' (3,000-leaf star).
+_DISTANCE_ROW_BYTES = (16, 56)
+#: Most bytes one block of the distance pass takes: without it, all-pairs
+#: distances on random 3,000-vertex graphs of mean degree 3 to 22 ran 1.2 to
+#: 1.8 times slower and peaked at up to 516 MiB (52 with it).
+_DISTANCE_BLOCK_BYTES = 2**26
+
+
+def _block_rows(g: Graph, row_bytes: tuple[int, int], held: int, what: str, budget: int | None = None) -> int:
+    """Source rows one pass takes at ``row_bytes`` (per vertex, per slot)
+    each: up to _SOURCE_BLOCK, within the memory limit beside ``held`` bytes
+    and within ``budget``; BudgetExceededError if one row does not fit."""
+    per_vertex, per_slot = row_bytes
+    row = per_vertex * g.n + per_slot * g._indices.size
+    left = check_memory(held + row, what)
+    return min(_SOURCE_BLOCK, 1 + min(left, budget or left) // row)
+
+
+def _layers(g: Graph, dist: np.ndarray, key: np.ndarray) -> Iterator[tuple[np.ndarray, ...]]:
+    """Breadth-first layers of many traversals at once.  Row r of the flat
+    distances ``dist`` (-1 where unreached) is one traversal, the pair (r, v)
+    the index r * n + v; ``key`` holds the pairs at level 0, already 0 in
+    ``dist``.  Per level this yields the frontier's pairs and vertices and,
+    per slot that reaches an unreached pair, the frontier index it leaves
+    and the pair it reaches; resumed, it sets each reached pair's distance
+    and makes those pairs, once each, the next frontier."""
+    owner = np.empty(dist.size, dtype=np.intp)
+    level = 0
+    while key.size:
+        level += 1
+        base = key // g.n * g.n
+        vertex = key - base
+        start = g._indptr[vertex]
+        reach = g._indptr[vertex + 1] - start
+        # Every CSR slot of every frontier pair, and the pair it came from
+        # (by array methods, cheaper on small frontiers than numpy's functions).
+        src = np.arange(key.size).repeat(reach)
+        slot = np.arange(src.size) + (start - reach.cumsum() + reach)[src]
+        step = base[src] + g._indices[slot]
+        fresh = dist[step] == UNREACHED
+        src, step = src[fresh], step[fresh]
+        yield key, vertex, src, step
+        # One entry per reached pair: the candidate each key last saw.
+        order = np.arange(step.size)
+        owner[step] = order
+        key = step[owner[step] == order]
+        dist[key] = level
+
+
+def _distance_pass(g: Graph, rows: int, starts: np.ndarray) -> np.ndarray:
+    """Hop distances, (rows, n) int32, -1 where unreached; row r starts at
+    each vertex v with r * n + v in ``starts``."""
+    dist = np.full(rows * g.n, UNREACHED, dtype=np.int32)
+    dist[starts] = 0
+    for _ in _layers(g, dist, starts):
+        pass
+    return dist.reshape(rows, g.n)
+
+
+def _hop_distances(g: Graph) -> np.ndarray:
+    """All-pairs hop distances as int16, -1 between components, from blocks
+    of consecutive sources sized beside the result."""
+    n = g.n
+    rows = _block_rows(g, _DISTANCE_ROW_BYTES, 2 * n * n, f"hop distances on {n} vertices", _DISTANCE_BLOCK_BYTES)
+    dist = np.empty((n, n), dtype=np.int16)
+    for i in range(0, n, rows):
+        block = np.arange(i, min(i + rows, n))
+        dist[block] = _distance_pass(g, len(block), (block - i) * n + block)
+    return dist
 
 
 def _count_pass(g: Graph, sources: np.ndarray, avoided: np.ndarray, dtype) -> GeodesicCounts | None:
     """Breadth-first layers from every source at once, counting geodesics.
 
-    Only the (source, vertex) pairs reached at the current level are
-    expanded, through the CSR slots of their vertex; a pair's counts are
-    the sums over its predecessors on the layer before.  A vertex in
-    ``avoided`` (a bool mask) passes on its total count but not its
-    avoiding one.  In float64 the pass gives up (None) as soon as a count
-    reaches 2**53, where sums could round.
+    A pair's counts are the sums over its predecessors on the layer before.
+    A vertex in ``avoided`` (a bool mask) passes on its total count but not
+    its avoiding one.  In float64 the pass gives up (None) as soon as a
+    count reaches 2**53, where sums could round.
     """
     n, b = g.n, len(sources)
     dist = np.full(b * n, UNREACHED, dtype=np.int32)
     sigma = np.zeros(b * n, dtype=dtype)
     avoiding = np.zeros(b * n, dtype=dtype)
-    owner = np.empty(b * n, dtype=np.intp)
-    degree = np.diff(g._indptr)
-    # A pair (source row r, vertex v) is the flat index r * n + v.
-    base = np.arange(b) * n
-    vertex = np.asarray(sources, dtype=np.intp)
-    key = base + vertex
+    key = np.arange(b) * n + sources
     dist[key] = 0
     sigma[key] = avoiding[key] = 1
-    level = 0
-    while key.size:
-        level += 1
-        reach = degree[vertex]
-        # Every CSR slot of every frontier pair, and the pair it came from.
-        src = np.repeat(np.arange(key.size), reach)
-        slot = np.arange(src.size) + (g._indptr[vertex] - (np.cumsum(reach) - reach))[src]
-        step = base[src] + g._indices[slot]
-        fresh = dist[step] == UNREACHED
-        src, step = src[fresh], step[fresh]
+    for key, vertex, src, step in _layers(g, dist, key):
         through = np.where(avoided[vertex], 0, avoiding[key])
         np.add.at(sigma, step, sigma[key][src])
         np.add.at(avoiding, step, through[src])
-        base, key = base[src], step
-        # One entry per reached pair: the candidate each key last saw.
-        order = np.arange(key.size)
-        owner[key] = order
-        unique = owner[key] == order
-        key, base = key[unique], base[unique]
-        vertex = key - base
-        dist[key] = level
-        if dtype is float and key.size and sigma[key].max() >= 2.0**53:
+        if dtype is float and step.size and sigma[step].max() >= 2.0**53:
             return None
     shape = (b, n)
     return GeodesicCounts(dist.reshape(shape), sigma.reshape(shape), avoiding.reshape(shape))
@@ -357,10 +392,7 @@ def geodesic_counts(g: Graph, sources: Sequence[int], avoided: Iterable[int] = (
     not fit.  Counts run in float64 until a pass trips its exactness guard;
     that block and every later one then run on Python ints.
     """
-    per_vertex, per_slot = _ROW_BYTES
-    row_bytes = per_vertex * g.n + per_slot * g._indices.size
-    left = check_memory(row_bytes, f"counting shortest paths on {g.n} vertices")
-    rows = min(_SOURCE_BLOCK, 1 + left // row_bytes)
+    rows = _block_rows(g, _ROW_BYTES, 0, f"counting shortest paths on {g.n} vertices")
     mask = np.zeros(g.n, dtype=bool)
     mask[list(avoided)] = True
     sources = np.asarray(sources, dtype=np.intp)
@@ -504,7 +536,7 @@ def format_edge_list(g: Graph, use_labels: bool = False) -> str:
 
 def is_connected(g: Graph) -> bool:
     """True iff a single component spans every vertex."""
-    return csgraph.breadth_first_order(g._csr, 0, return_predecessors=False).size == g.n
+    return bool((_distance_pass(g, 1, np.zeros(1, dtype=np.intp)) != UNREACHED).all())
 
 
 def multi_source_distances(g: Graph, s: VertexSet | Iterable[int]) -> DistanceField:
@@ -515,6 +547,5 @@ def multi_source_distances(g: Graph, s: VertexSet | Iterable[int]) -> DistanceFi
     vs = as_vertex_set(s)
     if vs.members[-1] >= g.n:
         raise InputError(f"vertex {vs.members[-1]} outside graph")
-    dist = csgraph.dijkstra(g._csr, unweighted=True, indices=vs.members, min_only=True)
-    dist[np.isinf(dist)] = UNREACHED
-    return DistanceField(source=vs, dist=tuple(dist.astype(int).tolist()))
+    dist = _distance_pass(g, 1, np.array(vs.members, dtype=np.intp))
+    return DistanceField(source=vs, dist=tuple(dist[0].tolist()))

@@ -59,10 +59,9 @@ from functools import cache
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
-from scipy.sparse.csgraph import shortest_path
 
 from .errors import BudgetExceededError, InputError, NumericalError, check_memory
-from .graph import Graph, VertexSet, geodesic_counts, is_connected
+from .graph import Graph, VertexSet, _hop_distances, geodesic_counts, is_connected
 from .measures import Measure, Score, betweenness_score
 from .randomwalk import absorbing_times, escape_system, transition_matrix
 
@@ -177,13 +176,6 @@ def _adjacency(g: Graph, dtype) -> np.ndarray:
     a = np.zeros((g.n, g.n), dtype=dtype)
     a[g._slot_rows(), g._indices] = 1
     return a
-
-
-def _hop_distances(g: Graph) -> np.ndarray:
-    """All-pairs hop distances as int16, -1 between components."""
-    dist = shortest_path(g._csr, unweighted=True)
-    dist[np.isinf(dist)] = -1
-    return dist.astype(np.int16)
 
 
 def _base_counts(g: Graph) -> tuple[np.ndarray, np.ndarray]:
@@ -352,12 +344,15 @@ def _scorers(g: Graph, k: int, measure: Measure) -> _Scorers:
     # for the keep window only).
     width, extensions = c + depth, math.comb(c + depth, depth)
     table = 8 * depth * math.comb(n, depth) if k > 1 else 0
-    # Bytes per graph, per block row and per screened parent.  csgraph's
-    # distances, cast to int16, hold 10 per vertex pair (8 + 2, by
-    # tracemalloc at n = 300 to 3,000).
+    # Bytes per graph, per block row and per screened parent.  Closeness
+    # holds the all-pairs distances as int16, 2 per vertex pair; the pass
+    # that builds them sizes its blocks against the limit itself and frees
+    # them before scoring (by tracemalloc it peaked at 13 to 365 bytes per
+    # vertex pair at n = 300 and 2.7 to 6.1 at n = 3,000, on cycles and
+    # random graphs of mean degree 3 to 22).
     graph_bytes, row_bytes, parent_bytes = {
         Measure.DEGREE: (n * n + 8 * slots, (k + 1) * n, 0),
-        Measure.CLOSENESS: (10 * n * n + 8 * slots, 2 * (k + 1) * n, 0),
+        Measure.CLOSENESS: (2 * n * n + 8 * slots, 2 * (k + 1) * n, 0),
         # The base counts and the pairs' triangle indices; per row, its
         # counts, the paths through a member and their mask.  By tracemalloc
         # the base counts held 10 bytes per vertex pair in float64 and 39 to
@@ -766,10 +761,16 @@ def optimumset(
         Relative tolerance within which betweenness and random-walk scores
         tie; in (0, 1).
     """
-    if workers < 1:
-        raise InputError(f"workers must be at least 1; got {workers}")
     if not is_connected(g):
         raise InputError("optimumset requires a connected graph")
+    return _optimum(g, k, measure, budget, workers, pool, tie_rel)
+
+
+def _optimum(g: Graph, k: int, measure: Measure, budget: int, workers: int, pool, tie_rel: float) -> OptimumResult:
+    """:func:`optimumset` on a graph known to be connected: a report checks
+    that, a breadth-first pass, once for all its cells."""
+    if workers < 1:
+        raise InputError(f"workers must be at least 1; got {workers}")
     total = _check_enumeration_args(g, k, budget)
     ties = _TieWindow.of(measure, tie_rel)
     tasks = [(g, k, measure, chunk, tie_rel) for chunk in _leading_chunks(g.n, k, workers)]
@@ -833,6 +834,8 @@ def cross_measure_report(
     if not 1 <= k_max < g.n:
         raise InputError(f"k_max must satisfy 1 <= k_max < n; got {k_max}, n={g.n}")
     _check_enumeration_args(g, max(range(1, k_max + 1), key=lambda k: math.comb(g.n, k)), budget)
+    if not is_connected(g):
+        raise InputError("optimumset requires a connected graph")
     measures = tuple(measures)
     cells: dict[tuple[int, Measure], OptimumResult] = {}
     with ExitStack() as stack:
@@ -840,9 +843,7 @@ def cross_measure_report(
             pool = stack.enter_context(ProcessPoolExecutor(max_workers=workers))
         for k in range(1, k_max + 1):
             for m in measures:
-                cells[(k, m)] = optimumset(
-                    g, k, m, budget=budget, workers=workers, pool=pool, tie_rel=tie_rel
-                )
+                cells[(k, m)] = _optimum(g, k, m, budget, workers, pool, tie_rel)
     jaccard: dict[tuple[int, Measure, Measure], float] = {}
     pairs = list(itertools.combinations(measures, 2))
     for k in range(1, k_max + 1):

@@ -70,6 +70,12 @@ RNG_NAME = "numpy.random.PCG64"
 
 _FUNDAMENTAL_RESIDUAL = 1e-8
 _ABSORBING_RESIDUAL = 1e-7
+# Hitting times past this many steps are refused: rounding the transition
+# probabilities (2 eps each) moves each hitting time by up to 2 eps max(h) of
+# itself, to first order, as (I - Q)^-1 >= 0 has row sums h; past this, by
+# more than half the 1e-7 the routes agree to.  On a path weighted 1 and
+# 1e-12 the absorbing route was 1e-4 off; past 1e50 contraction gave zeros.
+_TRUSTED_STEPS = 5e-8 / (2 * np.finfo(float).eps)
 # Bytes per Monte Carlo walk at the peak of a step, its int64 and float64
 # arrays together (about 59 by tracemalloc on a 1,000-vertex sparse graph).
 _WALK_BYTES = 64
@@ -265,9 +271,9 @@ def contract(g: Graph, s: VertexSet | Iterable[int]) -> ContractedGraph:
     # Edges inside the set vanish; those into it fold onto one edge per
     # outside vertex, their weights added in edge order.
     u, v, w = _renamed_edges(g, new_id)
-    # A member is on the boundary if it has a positive weight to the outside.
-    reach = g._csr @ (new_id < merged).astype(float)
-    boundary = [v for v in vs.members if reach[v] > 0]
+    # A member is on the boundary if it has a slot to an outside vertex.
+    crossing = np.bincount(g._slot_rows(), new_id[g._indices] < merged, minlength=g.n)
+    boundary = [v for v in vs.members if crossing[v]]
 
     labels = None
     if g.labels is not None:
@@ -308,18 +314,20 @@ def _lu_solve(a: np.ndarray, b: np.ndarray, limit: float, what: str, system: str
     """
     stack = a.reshape(-1, *a.shape[-2:])
     xs = []
-    for m in stack:
-        lu, piv, info = dgetrf(m)
-        # Refined in getrs's own (Fortran) layout, which sets the bits of m @ y.
-        y = dgetrs(lu, piv, b)[0]
-        if info > 0 or not np.isfinite(y).all():
-            raise NumericalError(f"{what} failed: {system} is singular in floating point")
-        y += dgetrs(lu, piv, b - m @ y)[0]
-        xs.append(y)
-    x = np.array(xs)
-    # Only the stacked copy stays for the residual.
-    del xs, y
-    residual = np.max(np.abs(stack @ x.reshape(len(stack), len(b), -1) - b.reshape(len(b), -1)))
+    # A solution near the float range overflows m @ y: a residual not finite, refused.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for m in stack:
+            lu, piv, info = dgetrf(m)
+            # Refined in getrs's own (Fortran) layout, which sets the bits of m @ y.
+            y = dgetrs(lu, piv, b)[0]
+            if info > 0 or not np.isfinite(y).all():
+                raise NumericalError(f"{what} failed: {system} is singular in floating point")
+            y += dgetrs(lu, piv, b - m @ y)[0]
+            xs.append(y)
+        x = np.array(xs)
+        # Only the stacked copy stays for the residual.
+        del xs, y
+        residual = np.max(np.abs(stack @ x.reshape(len(stack), len(b), -1) - b.reshape(len(b), -1)))
     if not residual < limit:
         raise NumericalError(f"{what} residual {residual:.3e} exceeds {limit:.0e}")
     return x.reshape(*a.shape[:-2], *b.shape)
@@ -367,7 +375,9 @@ def _solve_contraction(g: Graph, vs: VertexSet) -> np.ndarray:
     e = np.zeros(base.n)
     e[v] = 1.0
     z = _lu_solve(m, e, _FUNDAMENTAL_RESIDUAL, "fundamental matrix", "I - P + Pinf")
-    h = (z[v] - z) / pi[v]
+    # pi(v) can underflow to 0 or a subnormal: no finite hitting time, refused below.
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        h = (z[v] - z) / pi[v]
     h[v] = 0.0
     return h[list(contracted.mapping)]
 
@@ -386,6 +396,9 @@ def hitting_time_set(
         complement; ``"contraction-Z"`` merges the set and solves for the
         merged vertex's column of the contracted graph's fundamental
         matrix.  The two agree to 1e-7 per vertex on connected inputs.
+
+    NumericalError when a system is singular in floating point or a
+    hitting time is not finite or passes ``_TRUSTED_STEPS``.
     """
     vs = as_vertex_set(s)
     vs.check_proper(g)
@@ -395,6 +408,8 @@ def hitting_time_set(
         full = _solve_contraction(g, vs)
     else:
         raise InputError(f"unknown analytic route {route!r}")
+    if not full.max() <= _TRUSTED_STEPS:  # also when not finite
+        raise NumericalError(f"{route} hitting time {full.max():.3e} is past the {_TRUSTED_STEPS:.3e} steps trusted")
     return HittingSolution(target=vs, h=tuple(float(x) for x in full), route=route)
 
 

@@ -3,7 +3,7 @@
 Everything here is deliberately written from scratch against the raw
 definitions (explicit path enumeration, neighbor scans, hand-built linear
 systems) rather than reusing library internals, so agreement is meaningful.
-The last two, single-vertex views of library results, are the exception:
+The last four, views of library results and graphs, are the exception:
 only tests read them.
 """
 
@@ -179,13 +179,37 @@ def hitting_times_oracle(g: Graph, members: tuple[int, ...]) -> dict[int, float]
     b = np.ones(len(outside))
     for v in outside:
         a[index[v], index[v]] = 1.0
-        wsum = sum(g.neighbor_weights(v))
-        for w, wt in zip(g.neighbors(v), g.neighbor_weights(v)):
+        wsum = sum(neighbor_weights(g, v))
+        for w, wt in zip(g.neighbors(v), neighbor_weights(g, v)):
             if w not in inside:
                 a[index[v], index[w]] -= wt / wsum
     h = np.linalg.solve(a, b)
     out = {v: 0.0 for v in inside}
     out.update({v: float(h[index[v]]) for v in outside})
+    return out
+
+
+def exact_hitting_times(g: Graph, members: tuple[int, ...]) -> dict[int, Fraction]:
+    """Expected absorption steps in exact rational arithmetic: the
+    first-step equations over the graph's float weights, read exactly,
+    solved by Gauss-Jordan elimination (I - Q is an M-matrix, so no pivot
+    vanishes)."""
+    inside = set(members)
+    outside = [v for v in range(g.n) if v not in inside]
+    adj = [[Fraction(0)] * g.n for _ in range(g.n)]
+    for (u, v), w in zip(g.edges, g.weights):
+        adj[u][v] = adj[v][u] = Fraction(w)
+    rows = []
+    for i, u in enumerate(outside):
+        total = sum(adj[u])
+        rows.append([Fraction(i == j) - adj[u][x] / total for j, x in enumerate(outside)] + [Fraction(1)])
+    for c, pivot_row in enumerate(rows):
+        for r, row in enumerate(rows):
+            if r != c and row[c]:
+                f = row[c] / pivot_row[c]
+                rows[r] = [a - f * b for a, b in zip(row, pivot_row)]
+    out = {v: Fraction(0) for v in inside}
+    out.update({u: rows[i][-1] / rows[i][i] for i, u in enumerate(outside)})
     return out
 
 
@@ -314,4 +338,14 @@ def weighted_degree(g: Graph, u: int) -> float:
     """Sum of incident edge weights; equals the degree when unweighted."""
     if not 0 <= u < g.n:
         raise InputError(f"vertex {u} outside graph")
-    return sum(g.neighbor_weights(u))
+    return sum(neighbor_weights(g, u))
+
+
+def neighbor_weights(g: Graph, v: int) -> tuple[float, ...]:
+    """Weights parallel to ``g.neighbors(v)``: the slots of ``v``'s CSR row."""
+    return tuple(g._slot_w[g._indptr[v] : g._indptr[v + 1]].tolist())
+
+
+def relabel(g: Graph, labels: list[str]) -> Graph:
+    """``g`` with the vertex labels ``labels``."""
+    return Graph(g.n, g.edges, g.weights, labels)

@@ -2,16 +2,22 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
+import itertools
 import json
 import os
 import subprocess
 import sys
 import warnings
+from fractions import Fraction
 from importlib import resources
 from pathlib import Path
 
 import jsonschema
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gcentral import cli, errors
 from gcentral.cli import build_parser, ingest_triples, main
@@ -20,6 +26,7 @@ from gcentral.measures import Measure
 from gcentral.optimize import score_subset
 
 from conftest import torus_graph
+import oracles
 
 # `optimum --k 4 --format json` on both fixtures with labels.tsv, as the
 # program wrote it before the search's scoring layer was rebuilt, less the
@@ -276,6 +283,16 @@ class TestHitting:
         for v in ha:
             assert ha[v] == pytest.approx(hc[v], abs=1e-7)
 
+    def test_contraction_refuses_underflowed_pi(self, capsys, tmp_path):
+        # The merged vertex's pi underflows to 0: the route once divided by
+        # it, warned twice and exited 0 with Infinity, which is not JSON.
+        path = tmp_path / "g.edges"
+        path.write_text("0 1 1e-300\n1 2 1e300\n")
+        for route in ("contraction", "absorbing"):
+            code, out, err = run(capsys, ["hitting", str(path), "--weighted", "--set", "0", "--route", route])
+            assert code == 4
+            assert out == "" and err.count("\n") == 1 and err.startswith("error: ")
+
     def test_montecarlo_within_four_stderr(self, capsys, p2_file, schema):
         code, out, _ = run(
             capsys,
@@ -327,6 +344,59 @@ class TestHitting:
         )
         assert code == 0
         jsonschema.validate(json.loads(out), schema)
+
+
+@st.composite
+def hitting_cases(draw) -> tuple[str, list[int]]:
+    """A connected weighted edge list on 2 to 6 vertices, its weights from
+    the smallest subnormal to 1e308, and a proper target set."""
+    n = draw(st.integers(2, 6))
+    edges = {(draw(st.integers(0, v - 1)), v) for v in range(1, n)}
+    extra = [p for p in itertools.combinations(range(n), 2) if p not in edges]
+    if extra:
+        edges |= set(draw(st.lists(st.sampled_from(extra), unique=True, max_size=n)))
+    weight = st.one_of(st.just(1.0), st.floats(5e-324, 1e308))
+    text = "".join(f"{u} {v} {draw(weight)!r}\n" for u, v in sorted(edges))
+    return text, sorted(draw(st.sets(st.integers(0, n - 1), min_size=1, max_size=n - 1)))
+
+
+def _refuse_constant(name: str):
+    raise ValueError(f"{name} is not JSON")
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=150)
+@given(case=hitting_cases())
+def test_analytic_routes_agree_or_refuse(tmp_path_factory, case):
+    """Both analytic routes end without a traceback or warning, in exit 0
+    with strict JSON, 2 or 4.  They answer alike, to 1e-7 of each other and
+    of the exact rational hitting times, or refuse alike."""
+    text, members = case
+    path = tmp_path_factory.getbasetemp() / "routes.edges"
+    path.write_text(text)
+    answers = {}
+    for route in ("absorbing", "contraction"):
+        out, err = io.StringIO(), io.StringIO()
+        with warnings.catch_warnings(record=True) as caught, contextlib.redirect_stdout(out), \
+                contextlib.redirect_stderr(err):
+            warnings.simplefilter("always")
+            code = main(["hitting", str(path), "--weighted", "--set", ",".join(map(str, members)),
+                         "--route", route])
+        assert not caught and "Traceback" not in err.getvalue()
+        assert code in (0, 2, 4)
+        if code:
+            assert out.getvalue() == "" and err.getvalue().count("\n") == 1
+            answers[route] = code
+        else:
+            times = json.loads(out.getvalue(), parse_constant=_refuse_constant)["solution"]["hitting_times"]
+            answers[route] = {int(v): h for v, h in times.items()}
+    absorbing, contraction = answers["absorbing"], answers["contraction"]
+    if not isinstance(absorbing, dict) or not isinstance(contraction, dict):
+        assert absorbing == contraction
+        return
+    exact = oracles.exact_hitting_times(load_edge_list(text, weighted=True), tuple(members))
+    for v, h in absorbing.items():
+        assert contraction[v] == pytest.approx(h, rel=1e-7)
+        assert abs(Fraction(h) - exact[v]) <= Fraction(1e-7) * exact[v]
 
 
 class TestSampleCommand:
@@ -538,6 +608,16 @@ def test_main_parses_as_the_whole_parser(capsys, argv):
                 else "the following arguments are required: subcommand") in err
 
 
+@pytest.mark.parametrize("module", ["gcentral", "gcentral.cli"])
+def test_import_loads_no_scipy_sparse(module):
+    # Every traversal runs on the graph's own CSR arrays; only LAPACK comes from scipy.
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    probe = f"import sys, {module}; print([m for m in sys.modules if m.startswith('scipy.sparse')])"
+    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0 and done.stdout == "[]\n"
+
+
 class TestExitCodes:
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, ["centrality", "/nonexistent.edges", "--set", "0"])
@@ -685,14 +765,15 @@ class TestExitCodes:
     def test_search_past_memory_limit_exit_3(self, capsys, tmp_path, monkeypatch, workers):
         path = tmp_path / "c3000.edges"
         path.write_text("\n".join(f"{i} {(i + 1) % 3000}" for i in range(3000)) + "\n")
-        # Degree's boolean adjacency fits; closeness's all-pairs pass does not.
-        monkeypatch.setattr(errors, "MEMORY_LIMIT", 32 << 20)
+        # Degree's boolean adjacency (9 MB) fits; closeness's int16 all-pairs
+        # distances (18 MB) do not.
+        monkeypatch.setattr(errors, "MEMORY_LIMIT", 16 << 20)
         code, out, err = run(capsys, ["optimum", str(path), "--k", "1", "--workers", workers])
         assert code == 3
         assert out == ""
         assert err.count("\n") == 1 and "Traceback" not in err
         assert err.startswith("error: the closeness search at k=1 on 3000 vertices needs")
-        assert err.endswith("above the 32 MiB memory limit\n")
+        assert err.endswith("above the 16 MiB memory limit\n")
 
     @pytest.mark.parametrize("workers", ["1", "2"])
     def test_tie_list_past_memory_limit_exit_3(self, capsys, tmp_path, monkeypatch, workers):

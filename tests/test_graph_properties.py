@@ -1,5 +1,7 @@
-"""Property tests: the csgraph traversals agree with the oracles' BFS, and
-a graph's views of its CSR arrays do not depend on how its edges were given.
+"""Property tests: the breadth-first distance pass agrees with the oracles'
+BFS (connectivity, distances to the nearest member of a set, all-pairs
+distances), and a graph's views of its CSR arrays do not depend on how its
+edges were given.
 
 Random graphs of at most 9 vertices with every edge drawn independently,
 so many are disconnected or have isolated vertices.  Examples are
@@ -10,10 +12,13 @@ from __future__ import annotations
 
 import itertools
 import pickle
+from unittest import mock
 
+import numpy as np
 import pytest
 
-from gcentral.graph import Graph, is_connected, multi_source_distances
+from gcentral import graph
+from gcentral.graph import Graph, _hop_distances, is_connected, multi_source_distances
 
 import oracles
 
@@ -50,6 +55,16 @@ def test_multi_source_distances_match_nearest_bfs(g, data):
     assert multi_source_distances(g, members).dist == tuple(want)
 
 
+@DETERMINISTIC
+@given(g=graphs(), block=st.integers(1, 4))
+def test_hop_distances_match_bfs_across_source_blocks(g, block):
+    # Blocks of one to four sources put a block boundary inside most graphs.
+    with mock.patch.object(graph, "_SOURCE_BLOCK", block):
+        dist = _hop_distances(g)
+    assert dist.dtype == np.int16
+    assert dist.tolist() == oracles.all_pairs_distances(g)
+
+
 @st.composite
 def shuffled_edge_lists(draw) -> tuple[int, list[tuple[int, int]], list[float], list, list]:
     """n, the sorted edges ``u < v`` with their weights, and the same edges
@@ -79,7 +94,7 @@ def test_edge_order_and_orientation_do_not_matter(case):
     for v in range(n):
         want = sorted((b if a == v else a, w) for (a, b), w in zip(edges, weights) if v in (a, b))
         assert g.neighbors(v) == h.neighbors(v) == tuple(u for u, _ in want)
-        assert g.neighbor_weights(v) == h.neighbor_weights(v) == tuple(w for _, w in want)
+        assert oracles.neighbor_weights(g, v) == oracles.neighbor_weights(h, v) == tuple(w for _, w in want)
     assert g == h and hash(g) == hash(h)
     assert g.is_unweighted() == h.is_unweighted() == all(w == 1.0 for w in weights)
     back = pickle.loads(pickle.dumps(h))

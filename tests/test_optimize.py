@@ -473,9 +473,11 @@ class TestMemoryGuard:
         assert len(counted) == 1 and peak <= counted[0]
 
     def test_closeness_distances_fit_without_path_counts(self, monkeypatch):
-        # csgraph's distances cast to int16 hold 10 bytes per vertex pair.
+        # The distances, as int16, hold 2 bytes per vertex pair, and the
+        # distance pass sizes its source blocks to the room left beside them.
         # The pass with path counts that closeness once ran held 45, past
-        # both limits, and the layered distance-only pass 16, past the second.
+        # both limits, and an unblocked layered distance-only pass 16, past
+        # the second.
         g = cycle_graph(300)
         for bytes_per_pair in (30, 13):
             monkeypatch.setattr(errors, "MEMORY_LIMIT", bytes_per_pair * 300 * 300)

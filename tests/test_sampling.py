@@ -124,7 +124,7 @@ class TestRandomWalkSample:
         for i in range(60):
             g = random_connected_graph(rng, int(rng.integers(2, 30)), extra_edge_prob=0.3, weighted=True)
             if i % 3 == 0:
-                g = g.relabel([f"v{v}" for v in range(g.n)])
+                g = oracles.relabel(g, [f"v{v}" for v in range(g.n)])
             ids = sorted(rng.choice(g.n, int(rng.integers(1, g.n + 1)), replace=False).tolist())
             sub, original_ids = _induced(g, ids)
             want = oracles.induced_oracle(g, ids)
@@ -132,7 +132,7 @@ class TestRandomWalkSample:
             assert sub.edges == want.edges and sub.weights == want.weights
 
     def test_mapping_lines_with_labels(self, tmp_path, capsys):
-        g = path_graph(5).relabel(["a", "b", "c", "d", "e"])
+        g = oracles.relabel(path_graph(5), ["a", "b", "c", "d", "e"])
         (tmp_path / "p5.edges").write_text(format_edge_list(g, use_labels=True))
         (tmp_path / "p5.tsv").write_text("".join(f"{v}\t{g.label(v)}\n" for v in g.vertices()))
         prefix = tmp_path / "sample"
