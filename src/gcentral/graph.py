@@ -200,13 +200,8 @@ def _renamed_edges(g: Graph, new_id: np.ndarray) -> tuple[np.ndarray, np.ndarray
     u, v = new_id[g._slot_rows()], new_id[g._indices]
     # One slot per edge: the one in the row of its smaller new end.
     keep = (0 <= u) & (u < v)
-    u, v, w = u[keep], v[keep], g._slot_w[keep]
-    named = new_id[new_id >= 0]
-    if (named[1:] > named[:-1]).all():
-        # Names rise with the ids: the slots keep their sorted order and no two meet.
-        return u, v, w
-    pair, slot = np.unique(u * g.n + v, return_inverse=True)
-    return pair // g.n, pair % g.n, np.bincount(slot, w)
+    pair, slot = np.unique(u[keep] * g.n + v[keep], return_inverse=True)
+    return pair // g.n, pair % g.n, np.bincount(slot, g._slot_w[keep])
 
 
 @dataclass(frozen=True)

@@ -16,17 +16,21 @@ neither fabricate nor destroy a tie.
 
 For k >= 2, betweenness and random walk screen the subsets in groups: those
 sharing their last k - t elements, the parent, are scored together, with
-t = 2 from k = 3 on (t = 1 at k = 2).  Random walk takes one inverse G per
-parent, over its complement, and each extension T scores from a Schur
-complement of the t x t block G[T, T]; from k = 4 the parents that differ
-only in their smallest vertex share one inverse, downdated per parent.
-Betweenness builds the path-betweenness matrix PB once per search; the
-first k - 2 vertices of a parent update PB and the path counts, and each
-extension then scores from four entries of the result by
-inclusion-exclusion.  What the screen leaves in the keep window is
-re-scored by the block scorer, the only exact kernel, which also serves
-k = 1 and single subsets; every reported value comes from it.  Random
-walk's block scorer solves each subset's absorbing system with
+t = 2 from k = 3 on (t = 1 at k = 2).  One rule builds each parent's state
+for both (:func:`_by_base`): a one-vertex parent starts from itself, and a
+longer one from its base, the parent less its smallest vertex, started once
+per colex run of parents sharing it, then adds that vertex.  Random walk's
+state is the inverse G over the complement (a base's inverse downdated on
+the vertex), and each extension T scores from a Schur complement of the
+t x t block G[T, T].  Betweenness builds the path-betweenness matrix PB
+once per search, and its state is the path counts and PB updated one
+member at a time (:func:`_remove`); each extension then scores from four
+entries of the result by inclusion-exclusion, and at k = 2 from PB
+itself.  What the screen leaves in the keep window is re-scored by the
+block scorer, the only exact kernel, which also serves k = 1 and single
+subsets; every reported value comes from it, and a reported random-walk
+set with a hitting time past the steps ``centrality`` trusts is refused.
+Random walk's block scorer solves each subset's absorbing system with
 :func:`gcentral.randomwalk.absorbing_times`, the one kernel that ``hitting``
 and ``centrality`` also solve with, and means it by the same fsum.
 Betweenness takes the base path counts once per search from
@@ -55,7 +59,7 @@ from concurrent.futures import ProcessPoolExecutor
 from contextlib import ExitStack
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
+from functools import cache, partial
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -63,7 +67,7 @@ import numpy as np
 from .errors import BudgetExceededError, InputError, NumericalError, check_memory
 from .graph import Graph, VertexSet, _hop_distances, geodesic_counts, is_connected
 from .measures import Measure, Score, betweenness_score
-from .randomwalk import absorbing_times, escape_system, transition_matrix
+from .randomwalk import _TRUSTED_STEPS, absorbing_times, escape_system, hitting_time_set, transition_matrix
 
 __all__ = [
     "OptimumResult",
@@ -246,43 +250,55 @@ def _path_betweenness(adj: np.ndarray, dist: np.ndarray, sigma: np.ndarray, chun
     return pb
 
 
-def _path_betweenness_without(
-    dist: np.ndarray, sigma: np.ndarray, pb: np.ndarray, members: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per row of ``members``, its group betweenness with ends, and PB
-    restricted to the geodesics that avoid it.
+def _remove(dist: np.ndarray, gb: np.ndarray, sig: np.ndarray, pb: np.ndarray, v: np.ndarray) -> None:
+    """Add v[r] to row r's group, in place: its group betweenness with ends
+    ``gb``, and its path counts ``sig`` and PB ``pb`` restricted to the
+    geodesics that avoid the group.
 
-    Members are added one at a time.  Adding v removes from sigma(x, y) the
-    paths through v, and from PB[x, y] the geodesics through x, y and v in
-    each order: x-v-y, x-y-v and v-x-y, each scaled by the current counts
-    (reading the original ones in the third, as networkx's
-    group_betweenness_centrality does, moves scores of the novice fixture
-    at k = 4 by up to 0.017).  Entries in a member's row or column are left
-    stale.
+    Adding v removes from sigma(x, y) the paths through v, and from
+    PB[x, y] the geodesics through x, y and v in each order: x-v-y, x-y-v
+    and v-x-y, each scaled by the current counts (reading the original ones
+    in the third, as networkx's group_betweenness_centrality does, moves
+    scores of the novice fixture at k = 4 by up to 0.017).  Entries in a
+    member's row or column are left stale.
     """
-    rows = np.arange(len(members))
-    sig = np.repeat(sigma[None], len(members), axis=0)
-    pb = np.repeat(pb[None], len(members), axis=0)
-    gb = np.zeros(len(members))
-    for v in members.T:
-        gb += pb[rows, v, v]
-        # Counts are symmetric: s[x] = sigma(x, v), and q[x] = PB[x, v] / s[x].
-        s = sig[rows, v]
-        q = np.divide(pb[rows, :, v], s, out=np.zeros_like(s), where=s > 0)
-        dv = dist[v]
-        through = _through(dist, sig, v)
-        # x-y-v, then its mirror v-x-y, both scaled by sigma(x, y).
-        order = q[:, :, None] * s[:, None, :]
-        order *= dv[:, :, None] == dist[None] + dv[:, None, :]
-        order += order.transpose(0, 2, 1)
-        order *= sig
-        # x-v-y takes the same share of PB[x, y] as of sigma(x, y).
-        share = np.divide(pb, sig, out=np.zeros_like(pb), where=sig > 0)
-        share *= through
-        pb -= share
-        pb -= order
-        sig -= through
-    return gb, pb
+    rows = np.arange(len(v))
+    gb += pb[rows, v, v]
+    # Counts are symmetric: s[x] = sigma(x, v), and q[x] = PB[x, v] / s[x].
+    s = sig[rows, v]
+    q = np.divide(pb[rows, :, v], s, out=np.zeros_like(s), where=s > 0)
+    dv = dist[v]
+    through = _through(dist, sig, v)
+    # x-y-v, then its mirror v-x-y, both scaled by sigma(x, y).
+    order = q[:, :, None] * s[:, None, :]
+    order *= dv[:, :, None] == dist[None] + dv[:, None, :]
+    order += order.transpose(0, 2, 1)
+    order *= sig
+    # x-v-y takes the same share of PB[x, y] as of sigma(x, y).
+    share = np.divide(pb, sig, out=np.zeros_like(pb), where=sig > 0)
+    share *= through
+    pb -= share
+    pb -= order
+    sig -= through
+
+
+def _by_base(parents: np.ndarray, start: Callable, add: Callable) -> tuple[np.ndarray, ...]:
+    """Each parent's screen state, one row per parent.
+
+    ``start`` takes an (N, m) array of vertex sets and returns a tuple of
+    arrays with one row each; ``add(*state, v)`` gives each row r the
+    vertex v[r] as well, in place.  A one-vertex parent starts from itself.
+    Otherwise its smallest vertex lies below the rest of it, its base, and
+    in colex order the parents of one base come in a run: a run starts once
+    from its base, gathered per parent, and each parent then adds its
+    smallest vertex.
+    """
+    if parents.shape[1] == 1:
+        return start(parents)
+    run = np.r_[True, (parents[1:, 1:] != parents[:-1, 1:]).any(axis=1)]
+    state = tuple(a[np.cumsum(run) - 1] for a in start(parents[run, 1:]))
+    add(*state, parents[:, 0])
+    return state
 
 
 _BLOCK = 512
@@ -362,10 +378,12 @@ def _scorers(g: Graph, k: int, measure: Measure) -> _Scorers:
         # Python ints (3 x 36 to 4 x 80 ladders at k = 1 and 2, counts up to
         # 4**78; 80 on rows whose first member's mask keeps half the vertex
         # pairs); a new process's whole scan peaked at 0.82 of a 280,000-byte
-        # limit (the torus at k = 3).  Per parent from k = 3, the updated counts and PB
-        # and their scratch: a screen batch peaked at under 0.61 of this at
-        # k = 2 to 4 (49 and 66 bytes per vertex pair for the update), on a
-        # 6 x 7 torus and a 300-vertex graph.
+        # limit (the torus at k = 3).  Per parent from k = 3, its updated
+        # counts and PB, its base's while they are gathered, and the
+        # update's scratch: by tracemalloc a screen batch, with its gathers
+        # and keep window, peaked at under 0.48 of this at k = 3 to 5 (0.56
+        # when each parent replayed all its members), on a 6 x 7 torus and
+        # a random 300-vertex graph, their first five and last three batches.
         Measure.BETWEENNESS: (
             (48 if ints else 10) * n * n + 9 * c * c + table,
             (128 if ints else 48) * n * n,
@@ -379,9 +397,10 @@ def _scorers(g: Graph, k: int, measure: Measure) -> _Scorers:
         # 6 x 7 torus, random 25- to 300-vertex graphs, k = 1 to 4).  Per
         # parent: the system, its inverse and the inverter's identity and
         # copy, or from k = 4 those of its base and its own downdated copy
-        # and the update's product; a batch peaked at under 0.66 of this
-        # (0.58 on a 6 x 7 torus at k = 3 to 5, 0.65 on a random 300-vertex
-        # graph at k = 3 to 5, its first and last batches).
+        # and the update's product; a batch, with its gathers and keep
+        # window, peaked at under 0.69 of this (0.58 on a 6 x 7 torus and
+        # 0.68 on a random 300-vertex graph at k = 3 to 5, their first five
+        # and last three batches).
         Measure.RANDOMWALK: (
             8 * n * n + 32 * slots + table + 2**17,
             16 * c * c,
@@ -423,6 +442,18 @@ def _scorers(g: Graph, k: int, measure: Measure) -> _Scorers:
             a = escape_system(p, _complements_of(n, subsets))
             return np.array([math.fsum(row) / c for row in absorbing_times(a)])
 
+        def invert(members: np.ndarray) -> tuple[np.ndarray]:
+            try:
+                return (np.linalg.inv(escape_system(p, _complements_of(n, members))),)
+            except np.linalg.LinAlgError as exc:
+                raise NumericalError(f"random-walk search inverse failed: {exc}") from exc
+
+        def downdate(inv: np.ndarray, v: np.ndarray) -> None:
+            at = np.arange(len(v))
+            col, row = inv[at, :, v], inv[at, v] / inv[at, v, v, None]
+            inv -= col[:, :, None] * row[:, None, :]
+            inv[at, v] = inv[at, :, v] = 0.0
+
         def screen(parents: np.ndarray, owner: np.ndarray, ext: np.ndarray) -> np.ndarray:
             # With G = (I - Q)^-1 on the parent's complement, r and c its row
             # and column sums, removing the vertices T leaves the hitting-time
@@ -431,32 +462,18 @@ def _scorers(g: Graph, k: int, measure: Measure) -> _Scorers:
             # determinant is det((I - Q) off T) / det(I - Q), a ratio of
             # principal minors of the M-matrix I - Q, so positive.
             #
-            # From k = 4 a parent's smallest vertex v lies below the rest of
-            # it, its base B, so v sits at position v of B's complement, and
-            # in colex order the parents of one base come in a run.  A run
-            # takes one inverse M over B's complement, and each parent's G is
-            # M downdated on v, M - M[:, v] M[v, :] / M[v, v]: the Schur
-            # complement that absorbs the walk at v as well, so again a
-            # walk's Green's matrix, here with row and column v cleared and
-            # the positions from v on one further along.  No pivoting is
-            # needed: M[v, v] >= 1 counts the visits to v of a walk that
-            # starts there.  Up to k = 3 the base is empty, and I - P singular.
-            systems, base_of = parents, None
+            # From k = 4 each parent's G is its base's inverse M, over the
+            # base's complement, downdated on the parent's smallest vertex v
+            # (at position v there, below every base vertex):
+            # M - M[:, v] M[v, :] / M[v, v], the Schur complement that
+            # absorbs the walk at v as well, so again a walk's Green's
+            # matrix, here with row and column v cleared and the positions
+            # from v on one further along.  No pivoting is needed: M[v, v]
+            # >= 1 counts the visits to v of a walk that starts there.  Up
+            # to k = 3 the parent is one vertex, and I - P singular.
+            (inv,) = _by_base(parents, invert, downdate)
             if parents.shape[1] > 1:
-                run = np.r_[True, (parents[1:, 1:] != parents[:-1, 1:]).any(axis=1)]
-                systems, base_of = parents[run, 1:], np.cumsum(run) - 1
-            try:
-                inv = np.linalg.inv(escape_system(p, _complements_of(n, systems)))
-            except np.linalg.LinAlgError as exc:
-                raise NumericalError(f"random-walk search inverse failed: {exc}") from exc
-            if base_of is not None:
-                at, v = np.arange(len(parents)), parents[:, 0]
-                inv = inv[base_of]
-                col, row = inv[at, :, v], inv[at, v] / inv[at, v, v, None]
-                inv -= col[:, :, None] * row[:, None, :]
-                inv[at, v] = 0.0
-                inv[at, :, v] = 0.0
-                ext = ext + (ext >= v[owner, None])
+                ext = ext + (ext >= parents[owner, :1])
             rows, cols = inv.sum(axis=2), inv.sum(axis=1)
             # c_T^T G[T, T]^-1 r_T by elimination, x first, then for t = 2
             # y from the Schur complement e - b d / a of x's pivot a (the
@@ -513,6 +530,13 @@ def _scorers(g: Graph, k: int, measure: Measure) -> _Scorers:
     # Ordered pairs with an end in a k-set: they count whole in GB.
     ends, noise = k * (2 * n - k - 1), 64 * np.finfo(float).eps * n * (n - 1)
 
+    def start(members: np.ndarray) -> tuple[np.ndarray, ...]:
+        # The root's counts and PB, then each member in turn.
+        state = np.zeros(len(members)), *(np.repeat(a[None], len(members), axis=0) for a in (sigma, root()))
+        for v in members.T:
+            _remove(dist, *state, v)
+        return state
+
     def screen(parents: np.ndarray, owner: np.ndarray, ext: np.ndarray) -> np.ndarray:
         # Each extension completes its parent's first k - 2 vertices with a
         # pair {x, y}: two vertices of the complement, or at k = 2 one and
@@ -522,7 +546,7 @@ def _scorers(g: Graph, k: int, measure: Measure) -> _Scorers:
         comp = _complements_of(n, parents)
         x, y = np.column_stack((comp[owner[:, None], ext], parents[owner, : 2 - depth])).T
         if k > 2:
-            gb, pb = _path_betweenness_without(dist, sigma, root(), parents)
+            gb, _, pb = _by_base(parents, start, partial(_remove, dist))
         else:
             gb, pb = np.zeros(len(parents)), np.broadcast_to(root(), (len(parents), n, n))
         through = gb[owner] + pb[owner, x, x] + pb[owner, y, y] - pb[owner, x, y] - pb[owner, y, x]
@@ -664,9 +688,10 @@ def _scan_partitions(task: tuple[Graph, int, Measure, Sequence[int], float]) -> 
     by rounding only (measured: at most 2.1e-13 relative for random walk,
     on a 20-vertex graph with weights spanning six orders of magnitude at
     k = 4, 6.3e-14 on a 60-vertex path at k = 3 and 4 and 1.6e-15 on a
-    6 x 7 torus at k = 5; and 3.2e-14 for betweenness, on the fixtures at
-    k = 4 and on a 6 x 7 torus, a 4 x 8 ladder with a hub and a random
-    40-vertex graph at k = 3, where a score of 0 comes out 0), far inside
+    6 x 7 torus at k = 5; and 2.4e-14 for betweenness, on the fixtures at
+    k = 4, a 6 x 7 torus at k = 3 to 5, a 4 x 8 ladder with a hub at k = 3
+    and 4 and a random 40-vertex graph at k = 3, with parents out of colex
+    order at k = 4 and 5, where a score of 0 comes out 0), far inside
     the keep window's margin of nine tie windows; a kept value that moves
     by more than one tie window on confirmation sends the partition back
     through the block scorer.
@@ -783,6 +808,13 @@ def _optimum(g: Graph, k: int, measure: Measure, budget: int, workers: int, pool
     assert merged.evaluated == total
     best = ties.best(merged.values)
     tied = ties.ties(merged.values, best)
+    if measure is Measure.RANDOMWALK:
+        # A reported set with a hitting time past the trusted steps is
+        # refused, as ``centrality`` refuses it.  Hitting times are
+        # nonnegative, so none passes c times its set's mean: only the sets
+        # past that are solved again.
+        for subset in merged.subsets[tied & (merged.values * (g.n - k) > _TRUSTED_STEPS)]:
+            hitting_time_set(g, subset.tolist())
     optimal = merged.subsets
     del merged  # frees the values, and the selection the untied rows, for the sorted copy
     if not tied.all():

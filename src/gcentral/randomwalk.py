@@ -36,7 +36,6 @@ from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
 import numpy as np
-from scipy.linalg.lapack import dgetrf, dgetrs
 
 from .errors import InputError, NumericalError, TruncationError, check_memory
 from .graph import Graph, VertexSet, _renamed_edges, as_vertex_set, multi_source_distances
@@ -312,6 +311,9 @@ def _lu_solve(a: np.ndarray, b: np.ndarray, limit: float, what: str, system: str
     below ``limit`` (a nearly singular system solves to finite but
     meaningless values).
     """
+    # LAPACK loads on the first solve, so importing gcentral loads no scipy.
+    from scipy.linalg.lapack import dgetrf, dgetrs
+
     stack = a.reshape(-1, *a.shape[-2:])
     xs = []
     # A solution near the float range overflows m @ y: a residual not finite, refused.

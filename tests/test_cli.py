@@ -610,10 +610,12 @@ def test_main_parses_as_the_whole_parser(capsys, argv):
 
 @pytest.mark.parametrize("module", ["gcentral", "gcentral.cli"])
 def test_import_loads_no_scipy_sparse(module):
-    # Every traversal runs on the graph's own CSR arrays; only LAPACK comes from scipy.
+    # Every traversal runs on the graph's own CSR arrays, and LAPACK, the
+    # only part of scipy used, loads on the first analytic solve: importing
+    # loads no scipy module at all.
     src = str(Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    probe = f"import sys, {module}; print([m for m in sys.modules if m.startswith('scipy.sparse')])"
+    probe = f"import sys, {module}; print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
     done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=120)
     assert done.returncode == 0 and done.stdout == "[]\n"
 
@@ -735,6 +737,20 @@ class TestExitCodes:
         assert code == 4
         assert out == ""
         assert err.count("\n") == 1 and "residual" in err and "Traceback" not in err
+
+    def test_search_refuses_untrusted_hitting_time_exit_4(self, capsys, tmp_path):
+        # Vertex 2 hangs off 0 by weight 1e-12: every k = 1 set leaves a
+        # hitting time of about 2e12 steps, past the trusted 1.1e8.  The
+        # search refuses its k = 1 optima as centrality refuses a set; it
+        # once printed a best of 1.3e12 and exited 0.
+        path = tmp_path / "g.edges"
+        path.write_text("0 1 1.0\n0 2 1e-12\n2 3 1.0\n")
+        for argv in (["optimum", "--k", "2"], ["centrality", "--set", "0,1"]):
+            code, out, err = run(capsys, [argv[0], str(path), "--weighted", *argv[1:], "--measures", "randomwalk"])
+            assert code == 4 and out == ""
+            assert err.startswith("error: absorbing-solve hitting time ") and err.endswith(
+                " is past the 1.126e+08 steps trusted\n"
+            )
 
     def test_tolerance_flag_accepted(self, capsys, p2_file):
         code, out, _ = run(

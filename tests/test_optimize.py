@@ -17,6 +17,7 @@ from gcentral.cli import json_text, optimum_json, report_json
 from gcentral.errors import (
     BudgetExceededError,
     InputError,
+    NumericalError,
     SamplingBudgetError,
     TruncationError,
 )
@@ -160,6 +161,27 @@ class TestOptimumset:
         g = Graph(4, [(0, 1), (2, 3)])
         with pytest.raises(InputError, match="connected"):
             optimumset(g, 1, Measure.DEGREE)
+
+    def test_random_walk_refuses_only_untrusted_reported_sets(self):
+        # Vertex 2 hangs off 0 by weight w, so a walk outside the set takes
+        # about 1 / w steps to cross that edge.  At w = 1e-12 every k = 1
+        # set leaves about 2e12 steps, past the trusted 1.1e8, as do {0, 1}
+        # and {2, 3}; the four other pairs, the k = 2 optima, absorb every
+        # walk in about one step and are reported.
+        def graph(w):
+            return Graph(4, [(0, 1), (0, 2), (2, 3)], [1.0, w, 1.0])
+
+        with pytest.raises(NumericalError, match=r"hitting time 2\.000e\+12 is past the 1\.126e\+08 steps trusted"):
+            optimumset(graph(1e-12), 1, Measure.RANDOMWALK)
+        r = optimumset(graph(1e-12), 2, Measure.RANDOMWALK)
+        assert r.ties.tolist() == [[0, 2], [0, 3], [1, 2], [1, 3]] and r.best.value == 1.0
+        # At w = 2e-8 the k = 1 optima {0} and {2} average 6.7e7 steps over
+        # their three outside vertices, so their sums pass the trusted steps
+        # and they are solved again; their largest hitting time, 1.0e8, does
+        # not.  At w = 1e-8 it is 2.0e8.
+        assert optimumset(graph(2e-8), 1, Measure.RANDOMWALK).ties.tolist() == [[0], [2]]
+        with pytest.raises(NumericalError, match=r"hitting time 2\.000e\+08 is past"):
+            optimumset(graph(1e-8), 1, Measure.RANDOMWALK)
 
     @pytest.mark.parametrize("workers", [0, -4])
     def test_nonpositive_workers_rejected(self, workers):
@@ -370,20 +392,23 @@ class TestMemoryGuard:
 
 
     @staticmethod
-    def rows_at(monkeypatch, g, k, measure, limit):
+    def rows_at(monkeypatch, g, k, measure, limit, field="rows"):
         from gcentral.optimize import _scorers
 
         monkeypatch.setattr(errors, "MEMORY_LIMIT", limit)
         try:
-            return _scorers(g, k, measure).rows
+            return getattr(_scorers(g, k, measure), field)
         except BudgetExceededError:
             return 0
 
-    def smallest_limit(self, monkeypatch, g, k, measure, rows):
+    def smallest_limit(self, monkeypatch, g, k, measure, rows, field="rows"):
+        """The smallest memory limit at which ``_scorers`` allows ``rows``
+        block rows, or screen parents with ``field="parents"``."""
         low, high = 0, 1 << 30
         while high - low > 1:
             mid = (low + high) // 2
-            low, high = (low, mid) if self.rows_at(monkeypatch, g, k, measure, mid) >= rows else (mid, high)
+            fits = self.rows_at(monkeypatch, g, k, measure, mid, field) >= rows
+            low, high = (low, mid) if fits else (mid, high)
         return high
 
     def block_peak(self, monkeypatch, g, k, measure, block):
@@ -429,6 +454,39 @@ class TestMemoryGuard:
         assert np.mean(dist[None] == dist[v][:, :, None] + dist[v][:, None, :]) > 0.45
         share = self.block_peak(monkeypatch, g, 2, Measure.BETWEENNESS, block)
         assert share < 1, share
+
+    def test_betweenness_screen_batch_peak_within_its_parents(self, monkeypatch):
+        # A full batch of 2-parents on the 6 x 7 torus at k = 4, whose 11
+        # bases are updated by their one member, gathered per parent and
+        # updated again by the parent's smallest vertex: the screen call
+        # must peak below the parents' share (0.35 of it by tracemalloc,
+        # 0.42 when each parent replayed both its members).  The guard's
+        # bytes per parent are the step between the smallest limits that
+        # allow two and three parents.
+        from gcentral.optimize import _scorers
+
+        g, k, m = torus_graph(6, 7), 4, Measure.BETWEENNESS
+        parent_bytes = (self.smallest_limit(monkeypatch, g, k, m, 3, "parents")
+                        - self.smallest_limit(monkeypatch, g, k, m, 2, "parents"))
+        monkeypatch.setattr(errors, "MEMORY_LIMIT", 1 << 30)
+        scorers = _scorers(g, k, m)
+        assert scorers.parents == 64
+        # The first batch: the 2-subsets of range(2, 42) ranked first, and
+        # each vertex pair below a parent's smallest vertex, where a pair's
+        # positions in the parent's complement are its vertices.
+        parents = np.asarray(list(itertools.islice(colex_subsets(40, 2), 64)), dtype=np.intp) + 2
+        below = [list(itertools.combinations(range(p), 2)) for p in parents[:, 0]]
+        owner = np.repeat(np.arange(64), [len(pairs) for pairs in below])
+        ext = np.concatenate(below).astype(np.intp)
+        assert len(np.unique(parents[:, 1])) == 11
+        scorers.screen(parents[:1], owner[:1], ext[:1])  # the search's PB, sized apart
+        tracemalloc.start()
+        try:
+            scorers.screen(parents, owner, ext)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < len(parents) * parent_bytes, peak / (len(parents) * parent_bytes)
 
     def test_scan_holds_only_what_the_window_keeps(self, monkeypatch):
         # Betweenness on the 6 x 7 torus at k = 3 under this limit scores
@@ -490,7 +548,9 @@ class TestPrefixScreen:
     """The grouped screens of random walk and betweenness against the block scorer."""
 
     @staticmethod
-    def screened_and_exact(g, k, measure, parents=None):
+    def screened_and_exact(g, k, measure, parents=None, step=1):
+        """Screened and block-scored values of every ``step``-th extension
+        of each parent, in order."""
         from gcentral.optimize import _complements_of, _scorers
 
         scorers = _scorers(g, k, measure)
@@ -502,7 +562,7 @@ class TestPrefixScreen:
         # screen by position in that complement.
         ext = np.asarray(list(colex_subsets(comp.shape[1], t)), dtype=np.intp)
         owner = np.repeat(np.arange(len(parents)), len(ext))
-        ext = np.tile(ext, (len(parents), 1))
+        owner, ext = owner[::step], np.tile(ext, (len(parents), 1))[::step]
         subsets = np.sort(np.column_stack((parents[owner], comp[owner[:, None], ext])), axis=1)
         exact = np.concatenate(
             [scorers.block(subsets[i : i + scorers.rows]) for i in range(0, len(subsets), scorers.rows)]
@@ -582,6 +642,39 @@ class TestPrefixScreen:
         assert result.ties.shape == (42, 4)
         assert sum(systems) <= 51
 
+    def test_betweenness_screen_updates_once_per_base(self, novice, monkeypatch):
+        # From k = 4 the parents sharing all but their smallest vertex start
+        # from one updated base: on the novice fixture the 253 parents each
+        # add one member to one of 22 bases, 25 counting those split between
+        # batches of 64 parents.  Replaying both members per parent took 506.
+        from gcentral import optimize
+
+        build, through = optimize._scorers, optimize._through
+        rows, blocks = [], []
+
+        def scorers(g, k, m):
+            s = build(g, k, m)
+
+            def block(subsets):
+                blocks.append(len(subsets))
+                try:
+                    return s.block(subsets)
+                finally:
+                    blocks.pop()
+
+            return s._replace(block=block)
+
+        def counted(dist, sig, v):
+            if not blocks:  # the block scorer's own removals are not the screen's
+                rows.append(len(v))
+            return through(dist, sig, v)
+
+        monkeypatch.setattr(optimize, "_scorers", scorers)
+        monkeypatch.setattr(optimize, "_through", counted)
+        result = optimumset(novice, 4, Measure.BETWEENNESS)
+        assert result.evaluated == math.comb(25, 4)
+        assert sum(rows) == 253 + 25
+
     @pytest.mark.parametrize("measure", [Measure.RANDOMWALK, Measure.BETWEENNESS])
     def test_moved_screen_rescans_with_block_scorer(self, novice, monkeypatch, measure):
         from gcentral import optimize
@@ -609,14 +702,28 @@ class TestPrefixScreen:
             # The confirmation, then the whole partition through the block scorer.
             assert sum(scored) > got.evaluated
 
-    @pytest.mark.parametrize("case, k", [("novice", 4), ("ladder-hub", 3)])
-    def test_betweenness_screen_stress(self, novice, case, k):
+    @pytest.mark.parametrize(
+        "case, k, every",
+        [("novice", 4, None), ("ladder-hub", 3, None), ("ladder-hub", 4, 1), ("torus", 5, 40)],
+        ids=["novice-4", "ladder-hub-3", "ladder-hub-4-shuffled", "torus-5-every-40th"],
+    )
+    def test_betweenness_screen_stress(self, novice, case, k, every):
         # Every 2-parent of the novice fixture, where updating PB with the
         # original path counts in the v-x-y term is off by up to 8e-3, and a
-        # 4-wide ladder with a hub, whose counts grow by the layer.
-        g = novice if case == "novice" else layered_bipartite(4, 8, hub=True)
-        screened, exact = self.screened_and_exact(g, k, Measure.BETWEENNESS)
-        assert len(exact) == math.comb(g.n, k - 2) * math.comb(g.n - k + 2, 2)
+        # 4-wide ladder with a hub, whose counts grow by the layer.  From
+        # k = 4 a parent adds its smallest vertex to its base's state; with
+        # ``every`` the screen takes every such parent, shuffled, so bases
+        # recur out of run (all of the ladder's 2-subsets at k = 4, every
+        # 40th 3-subset of the 6 x 7 torus at k = 5).
+        g = novice if case == "novice" else torus_graph(6, 7) if case == "torus" else layered_bipartite(4, 8, hub=True)
+        parents = None
+        if every:
+            parents = np.asarray(list(colex_subsets(g.n, k - 2)), dtype=np.intp)[::every]
+            parents = np.random.Generator(np.random.PCG64(73)).permutation(parents)
+        step = 13 if every else 1
+        screened, exact = self.screened_and_exact(g, k, Measure.BETWEENNESS, parents, step)
+        count = math.comb(g.n, k - 2) if parents is None else len(parents)
+        assert len(exact) == -(-count * math.comb(g.n - k + 2, 2) // step)
         assert screened == pytest.approx(exact, rel=1e-12, abs=1e-15)
 
     def test_screen_near_count_guard_matches_block_scorer(self):
