@@ -25,20 +25,20 @@ from .graph import (
 from .measures import (
     Measure,
     Score,
+    check_upper_bound,
     evaluate,
     group_betweenness,
     group_closeness,
     group_degree,
+    group_randomwalk,
 )
 from .randomwalk import (
     ROUTE_ABSORBING,
     ROUTE_CONTRACTION,
     ROUTE_MONTE_CARLO,
     HittingSolution,
-    check_upper_bound,
     contract,
     fundamental_matrix,
-    group_randomwalk,
     hitting_time_set,
     monte_carlo_hitting,
     stationary,

@@ -18,8 +18,9 @@ argument names and no other, which prints the same help, errors and
 exit codes as the parser of all six; with no argument, an option or an
 unknown name first, it builds all six.
 
-Exit codes: 0 success, 1 standard output closed early, 2 input or usage
-error, 3 budget exceeded, 4 numerical failure.  Every emitted result
+Exit codes: 0 success, 1 standard output closed early, 2 usage error, and
+otherwise the ``exit_code`` of the error raised: 2 input error, 3 budget
+exceeded, 4 numerical failure.  Every emitted result
 embeds a run manifest (command, input digest, seed, tolerances, version,
 wall time); commands without ``--tolerance`` record the default float tie
 tolerance.  The output formats live here, save the edge-list format that
@@ -45,14 +46,7 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from . import __version__
-from .errors import (
-    BudgetExceededError,
-    GCentralError,
-    InputError,
-    NumericalError,
-    SamplingBudgetError,
-    TruncationError,
-)
+from .errors import GCentralError, InputError
 from .graph import Graph, format_edge_list, is_connected, load_edge_list, parse_label_file
 from .measures import Measure, Score, evaluate
 from .optimize import (
@@ -88,14 +82,12 @@ MEASURE_COLUMN = {
 }
 
 
-def _digest(path: Path) -> str:
-    return "sha256:" + hashlib.sha256(path.read_bytes()).hexdigest()
-
-
-def _read(path: Path, what: str) -> str:
-    """The UTF-8 text of the ``what`` file ``path``; InputError if it cannot be read."""
+def _read(path: Path, what: str) -> tuple[str, str]:
+    """The UTF-8 text of the ``what`` file ``path`` and the digest of the
+    bytes it was decoded from, read once; InputError if it cannot be read."""
     try:
-        return path.read_text(encoding="utf-8")
+        data = path.read_bytes()
+        return data.decode("utf-8"), "sha256:" + hashlib.sha256(data).hexdigest()
     except FileNotFoundError:
         raise InputError(f"{what} file not found: {path}") from None
     except UnicodeDecodeError as exc:
@@ -104,15 +96,15 @@ def _read(path: Path, what: str) -> str:
         raise InputError(f"cannot read {what} file {path}: {exc.strerror}") from None
 
 
-def _load_graph(args, connected: bool = True) -> tuple[Graph, Path]:
-    """The graph of ``args.graph`` (with ``--labels`` and ``--weighted``);
-    InputError if ``connected`` and it is not."""
-    path = Path(args.graph)
-    labels = parse_label_file(_read(Path(args.labels), "labels")) if args.labels else None
-    g = load_edge_list(_read(path, "graph"), weighted=args.weighted, labels=labels)
+def _load_graph(args, connected: bool = True) -> tuple[Graph, str]:
+    """The graph of ``args.graph`` (with ``--labels`` and ``--weighted``)
+    and the digest of its file; InputError if ``connected`` and it is not."""
+    labels = parse_label_file(_read(Path(args.labels), "labels")[0]) if args.labels else None
+    text, digest = _read(Path(args.graph), "graph")
+    g = load_edge_list(text, weighted=args.weighted, labels=labels)
     if connected and not is_connected(g):
         raise InputError(f"graph is disconnected; {args.subcommand} needs a connected graph")
-    return g, path
+    return g, digest
 
 
 def _parse_set(g: Graph, spec: str) -> tuple[int, ...]:
@@ -215,12 +207,12 @@ def _emit_json(payload: dict, out: str | None) -> None:
 
 
 def _manifest(
-    args, start: float, path: Path | None, seed: int | None = None, tie_rel: float = FLOAT_TIE_REL
+    args, start: float, digest: str | None, seed: int | None = None, tie_rel: float = FLOAT_TIE_REL
 ) -> dict:
-    """The run manifest embedded in every emitted result."""
+    """The run manifest embedded in every emitted result; ``digest`` is the input file's."""
     return {
         "command": " ".join(args.argv),
-        "input_digest": _digest(path) if path is not None else None,
+        "input_digest": digest,
         "seed": seed,
         "tolerances": {"float_tie_rel": tie_rel},
         "version": __version__,
@@ -240,11 +232,11 @@ def _exact(score: Score) -> str | None:
 
 def cmd_centrality(args) -> int:
     start = time.perf_counter()
-    g, path = _load_graph(args)
+    g, digest = _load_graph(args)
     members = _parse_set(g, args.set)
     measures = _parse_measures(args.measures)
     scores = {m: evaluate(g, members, m) for m in measures}
-    manifest = _manifest(args, start, path)
+    manifest = _manifest(args, start, digest)
     if args.format == "json":
         payload = {
             "kind": "centrality",
@@ -324,11 +316,11 @@ def _report_tsv(report: CrossMeasureReport, g: Graph, manifest: dict, use_labels
 def cmd_optimum(args) -> int:
     start = time.perf_counter()
     check_tie_rel(args.tolerance)
-    g, path = _load_graph(args)
+    g, digest = _load_graph(args)
     measures = _parse_measures(args.measures)
     report = cross_measure_report(g, args.k, budget=args.budget, workers=args.workers,
                                   measures=measures, tie_rel=args.tolerance)
-    manifest = _manifest(args, start, path, tie_rel=args.tolerance)
+    manifest = _manifest(args, start, digest, tie_rel=args.tolerance)
     if args.format == "json":
         _emit_json({"kind": "optimum-report", "manifest": manifest, **report_json(report)}, args.out)
     else:
@@ -364,7 +356,7 @@ def cmd_hitting(args) -> int:
     walk_options = {k: getattr(args, k) for k in ("walks_per_source", "max_steps", "seed") if k in args}
     if walk_options and args.route != "montecarlo":
         raise InputError("--walks, --max-steps and --seed apply only to --route montecarlo")
-    g, path = _load_graph(args)
+    g, digest = _load_graph(args)
     members = _parse_set(g, args.set)
     if args.route == "montecarlo":
         solution = monte_carlo_hitting(g, members, **walk_options)
@@ -373,7 +365,7 @@ def cmd_hitting(args) -> int:
     payload = {
         "kind": "hitting",
         "solution": hitting_json(solution),
-        "manifest": _manifest(args, start, path, seed=solution.seed),
+        "manifest": _manifest(args, start, digest, seed=solution.seed),
     }
     _emit_json(payload, args.out)
     return 0
@@ -384,7 +376,7 @@ def cmd_sample(args) -> int:
     if os.path.basename(args.out_prefix) in ("", ".", ".."):
         raise InputError(f"--out-prefix must end in a file name; got {args.out_prefix!r}")
     edge_path, map_path = args.out_prefix + ".edges", args.out_prefix + ".map"
-    g, path = _load_graph(args, connected=False)
+    g, digest = _load_graph(args, connected=False)
     cfg = SampleConfig(
         target_nodes=args.nodes,
         restart_probability=args.restart,
@@ -392,7 +384,7 @@ def cmd_sample(args) -> int:
         step_budget=args.step_budget,
     )
     result = random_walk_sample(g, cfg)
-    header = _manifest_line(_manifest(args, start, path, seed=args.seed))
+    header = _manifest_line(_manifest(args, start, digest, seed=args.seed))
     _emit([header + "\n" + format_edge_list(result.graph)], edge_path)
     # A .map line per sampled vertex: its sample id, its source id and, with labels, its label.
     rows = [f"{i}\t{v}" for i, v in enumerate(result.original_ids)]
@@ -457,9 +449,9 @@ def ingest_triples(text: str, predicate: str) -> tuple[list[str], dict]:
 
 def cmd_ingest(args) -> int:
     start = time.perf_counter()
-    path = Path(args.triples)
-    lines, stats = ingest_triples(_read(path, "triples"), args.predicate)
-    header = _manifest_line(_manifest(args, start, path))
+    text, digest = _read(Path(args.triples), "triples")
+    lines, stats = ingest_triples(text, args.predicate)
+    header = _manifest_line(_manifest(args, start, digest))
     _emit([header + "\n" + "\n".join(lines) + ("\n" if lines else "")], args.out)
     sys.stderr.write(
         f"kept {len(lines)} edges from {stats['matched']} matching triples "
@@ -603,15 +595,9 @@ def main(argv: list[str] | None = None) -> int:
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         return 1
-    except (BudgetExceededError, SamplingBudgetError) as exc:
+    except GCentralError as exc:
         sys.stderr.write(f"error: {exc}\n")
-        return 3
-    except (NumericalError, TruncationError) as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 4
-    except (InputError, GCentralError) as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 2
+        return exc.exit_code
 
 
 if __name__ == "__main__":

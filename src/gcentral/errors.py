@@ -1,12 +1,11 @@
 """Exception types shared across the package, and the memory limit.
 
-Each maps to a CLI exit code: input problems exit 2, enumeration budget
-and memory overruns exit 3, numerical failures exit 4.
+Each class carries the CLI exit code of its errors as ``exit_code``: input
+problems exit 2, enumeration budget and memory overruns exit 3, numerical
+failures exit 4.
 """
 
 from __future__ import annotations
-
-import copyreg
 
 #: Bytes one process may allocate for the arrays of a graph, a search and its
 #: tie list, a Monte Carlo run, a dense walk solve or a path-count block.
@@ -20,21 +19,19 @@ PATH_COUNT_LIMIT = 600_000_000
 class GCentralError(Exception):
     """Base class for all package-specific errors."""
 
-    def __reduce__(self):
-        # Rebuilt without __init__, so an error raised in a pool worker unpickles.
-        return copyreg.__newobj__, (type(self), *self.args), self.__dict__
+    exit_code = 2
 
 
 class InputError(GCentralError):
     """Malformed or semantically invalid input (edge lists, labels, sets)."""
 
+    exit_code = 2
+
 
 class BudgetExceededError(GCentralError):
-    """A run would exceed the subset budget, or the memory limit (``subsets`` None)."""
+    """A run would exceed the subset budget or the memory limit."""
 
-    def __init__(self, message: str, subsets: int | None = None):
-        super().__init__(message)
-        self.subsets = subsets
+    exit_code = 3
 
 
 def check_memory(needed: int, what: str) -> int:
@@ -50,19 +47,16 @@ def check_memory(needed: int, what: str) -> int:
 class NumericalError(GCentralError):
     """A linear solve or factorization failed its residual check."""
 
+    exit_code = 4
+
 
 class TruncationError(GCentralError):
     """Too many Monte-Carlo walks hit the step cap to trust the averages."""
 
-    def __init__(self, message: str, truncated: int, total: int):
-        super().__init__(message)
-        self.truncated = truncated
-        self.total = total
+    exit_code = 4
 
 
 class SamplingBudgetError(GCentralError):
     """Random-walk sampling ran out of steps before reaching its target."""
 
-    def __init__(self, message: str, distinct_visited: int):
-        super().__init__(message)
-        self.distinct_visited = distinct_visited
+    exit_code = 3

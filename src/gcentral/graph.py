@@ -245,14 +245,6 @@ def as_vertex_set(s: VertexSet | Iterable[int]) -> VertexSet:
     return VertexSet(tuple(sorted(set(int(v) for v in s))))
 
 
-@dataclass(frozen=True)
-class DistanceField:
-    """Hop distances from every vertex to the nearest member of ``source``."""
-
-    source: VertexSet
-    dist: tuple[int, ...]
-
-
 UNREACHED = -1
 
 
@@ -534,13 +526,13 @@ def is_connected(g: Graph) -> bool:
     return bool((_distance_pass(g, 1, np.zeros(1, dtype=np.intp)) != UNREACHED).all())
 
 
-def multi_source_distances(g: Graph, s: VertexSet | Iterable[int]) -> DistanceField:
-    """Hop distance from every vertex to the nearest member of ``s``; -1 if none is reachable.
+def multi_source_distances(g: Graph, s: VertexSet | Iterable[int]) -> np.ndarray:
+    """Hop distance from every vertex to the nearest member of ``s``, an
+    (n,) int32 array; -1 if none is reachable.
 
     Weights are ignored: distances here are purely combinatorial.
     """
     vs = as_vertex_set(s)
     if vs.members[-1] >= g.n:
         raise InputError(f"vertex {vs.members[-1]} outside graph")
-    dist = _distance_pass(g, 1, np.array(vs.members, dtype=np.intp))
-    return DistanceField(source=vs, dist=tuple(dist[0].tolist()))
+    return _distance_pass(g, 1, np.array(vs.members, dtype=np.intp))[0]

@@ -5,8 +5,10 @@ exact.  Betweenness counts, for every outside pair, its geodesics and those
 avoiding the set in one vectorised pass from blocks of outside sources
 (:func:`gcentral.graph.geodesic_counts`), and sums the pairs' correctly
 rounded shares with ``math.fsum``, by the one formula the search
-(:mod:`gcentral.optimize`) also uses.  The random-walk score lives in
-:mod:`gcentral.randomwalk` and is re-exported through :func:`evaluate`.
+(:mod:`gcentral.optimize`) also uses.  The random-walk score is the mean
+absorbing-solve hitting time (:func:`gcentral.randomwalk.hitting_time_set`),
+checked against its degree/closeness upper bound by
+:func:`check_upper_bound`.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ import numpy as np
 from . import errors
 from .errors import BudgetExceededError, InputError
 from .graph import Graph, VertexSet, as_vertex_set, geodesic_counts, multi_source_distances
+from .randomwalk import ROUTE_ABSORBING, hitting_time_set
 
 __all__ = [
     "Measure",
@@ -29,7 +32,10 @@ __all__ = [
     "group_degree",
     "group_closeness",
     "group_betweenness",
+    "group_randomwalk",
     "evaluate",
+    "check_upper_bound",
+    "BoundCheck",
 ]
 
 
@@ -80,19 +86,19 @@ def group_degree(g: Graph, s: VertexSet | Iterable[int]) -> Score:
     """
     vs = as_vertex_set(s)
     vs.check_proper(g)
-    field = multi_source_distances(g, vs)
-    return Score.from_fraction(Fraction(field.dist.count(1), g.n - len(vs)))
+    dist = multi_source_distances(g, vs)
+    return Score.from_fraction(Fraction(int(np.count_nonzero(dist == 1)), g.n - len(vs)))
 
 
 def group_closeness(g: Graph, s: VertexSet | Iterable[int]) -> Score:
     """Mean hop distance from non-members to the set; 1 iff the set dominates."""
     vs = as_vertex_set(s)
     vs.check_proper(g)
-    field = multi_source_distances(g, vs)
-    if min(field.dist) < 0:
+    dist = multi_source_distances(g, vs)
+    if dist.min() < 0:
         raise InputError("graph is disconnected; group closeness is undefined")
     outside = g.n - len(vs)
-    return Score.from_fraction(Fraction(sum(field.dist), outside))
+    return Score.from_fraction(Fraction(int(dist.sum()), outside))
 
 
 def betweenness_score(shares: Iterable[np.ndarray], c: int) -> float:
@@ -146,6 +152,18 @@ def group_betweenness(g: Graph, s: VertexSet | Iterable[int]) -> Score:
     return Score(value=betweenness_score(shares(), c))
 
 
+def group_randomwalk(g: Graph, s: VertexSet | Iterable[int]) -> Score:
+    """Mean hitting time to the set over all outside vertices.
+
+    Lower is more central; the value is 1 exactly when the set is a vertex
+    cover (every outside vertex is absorbed in one step).
+    """
+    vs = as_vertex_set(s)
+    sol = hitting_time_set(g, vs, route=ROUTE_ABSORBING)
+    # The search's mean, so that centrality and optimum print one value.
+    return Score(value=math.fsum(sol.h) / (g.n - len(vs)))
+
+
 def evaluate(g: Graph, s: VertexSet | Iterable[int], measure: Measure) -> Score:
     """Score one set under one measure (reference implementations)."""
     if measure is Measure.DEGREE:
@@ -154,6 +172,37 @@ def evaluate(g: Graph, s: VertexSet | Iterable[int], measure: Measure) -> Score:
         return group_closeness(g, s)
     if measure is Measure.BETWEENNESS:
         return group_betweenness(g, s)
-    from .randomwalk import group_randomwalk
-
     return group_randomwalk(g, s)
+
+
+@dataclass(frozen=True)
+class BoundCheck:
+    """Evaluation of the degree/closeness bound on the group score.
+
+    ``lhs`` is the group random-walk score and ``mid`` the fully determined
+    middle expression ``(sum of set distances)(sum of outside degrees) /
+    |outside|``.  ``holds`` checks ``lhs <= mid`` with 1e-9 slack.
+    """
+
+    lhs: float
+    mid: float
+    holds: bool
+
+
+def check_upper_bound(g: Graph, s: VertexSet | Iterable[int]) -> BoundCheck:
+    """Check the group score against its degree/closeness upper bound.
+
+    Requires unit weights: the bound rests on unweighted hitting-time
+    estimates.
+    """
+    if not g.is_unweighted():
+        raise InputError("upper bound is stated for unweighted graphs")
+    vs = as_vertex_set(s)
+    vs.check_proper(g)
+    comp = vs.complement(g.n)
+    lhs = group_randomwalk(g, vs).value
+    # The members' distances are 0, so the sum over all vertices is the outside's.
+    sum_dist = int(multi_source_distances(g, vs).sum())
+    sum_deg = sum(g.degree(v) for v in comp)
+    mid = sum_dist * sum_deg / len(comp)
+    return BoundCheck(lhs=lhs, mid=mid, holds=lhs <= mid + 1e-9)

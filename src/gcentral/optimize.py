@@ -729,12 +729,10 @@ def _check_enumeration_args(g: Graph, k: int, budget: int) -> int:
         raise InputError(f"k must satisfy 1 <= k < n; got k={k}, n={g.n}")
     total = math.comb(g.n, k)
     if total > budget:
-        raise BudgetExceededError(
-            f"C({g.n}, {k}) = {total} subsets exceeds budget {budget}", subsets=total
-        )
+        raise BudgetExceededError(f"C({g.n}, {k}) = {total} subsets exceeds budget {budget}")
     if total >= 2**63:
         raise BudgetExceededError(
-            f"C({g.n}, {k}) = {total} subsets is past the int64 range of the enumeration's ranks", subsets=total
+            f"C({g.n}, {k}) = {total} subsets is past the int64 range of the enumeration's ranks"
         )
     return total
 

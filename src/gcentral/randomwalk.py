@@ -1,7 +1,7 @@
 """Weighted random walks: transition matrix, stationary distribution,
-fundamental matrix, hitting times to vertices and sets, the group
-random-walk score, a Monte-Carlo estimator, and the degree/closeness
-upper bound on the group score.
+fundamental matrix, hitting times to vertices and sets, and a Monte-Carlo
+estimator.  The group random-walk score built on them lives in
+:mod:`gcentral.measures` with the other three.
 
 A walk at vertex ``u`` moves to neighbor ``v`` with probability
 ``w(uv) / w(u)`` where ``w(u)`` is the weighted degree; unit weights give
@@ -31,15 +31,13 @@ number of gathers per step.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
 import numpy as np
 
 from .errors import InputError, NumericalError, TruncationError, check_memory
-from .graph import Graph, VertexSet, _renamed_edges, as_vertex_set, multi_source_distances
-from .measures import Score
+from .graph import Graph, VertexSet, _renamed_edges, as_vertex_set
 
 __all__ = [
     "ROUTE_ABSORBING",
@@ -54,10 +52,7 @@ __all__ = [
     "ContractedGraph",
     "hitting_time_set",
     "HittingSolution",
-    "group_randomwalk",
     "monte_carlo_hitting",
-    "check_upper_bound",
-    "BoundCheck",
 ]
 
 ROUTE_ABSORBING = "absorbing-solve"
@@ -415,18 +410,6 @@ def hitting_time_set(
     return HittingSolution(target=vs, h=tuple(float(x) for x in full), route=route)
 
 
-def group_randomwalk(g: Graph, s: VertexSet | Iterable[int]) -> Score:
-    """Mean hitting time to the set over all outside vertices.
-
-    Lower is more central; the value is 1 exactly when the set is a vertex
-    cover (every outside vertex is absorbed in one step).
-    """
-    vs = as_vertex_set(s)
-    sol = hitting_time_set(g, vs, route=ROUTE_ABSORBING)
-    # The search's mean, so that centrality and optimum print one value.
-    return Score(value=math.fsum(sol.h) / (g.n - len(vs)))
-
-
 def monte_carlo_hitting(
     g: Graph,
     s: VertexSet | Iterable[int],
@@ -450,6 +433,8 @@ def monte_carlo_hitting(
         raise InputError("walks_per_source must be at least 1")
     if max_steps is not None and max_steps < 1:
         raise InputError("max_steps must be at least 1")
+    if seed < 0:
+        raise InputError("seed must be nonnegative")
     if max_steps is None:
         max_steps = 100 * g.n * g.n
     n = g.n
@@ -490,9 +475,7 @@ def monte_carlo_hitting(
     if truncated_total > 0.01 * walks:
         raise TruncationError(
             f"{truncated_total} of {walks} walks hit the {max_steps}-step cap; "
-            "raise max_steps",
-            truncated=truncated_total,
-            total=walks,
+            "raise max_steps"
         )
 
     # Row reductions give each source's mean and deviation with the bits of
@@ -520,36 +503,3 @@ def monte_carlo_hitting(
         seed=seed,
         rng=RNG_NAME,
     )
-
-
-@dataclass(frozen=True)
-class BoundCheck:
-    """Evaluation of the degree/closeness bound on the group score.
-
-    ``lhs`` is the group random-walk score and ``mid`` the fully determined
-    middle expression ``(sum of set distances)(sum of outside degrees) /
-    |outside|``.  ``holds`` checks ``lhs <= mid`` with 1e-9 slack.
-    """
-
-    lhs: float
-    mid: float
-    holds: bool
-
-
-def check_upper_bound(g: Graph, s: VertexSet | Iterable[int]) -> BoundCheck:
-    """Check the group score against its degree/closeness upper bound.
-
-    Requires unit weights: the bound rests on unweighted hitting-time
-    estimates.
-    """
-    if not g.is_unweighted():
-        raise InputError("upper bound is stated for unweighted graphs")
-    vs = as_vertex_set(s)
-    vs.check_proper(g)
-    comp = vs.complement(g.n)
-    lhs = group_randomwalk(g, vs).value
-    dist = multi_source_distances(g, vs).dist
-    sum_dist = sum(dist[v] for v in comp)
-    sum_deg = sum(g.degree(v) for v in comp)
-    mid = sum_dist * sum_deg / len(comp)
-    return BoundCheck(lhs=lhs, mid=mid, holds=lhs <= mid + 1e-9)

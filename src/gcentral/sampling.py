@@ -54,6 +54,8 @@ class SampleConfig:
             raise InputError("restart_probability must lie in (0, 1)")
         if self.step_budget < self.target_nodes:
             raise InputError("step_budget must be at least target_nodes")
+        if self.seed < 0:
+            raise InputError("seed must be nonnegative")
 
 
 @dataclass(frozen=True)
@@ -93,8 +95,7 @@ def random_walk_sample(g: Graph, cfg: SampleConfig) -> SampleResult:
         if steps >= cfg.step_budget:
             raise SamplingBudgetError(
                 f"step budget {cfg.step_budget} exhausted with "
-                f"{len(visited)} of {cfg.target_nodes} vertices visited",
-                distinct_visited=len(visited),
+                f"{len(visited)} of {cfg.target_nodes} vertices visited"
             )
         steps += 1
         if rng.random() < cfg.restart_probability:

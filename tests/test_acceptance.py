@@ -28,9 +28,11 @@ from gcentral.cli import json_text, optimum_json, report_json
 from gcentral.graph import Graph
 from gcentral.measures import (
     Measure,
+    check_upper_bound,
     group_betweenness,
     group_closeness,
     group_degree,
+    group_randomwalk,
 )
 from gcentral.optimize import (
     MEASURE_ORDER,
@@ -41,8 +43,6 @@ from gcentral.optimize import (
 from gcentral.randomwalk import (
     ROUTE_ABSORBING,
     ROUTE_CONTRACTION,
-    check_upper_bound,
-    group_randomwalk,
     hitting_time_matrix,
     hitting_time_set,
     monte_carlo_hitting,

@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+import ast
 import contextlib
+import hashlib
 import io
 import itertools
 import json
+import math
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -23,7 +27,7 @@ from gcentral import cli, errors
 from gcentral.cli import build_parser, ingest_triples, main
 from gcentral.graph import format_edge_list, load_edge_list
 from gcentral.measures import Measure
-from gcentral.optimize import score_subset
+from gcentral.optimize import DEFAULT_BUDGET, score_subset
 
 from conftest import torus_graph
 import oracles
@@ -399,6 +403,86 @@ def test_analytic_routes_agree_or_refuse(tmp_path_factory, case):
         assert abs(Fraction(h) - exact[v]) <= Fraction(1e-7) * exact[v]
 
 
+MEASURE_NAMES = st.lists(st.sampled_from([m.value for m in Measure]), min_size=1, unique=True).map(",".join)
+# Tolerances and restart probabilities: inside (0, 1) half the time, else its ends and past them.
+UNIT_FLOATS = st.one_of(st.floats(1e-12, 0.99), st.sampled_from([0.0, 1.0, -0.5, 1.5, math.inf, math.nan])).map(repr)
+
+
+@st.composite
+def cli_runs(draw) -> tuple[list[str], bytes]:
+    """An argv of ``centrality``, ``optimum``, ``sample``, ``family`` or
+    ``ingest``, with ``{in}`` and ``{dir}`` standing for its input file and
+    a scratch directory, and the input file's bytes.  Edge lists have 2 to 8
+    vertices, connected or not, weighted from the smallest subnormal to
+    1.7e308 or not at all; lines end in LF or CRLF."""
+    command = draw(st.sampled_from(["centrality", "optimum", "sample", "family", "ingest"]))
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    if command == "family":
+        n, m = (draw(st.one_of(st.integers(lo, 5), st.integers(-1, lo - 1))) for lo in (2, 1))
+        return ["family", "--n", str(n), "--m", str(m)], b""
+    if command == "ingest":
+        token, predicate = st.sampled_from(["a", "b", "c", "p"]), st.sampled_from(["p", "q"])
+        triple = st.builds("{} {} {}{}".format, token, predicate, token, st.sampled_from(["", " .", " # note"]))
+        line = st.one_of(triple, triple, st.lists(token, max_size=4).map(" ".join), st.just("# note"))
+        text = newline.join(draw(st.lists(line, max_size=8)))
+        return ["ingest", "{in}", "--predicate", draw(predicate)], text.encode()
+    n = draw(st.integers(2, 8))
+    edges = set(draw(st.lists(st.sampled_from(list(itertools.combinations(range(n), 2))), min_size=1, max_size=12)))
+    if draw(st.booleans()):
+        edges |= {(draw(st.integers(0, v - 1)), v) for v in range(1, n)}
+    weight = st.one_of(st.just(1.0), st.floats(5e-324, 1.7e308))
+    weighted = draw(st.booleans())
+    text = "".join(f"{u} {v}" + (f" {draw(weight)!r}" if weighted else "") + newline for u, v in sorted(edges))
+    argv = [command, "{in}"] + ["--weighted"] * weighted
+    if command == "sample":
+        nodes = draw(st.one_of(st.integers(2, n), st.integers(0, 9)))
+        return argv + ["--nodes", str(nodes), "--restart", draw(UNIT_FLOATS),
+                       "--step-budget", str(nodes + draw(st.integers(-1, 400))),
+                       "--seed", str(draw(st.one_of(st.integers(0, 2**64), st.just(-1)))),
+                       "--out-prefix", "{dir}/sample"], text.encode()
+    argv += ["--measures", draw(MEASURE_NAMES), "--format", draw(st.sampled_from(["json", "tsv"]))]
+    if command == "centrality":
+        members = draw(st.sets(st.integers(0, n), min_size=1, max_size=n))
+        return argv + ["--set", ",".join(map(str, members))], text.encode()
+    k = draw(st.one_of(st.integers(1, n - 1), st.sampled_from([0, n])))
+    budget = draw(st.one_of(st.just(DEFAULT_BUDGET), st.integers(0, 300)))
+    return argv + ["--k", str(k), "--workers", "1", "--budget", str(budget), "--tolerance", draw(UNIT_FLOATS)], \
+        text.encode()
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=300)
+@given(case=cli_runs())
+def test_commands_answer_or_refuse_cleanly(tmp_path_factory, schema, case):
+    """Every command ends without a traceback or warning, in exit 0 with
+    strict output, or in 2, 3 or 4 with one error line and nothing on
+    standard output."""
+    argv, data = case
+    base = tmp_path_factory.getbasetemp() / "commands"
+    base.mkdir(exist_ok=True)
+    (base / "input").write_bytes(data)
+    argv = [arg.format(**{"in": base / "input", "dir": base}) for arg in argv]
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(err):
+        warnings.simplefilter("always")
+        code = main(argv)
+    out, err = out.getvalue(), err.getvalue()
+    assert not caught and "Traceback" not in err
+    assert code in (0, 2, 3, 4)
+    if code:
+        assert out == "" and err.count("\n") == 1 and err.startswith("error: ")
+        return
+    if argv[0] == "sample":
+        out = (base / "sample.edges").read_text()
+    if "json" in argv:
+        jsonschema.validate(json.loads(out, parse_constant=_refuse_constant), schema)
+        return
+    manifest, _, body = out.partition("\n")
+    json.loads(manifest.removeprefix("# manifest: "), parse_constant=_refuse_constant)
+    if argv[0] in ("centrality", "optimum"):
+        assert not re.search(r"\b(inf|nan)\b", body, re.IGNORECASE)
+
+
 class TestSampleCommand:
     def test_writes_edge_and_map_files(self, capsys, tmp_path):
         src = tmp_path / "grid.edges"
@@ -608,16 +692,72 @@ def test_main_parses_as_the_whole_parser(capsys, argv):
                 else "the following arguments are required: subcommand") in err
 
 
+PACKAGE = Path(cli.__file__).resolve().parent
+
+
+def _fresh_interpreter(code: str) -> subprocess.CompletedProcess:
+    """``code`` run by a new interpreter that imports this checkout's gcentral."""
+    path = os.pathsep.join(filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+
+
 @pytest.mark.parametrize("module", ["gcentral", "gcentral.cli"])
 def test_import_loads_no_scipy_sparse(module):
     # Every traversal runs on the graph's own CSR arrays, and LAPACK, the
     # only part of scipy used, loads on the first analytic solve: importing
     # loads no scipy module at all.
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    probe = f"import sys, {module}; print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
-    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=120)
+    done = _fresh_interpreter(f"import sys, {module}; print([m for m in sys.modules if m.split('.')[0] == 'scipy'])")
     assert done.returncode == 0 and done.stdout == "[]\n"
+
+
+@pytest.mark.parametrize("module", sorted(p.stem for p in PACKAGE.glob("*.py")))
+def test_module_imports_alone(module):
+    done = _fresh_interpreter("import gcentral" + ("" if module == "__init__" else f".{module}"))
+    assert done.returncode == 0, done.stderr
+
+
+def test_no_function_imports_the_package():
+    # Modules import each other at the top, so the import order is the
+    # dependency order; a function-level import would hide a cycle.
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for fn in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for node in ast.walk(fn):
+                if isinstance(node, ast.ImportFrom):
+                    names = [node.module or ""] if node.level == 0 else ["gcentral"]
+                elif isinstance(node, ast.Import):
+                    names = [alias.name for alias in node.names]
+                else:
+                    continue
+                if any(name.split(".")[0] == "gcentral" for name in names):
+                    found.append(f"{path.stem}.{fn.name}")
+    assert found == []
+
+
+@pytest.mark.parametrize(
+    "argv, wrapped",
+    [(["centrality", "{in}", "--set", "1"], "load_edge_list"),
+     (["ingest", "{in}", "--predicate", "p"], "ingest_triples")],
+    ids=["graph", "triples"],
+)
+def test_digest_is_of_the_bytes_parsed(capsys, monkeypatch, tmp_path, argv, wrapped):
+    path = tmp_path / "input"
+    original = b"0 p 1\n1 p 2\n" if wrapped == "ingest_triples" else b"0 1\n1 2\n"
+    path.write_bytes(original)
+    parse = getattr(cli, wrapped)
+
+    def rewrite_then_parse(*args, **kwargs):
+        path.write_bytes(original + original)
+        return parse(*args, **kwargs)
+
+    monkeypatch.setattr(cli, wrapped, rewrite_then_parse)
+    code, out, _ = run(capsys, [arg.format(**{"in": path}) for arg in argv])
+    assert code == 0
+    manifest = json.loads(out.partition("\n")[0].removeprefix("# manifest: "))
+    assert manifest["input_digest"] == "sha256:" + hashlib.sha256(original).hexdigest()
 
 
 class TestExitCodes:
@@ -678,6 +818,17 @@ class TestExitCodes:
         )
         assert code == 2
         assert out == "" and err == "error: max_steps must be at least 1\n"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["hitting", "{p2}", "--set", "2", "--route", "montecarlo", "--seed", "-1"],
+         ["sample", "{p2}", "--nodes", "2", "--seed", "-1", "--out-prefix", "{p2}"]],
+        ids=["hitting", "sample"],
+    )
+    def test_negative_seed_exit_2(self, capsys, p2_file, argv):
+        code, out, err = run(capsys, [arg.format(p2=p2_file) for arg in argv])
+        assert code == 2
+        assert out == "" and err == "error: seed must be nonnegative\n"
 
     @pytest.mark.parametrize("workers", ["0", "-4"])
     def test_nonpositive_workers_exit_2(self, capsys, p2_file, workers):

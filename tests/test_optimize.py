@@ -111,8 +111,7 @@ class TestOptimumset:
         g = cycle_graph(30)
         with pytest.raises(BudgetExceededError) as err:
             optimumset(g, 5, Measure.DEGREE, budget=1000)
-        assert "142506" in str(err.value)
-        assert err.value.subsets == 142506
+        assert "= 142506 subsets" in str(err.value)
 
     @pytest.mark.parametrize("measure", MEASURE_ORDER)
     def test_k_next_to_n_past_int64_middle_binomials(self, measure):
@@ -342,21 +341,15 @@ class TestOverflowFallback:
 
 class TestMemoryGuard:
     @pytest.mark.parametrize(
-        "cls, attrs",
-        [
-            (BudgetExceededError, {"subsets": 84}),
-            (BudgetExceededError, {}),
-            (TruncationError, {"truncated": 3, "total": 20}),
-            (SamplingBudgetError, {"distinct_visited": 4}),
-        ],
+        "cls", [InputError, BudgetExceededError, NumericalError, TruncationError, SamplingBudgetError]
     )
-    def test_errors_survive_pickling(self, cls, attrs):
+    def test_errors_survive_pickling(self, cls):
         # What a pool worker raises reaches the parent pickled.
-        err = cls("the run went past its limit", **attrs)
+        err = cls("the run went past its limit")
         back = pickle.loads(pickle.dumps(err))
         assert type(back) is type(err)
         assert str(back) == str(err) and back.args == err.args
-        assert vars(back) == vars(err)
+        assert back.exit_code == err.exit_code
 
     @pytest.mark.parametrize("measure", MEASURE_ORDER)
     def test_smallest_blocks_give_the_same_result(self, novice, monkeypatch, measure):
@@ -386,9 +379,9 @@ class TestMemoryGuard:
             assert json_text(optimum_json(optimumset(novice, 3, measure))) == want
         # Half that limit cannot hold the per-graph arrays and one row.
         monkeypatch.setattr(errors, "MEMORY_LIMIT", limit // 2)
-        with pytest.raises(BudgetExceededError, match="memory limit") as exc:
+        with pytest.raises(BudgetExceededError) as exc:
             optimumset(novice, 3, measure)
-        assert exc.value.subsets is None
+        assert f"above the {errors.MEMORY_LIMIT / 2**20:.0f} MiB memory limit" in str(exc.value)
 
 
     @staticmethod

@@ -18,7 +18,7 @@ from gcentral import randomwalk
 from gcentral.cli import hitting_json, json_text
 from gcentral.errors import InputError, NumericalError, TruncationError, check_memory
 from gcentral.graph import Graph
-from gcentral.measures import Measure
+from gcentral.measures import Measure, check_upper_bound, group_randomwalk
 from gcentral.optimize import _scorers
 from gcentral.randomwalk import (
     ROUTE_ABSORBING,
@@ -27,10 +27,8 @@ from gcentral.randomwalk import (
     _step_table,
     _walk_step,
     absorbing_times,
-    check_upper_bound,
     contract,
     fundamental_matrix,
-    group_randomwalk,
     hitting_time_matrix,
     hitting_time_set,
     monte_carlo_hitting,
