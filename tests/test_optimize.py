@@ -341,14 +341,25 @@ class TestOverflowFallback:
 
 class TestMemoryGuard:
     @pytest.mark.parametrize(
-        "cls", [InputError, BudgetExceededError, NumericalError, TruncationError, SamplingBudgetError]
+        "cls, attrs",
+        [
+            (BudgetExceededError, {"subsets": 84}),
+            (BudgetExceededError, {}),
+            (TruncationError, {"truncated": 3, "total": 20}),
+            (SamplingBudgetError, {"distinct_visited": 4}),
+            (InputError, {}),
+            (NumericalError, {}),
+        ],
     )
-    def test_errors_survive_pickling(self, cls):
-        # What a pool worker raises reaches the parent pickled.
+    def test_errors_survive_pickling(self, cls, attrs):
+        # What a pool worker raises reaches the parent pickled, with any
+        # attributes set on it after construction.
         err = cls("the run went past its limit")
+        vars(err).update(attrs)
         back = pickle.loads(pickle.dumps(err))
         assert type(back) is type(err)
         assert str(back) == str(err) and back.args == err.args
+        assert vars(back) == vars(err)
         assert back.exit_code == err.exit_code
 
     @pytest.mark.parametrize("measure", MEASURE_ORDER)
