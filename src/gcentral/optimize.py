@@ -14,22 +14,27 @@ score from the complement as floats tied within a relative tolerance
 (default 1e-9, passed per run as ``tie_rel``), so floating-point noise can
 neither fabricate nor destroy a tie.
 
-For k >= 2, betweenness and random walk screen the subsets in groups: those
-sharing their last k - t elements, the parent, are scored together, with
-t = 2 from k = 3 on (t = 1 at k = 2).  One rule builds each parent's state
-for both (:func:`_by_base`): a one-vertex parent starts from itself, and a
-longer one from its base, the parent less its smallest vertex, started once
-per colex run of parents sharing it, then adds that vertex.  Random walk's
-state is the inverse G over the complement (a base's inverse downdated on
-the vertex), and each extension T scores from a Schur complement of the
-t x t block G[T, T].  Betweenness builds the path-betweenness matrix PB
-once per search, and its state is the path counts and PB updated one
-member at a time (:func:`_remove`); each extension then scores from four
-entries of the result by inclusion-exclusion, and at k = 2 from PB
-itself.  What the screen leaves in the keep window is re-scored by the
-block scorer, the only exact kernel, which also serves k = 1 and single
-subsets; every reported value comes from it, and a reported random-walk
-set with a hitting time past the steps ``centrality`` trusts is refused.
+For k >= 2 every measure screens the subsets in groups: those sharing
+their last k - t elements, the parent, are scored together, with t = 1 for
+degree and closeness, and for betweenness and random walk t = 2 from k = 3
+on (t = 1 at k = 2).  One rule builds each parent's state for all four
+(:func:`_by_base`): a one-vertex parent starts from itself, and a longer
+one from its base, the parent less its smallest vertex, started once per
+colex run of parents sharing it, then adds that vertex.  Degree's state is
+the union of its members' closed neighbourhoods and closeness's the least
+of their distance rows; each extension joins one more row, and its count
+or sum is the block scorer's own integer, so what these exact screens keep
+is final.  Random walk's state is the inverse G over the complement (a
+base's inverse downdated on the vertex), and each extension T scores from
+a Schur complement of the t x t block G[T, T].  Betweenness builds the
+path-betweenness matrix PB once per search, and its state is the path
+counts and PB updated one member at a time (:func:`_remove`); each
+extension then scores from four entries of the result by
+inclusion-exclusion, and at k = 2 from PB itself.  What these two float
+screens leave in the keep window is re-scored by the block scorer, so
+every reported float comes from it, and a reported random-walk set with a
+hitting time past the steps ``centrality`` trusts is refused.  For every
+measure the block scorer also serves k = 1 and single subsets.
 Random walk's block scorer solves each subset's absorbing system with
 :func:`gcentral.randomwalk.absorbing_times`, the one kernel that ``hitting``
 and ``centrality`` also solve with, and means it by the same fsum.
@@ -310,12 +315,13 @@ class _Scorers(NamedTuple):
 
     ``block`` scores a block of size-k subsets, at most ``rows`` of them,
     exactly, and each value independently of the rest of its block.
-    ``screen``, where the measure has one, takes at most
-    ``parents`` (k - t)-subsets P, t = ``depth`` = min(2, k - 1), and one
-    row per extension: the index of its parent and t positions in that
-    parent's sorted complement.  It returns a float value of each parent
-    plus the vertices at those positions, off from the exact one by
-    rounding only (see :func:`_scan_partitions`).
+    ``screen``, where the measure has one, takes at most ``parents``
+    (k - t)-subsets P, t = ``depth``, and one row per extension: the index
+    of its parent and t positions in that parent's sorted complement.  It
+    returns the value of each parent plus the vertices at those positions:
+    for degree and closeness (t = 1) the block scorer's own integer, for
+    betweenness and random walk (t = min(2, k - 1)) a float off from the
+    exact one by rounding only (see :func:`_scan_partitions`).
     """
 
     block: Callable[[np.ndarray], np.ndarray]
@@ -329,12 +335,14 @@ def _scorers(g: Graph, k: int, measure: Measure) -> _Scorers:
     """The scorers of one size-k search, built once per search from the
     arrays its measure reads, with the rows a block and the parents a screen
     call may take: as many as fit under the memory limit beside the per-graph
-    arrays, up to ``_BLOCK`` and ``_PARENTS``.  All are sized from their
-    dtypes before anything is allocated.  Degree and closeness score as
-    integer numerators over c = n - k; betweenness and random walk as floats,
-    and both screen two-vertex extensions from k = 3 on.  Betweenness sizes
-    its arrays once its base path counts are known to fit float64 or not,
-    and its screen is off when they do not.
+    arrays, up to ``_BLOCK`` rows and ``_PARENTS`` parents (``_BLOCK`` for
+    degree and closeness).  All are sized from their dtypes before anything
+    is allocated.  Every measure screens from k = 2 on.  Degree and
+    closeness score as integer numerators over c = n - k, each set from the
+    join of its members' rows, and screen one-vertex extensions; betweenness
+    and random walk score as floats, and screen two-vertex extensions from
+    k = 3 on.  Betweenness sizes its arrays once its base path counts are
+    known to fit float64 or not, and its screen is off when they do not.
     """
     n, c, slots = g.n, g.n - k, g._indices.size
     if measure is Measure.BETWEENNESS and c < 2:
@@ -352,7 +360,7 @@ def _scorers(g: Graph, k: int, measure: Measure) -> _Scorers:
         check_memory(64 * n * n, f"path counts on {n} vertices")
         dist, sigma = _base_counts(g)
         ints = sigma.dtype == object
-    depth = min(2, k - 1)
+    depth = 1 if measure.exact else min(2, k - 1)
     # A parent's complement has c + depth vertices, and at most as many
     # extensions below its smallest element as depth-subsets of them.  The
     # scan's table of extensions is per graph; per extension, 128 bytes hold
@@ -360,15 +368,26 @@ def _scorers(g: Graph, k: int, measure: Measure) -> _Scorers:
     # for the keep window only).
     width, extensions = c + depth, math.comb(c + depth, depth)
     table = 8 * depth * math.comb(n, depth) if k > 1 else 0
-    # Bytes per graph, per block row and per screened parent.  Closeness
-    # holds the all-pairs distances as int16, 2 per vertex pair; the pass
-    # that builds them sizes its blocks against the limit itself and frees
-    # them before scoring (by tracemalloc it peaked at 13 to 365 bytes per
-    # vertex pair at n = 300 and 2.7 to 6.1 at n = 3,000, on cycles and
-    # random graphs of mean degree 3 to 22).
+    # Bytes per graph, per block row and per screened parent.
+    #
+    # Degree and closeness hold one row per vertex, bool or int16: closed
+    # neighbourhoods or hop distances.  Closeness's distance pass sizes its
+    # blocks against the limit itself and frees them before scoring (by
+    # tracemalloc it peaked at 13 to 365 bytes per vertex pair at n = 300
+    # and 2.7 to 6.1 at n = 3,000, on cycles and random graphs of mean
+    # degree 3 to 22).  Per block row, its k gathered rows and their join.
+    # Per parent, its joined row, its base's and the base's gathered rows,
+    # and its complement's mask and indices; per extension, its parent's
+    # row gathered and joined with one more.
+    item = 2 if measure is Measure.CLOSENESS else 1
+    join_bytes = (
+        item * n * n + 8 * slots + table,
+        item * (k + 1) * n,
+        item * (k + 1) * n + 17 * width + (2 * item * n + 128) * extensions,
+    )
     graph_bytes, row_bytes, parent_bytes = {
-        Measure.DEGREE: (n * n + 8 * slots, (k + 1) * n, 0),
-        Measure.CLOSENESS: (2 * n * n + 8 * slots, 2 * (k + 1) * n, 0),
+        Measure.DEGREE: join_bytes,
+        Measure.CLOSENESS: join_bytes,
         # The base counts and the pairs' triangle indices; per row, its
         # counts, the paths through a member and their mask.  By tracemalloc
         # the base counts held 10 bytes per vertex pair in float64 and 39 to
@@ -417,23 +436,41 @@ def _scorers(g: Graph, k: int, measure: Measure) -> _Scorers:
     source_bytes = 4 * n * n + 128 * n
     pass_bytes = 24 * n * n + 8 * slots + 2**18 + source_bytes if measure is Measure.BETWEENNESS else 0
     # k = 1 has no parent to extend (and for random walk, I - P is singular).
-    parents = max(0, min(_PARENTS, (left - pass_bytes) // parent_bytes)) if parent_bytes and k > 1 else 0
+    # A float screen's parent holds its own matrices, so it takes up to
+    # _PARENTS of them at a time; an exact screen's holds one row, so it
+    # takes up to _BLOCK, and the scan cuts its calls by extensions instead.
+    most = _BLOCK if measure.exact else _PARENTS
+    parents = max(0, min(most, (left - pass_bytes) // parent_bytes)) if parent_bytes and k > 1 else 0
 
-    if measure is Measure.DEGREE:
-        touches = _adjacency(g, bool)
+    if measure.exact:
+        # A set's row is the join of its members' rows.  Degree joins closed
+        # neighbourhoods: over S their union is S and the outside vertices it
+        # reaches, |N(S) \ S| + k of them.  Closeness joins hop distances: a
+        # member is at distance 0, so the least over S sums to the outside sum.
+        if measure is Measure.DEGREE:
+            rows, join, members = _adjacency(g, bool), np.logical_or, k
+            np.fill_diagonal(rows, True)
+        else:
+            rows, join, members = _hop_distances(g), np.minimum, 0
 
-        def score(subsets: np.ndarray) -> np.ndarray:
-            # Vertices next to a member, members cleared: the outside ones reached.
-            reached = touches[subsets].any(axis=1)
-            reached[np.arange(len(subsets))[:, None], subsets] = False
-            return reached.sum(axis=1, dtype=np.int64)
+        def start(sets: np.ndarray) -> tuple[np.ndarray]:
+            return (join.reduce(rows[sets], axis=1),)
 
-        return _Scorers(score, block_rows)
+        def add(joined: np.ndarray, v: np.ndarray) -> None:
+            join(joined, rows[v], out=joined)
 
-    if measure is Measure.CLOSENESS:
-        dist = _hop_distances(g)
-        # A member is at distance 0, so the sum over all vertices is the outside sum.
-        return _Scorers(lambda subsets: dist[subsets].min(axis=1).sum(axis=1, dtype=np.int64), block_rows)
+        def count(joined: np.ndarray) -> np.ndarray:
+            return joined.sum(axis=1, dtype=np.int64) - members
+
+        def screen(parents: np.ndarray, owner: np.ndarray, ext: np.ndarray) -> np.ndarray:
+            # Each extension joins its parent's row with one more and counts
+            # the block scorer's own integer.
+            (joined,) = _by_base(parents, start, add)
+            joined = joined[owner]
+            add(joined, _complements_of(n, parents)[owner, ext[:, 0]])
+            return count(joined)
+
+        return _Scorers(lambda subsets: count(*start(subsets)), block_rows, screen if parents else None, parents, depth)
 
     if measure is Measure.RANDOMWALK:
         p = transition_matrix(g)
@@ -640,8 +677,10 @@ def _exact_scores(scorers: _Scorers, subsets: np.ndarray) -> np.ndarray:
 
 def _screened_scan(scorers: _Scorers, k: int, leading: Sequence[int], ties: _TieWindow) -> _Candidates | None:
     """Windowed optimum over the subsets with the given leading elements,
-    screened parent by parent and confirmed by the block scorer; None if a
-    kept value moved past the tie window when confirmed.
+    screened parent by parent.  An exact measure's screen gives the block
+    scorer's own integers, so what it keeps is final; a float screen's kept
+    values are confirmed by the block scorer, and None is returned if one
+    moved past the tie window.
 
     A group is the subsets sharing their last k - t elements, the parent P,
     t = ``scorers.depth``: they are (*T, *P) for every t-subset T below P's
@@ -649,30 +688,43 @@ def _screened_scan(scorers: _Scorers, k: int, leading: Sequence[int], ties: _Tie
     own positions in P's sorted complement.  Only a parent whose smallest
     element is at least t has any, so the parents are the (k - t)-subsets
     of range(t, hi + 1) with largest element in the partition's range
-    [lo, hi], unranked a batch at a time as those of range(hi - t + 1)
-    shifted up by t, which keeps colex order.  In colex order the t-subsets
-    of range(m) are the first C(m, t) ranks of any longer run, so one table
-    of extensions, unranked once, serves every parent.
+    [lo, hi], unranked ``scorers.parents`` at a time as those of
+    range(hi - t + 1) shifted up by t, which keeps colex order, and scored
+    in calls of about as many extensions as ``_PARENTS`` parents may have.
+    In colex order the t-subsets of range(m) are the first C(m, t) ranks of
+    any longer run, so one table of extensions, unranked once, serves every
+    parent.
     """
     t = scorers.depth
     extensions = math.comb(leading[-1], t)
     table = next(_colex_rows(leading[-1], t, 0, extensions, extensions))
 
     def batches() -> Iterator[_Candidates]:
-        for parents in _blocks(k - t, [leading[0] - t, leading[-1] - t], scorers.parents):
-            parents += t
-            sizes = np.searchsorted(table[:, -1], parents[:, 0])
-            owner = np.repeat(np.arange(len(parents)), sizes)
-            ext = table[np.arange(owner.size) - np.repeat(np.cumsum(sizes) - sizes, sizes)]
-            values = scorers.screen(parents, owner, ext)
-            # Subset rows only for the batch's own keep window: the joint
-            # best is at least as good, so what lies outside stays outside
-            # (see :func:`_absorb`).
-            kept = ties.keep(values, ties.best(values))
-            subsets = np.column_stack((ext[kept], parents[owner[kept]]))
-            yield _Candidates(values[kept], subsets, owner.size)
+        for chunk in _blocks(k - t, [leading[0] - t, leading[-1] - t], scorers.parents):
+            chunk += t
+            counts = np.searchsorted(table[:, -1], chunk[:, 0])
+            # Cut where the running count of extensions passes a multiple
+            # of the most that _PARENTS parents may have: as every parent
+            # has one, a call takes fewer than that plus one parent's.  A
+            # chunk of at most _PARENTS parents is never cut.
+            cuts = np.flatnonzero(np.diff((np.cumsum(counts) - 1) // (_PARENTS * extensions))) + 1
+            for first, stop in itertools.pairwise([0, *cuts.tolist(), len(chunk)]):
+                parents, sizes = chunk[first:stop], counts[first:stop]
+                owner = np.repeat(np.arange(len(parents)), sizes)
+                ext = table[np.arange(owner.size) - np.repeat(np.cumsum(sizes) - sizes, sizes)]
+                values = scorers.screen(parents, owner, ext)
+                # Subset rows only for the batch's own keep window: the joint
+                # best is at least as good, so what lies outside stays outside
+                # (see :func:`_absorb`).
+                kept = ties.keep(values, ties.best(values))
+                subsets = np.column_stack((ext[kept], parents[owner[kept]]))
+                yield _Candidates(values[kept], subsets, owner.size)
 
     acc = _absorb(batches(), ties)
+    if not ties.rel:
+        # An exact measure's screen gives the block scorer's own integers,
+        # and its keep window is equality: what it keeps is final.
+        return acc
     exact = _exact_scores(scorers, acc.subsets)
     if not ties.ties(exact, acc.values).all():
         return None
@@ -683,18 +735,19 @@ def _scan_partitions(task: tuple[Graph, int, Measure, Sequence[int], float]) -> 
     """Windowed optimum over the subsets with the task's leading elements.
 
     Where the measure has a screen, the scan keeps what lies in the keep
-    window of the screened values and re-scores that with the block scorer,
-    so every reported value comes from the block scorer.  The screen is off
-    by rounding only (measured: at most 2.1e-13 relative for random walk,
-    on a 20-vertex graph with weights spanning six orders of magnitude at
-    k = 4, 6.3e-14 on a 60-vertex path at k = 3 and 4 and 1.6e-15 on a
-    6 x 7 torus at k = 5; and 2.4e-14 for betweenness, on the fixtures at
-    k = 4, a 6 x 7 torus at k = 3 to 5, a 4 x 8 ladder with a hub at k = 3
-    and 4 and a random 40-vertex graph at k = 3, with parents out of colex
-    order at k = 4 and 5, where a score of 0 comes out 0), far inside
-    the keep window's margin of nine tie windows; a kept value that moves
-    by more than one tie window on confirmation sends the partition back
-    through the block scorer.
+    window of the screened values.  Degree and closeness screen the block
+    scorer's own integers; betweenness and random walk re-score what is
+    kept with the block scorer, so every reported float comes from it.
+    Their screens are off by rounding only (measured: at most 2.1e-13
+    relative for random walk, on a 20-vertex graph with weights spanning
+    six orders of magnitude at k = 4, 6.3e-14 on a 60-vertex path at k = 3
+    and 4 and 1.6e-15 on a 6 x 7 torus at k = 5; and 2.4e-14 for
+    betweenness, on the fixtures at k = 4, a 6 x 7 torus at k = 3 to 5, a
+    4 x 8 ladder with a hub at k = 3 and 4 and a random 40-vertex graph at
+    k = 3, with parents out of colex order at k = 4 and 5, where a score of
+    0 comes out 0), far inside the keep window's margin of nine tie
+    windows; a kept value that moves by more than one tie window on
+    confirmation sends the partition back through the block scorer.
     """
     g, k, measure, leading, tie_rel = task
     ties = _TieWindow.of(measure, tie_rel)

@@ -378,16 +378,15 @@ class TestMemoryGuard:
                 monkeypatch.setattr(errors, "MEMORY_LIMIT", limit)
         assert rows < 512
         assert json_text(optimum_json(optimumset(novice, 3, measure, workers=2))) == want
-        if measure in (Measure.BETWEENNESS, Measure.RANDOMWALK):
-            # The smallest limit with a screen: one parent per batch.
-            low, high = limit, 1 << 30
-            while high - low > 1:
-                mid = (low + high) // 2
-                monkeypatch.setattr(errors, "MEMORY_LIMIT", mid)
-                low, high = (low, mid) if _scorers(novice, 3, measure).parents else (mid, high)
-            monkeypatch.setattr(errors, "MEMORY_LIMIT", high)
-            assert _scorers(novice, 3, measure).parents == 1
-            assert json_text(optimum_json(optimumset(novice, 3, measure))) == want
+        # The smallest limit with a screen: one parent per batch.
+        low, high = limit, 1 << 30
+        while high - low > 1:
+            mid = (low + high) // 2
+            monkeypatch.setattr(errors, "MEMORY_LIMIT", mid)
+            low, high = (low, mid) if _scorers(novice, 3, measure).parents else (mid, high)
+        monkeypatch.setattr(errors, "MEMORY_LIMIT", high)
+        assert _scorers(novice, 3, measure).parents == 1
+        assert json_text(optimum_json(optimumset(novice, 3, measure))) == want
         # Half that limit cannot hold the per-graph arrays and one row.
         monkeypatch.setattr(errors, "MEMORY_LIMIT", limit // 2)
         with pytest.raises(BudgetExceededError) as exc:
@@ -492,6 +491,52 @@ class TestMemoryGuard:
             tracemalloc.stop()
         assert peak < len(parents) * parent_bytes, peak / (len(parents) * parent_bytes)
 
+    @pytest.mark.parametrize("measure", [Measure.DEGREE, Measure.CLOSENESS])
+    def test_exact_screen_batch_peak_within_its_parents(self, monkeypatch, measure):
+        # The scan's calls on the 6 x 7 torus at k = 4: 3-parents unranked
+        # 512 at a time and cut where their extensions pass 64 x 41, 64
+        # times the scan's table of 41 extensions.  Each parent's row is its
+        # base's joined row gathered and joined with its smallest vertex's,
+        # and each vertex below that one extends it.  The calls with the
+        # most parents (512 with 2,043 extensions) and with the most
+        # extensions (244 with 2,643) must each peak below their parents'
+        # share (by tracemalloc 0.09 and 0.13 of it for degree, 0.08 and
+        # 0.15 for closeness).  The guard's bytes per parent are the step
+        # between the smallest limits that allow two and three parents.
+        from gcentral import optimize
+
+        g, k = torus_graph(6, 7), 4
+        parent_bytes = (self.smallest_limit(monkeypatch, g, k, measure, 3, "parents")
+                        - self.smallest_limit(monkeypatch, g, k, measure, 2, "parents"))
+        monkeypatch.setattr(errors, "MEMORY_LIMIT", 1 << 30)
+        build, calls = optimize._scorers, []
+        scorers = build(g, k, measure)
+        assert (scorers.parents, scorers.depth) == (512, 1)
+
+        def spy(g, k, m):
+            s = build(g, k, m)
+
+            def screen(*call):
+                calls.append(call)
+                return s.screen(*call)
+
+            return s._replace(screen=screen)
+
+        monkeypatch.setattr(optimize, "_scorers", spy)
+        optimumset(g, k, measure)
+        # Every parent and extension once, in 53 calls (167 at 64 parents a call).
+        assert sum(len(parents) for parents, _, _ in calls) == math.comb(41, 3)
+        assert sum(len(owner) for _, owner, _ in calls) == math.comb(42, 4)
+        assert len(calls) == 53 and all(len(owner) < 65 * 41 for _, owner, _ in calls)
+        for parents, owner, ext in (max(calls, key=lambda c: len(c[0])), max(calls, key=lambda c: len(c[1]))):
+            tracemalloc.start()
+            try:
+                scorers.screen(parents, owner, ext)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < len(parents) * parent_bytes, (len(parents), len(owner), peak / (len(parents) * parent_bytes))
+
     def test_scan_holds_only_what_the_window_keeps(self, monkeypatch):
         # Betweenness on the 6 x 7 torus at k = 3 under this limit scores
         # blocks of two rows and keeps 168 of the rows: an empty cut held
@@ -549,7 +594,7 @@ class TestMemoryGuard:
 
 
 class TestPrefixScreen:
-    """The grouped screens of random walk and betweenness against the block scorer."""
+    """The grouped screens of all four measures against the block scorer."""
 
     @staticmethod
     def screened_and_exact(g, k, measure, parents=None, step=1):
@@ -573,7 +618,7 @@ class TestPrefixScreen:
         )
         return scorers.screen(parents, owner, ext), exact
 
-    @pytest.mark.parametrize("measure", [Measure.RANDOMWALK, Measure.BETWEENNESS])
+    @pytest.mark.parametrize("measure", MEASURE_ORDER)
     def test_screen_matches_block_scorer(self, measure):
         from gcentral.optimize import _scorers
 
@@ -584,10 +629,50 @@ class TestPrefixScreen:
             for k in sorted({2, 3, n - 2, n - 1} - {1}):
                 if measure is Measure.BETWEENNESS and k == n - 1:
                     continue  # one outside vertex: the constant score, no screen
-                # Both measures extend by two vertices from k = 3 on.
-                assert _scorers(g, k, measure).depth == min(2, k - 1)
                 screened, exact = self.screened_and_exact(g, k, measure)
-                assert screened == pytest.approx(exact, rel=1e-12, abs=1e-15), (trial, k)
+                if measure.exact:
+                    # One vertex per extension, scored as the block scorer's integers.
+                    assert _scorers(g, k, measure).depth == 1
+                    assert screened.dtype == exact.dtype == np.int64
+                    assert screened.tolist() == exact.tolist(), (trial, k)
+                else:
+                    # Two vertices per extension from k = 3 on.
+                    assert _scorers(g, k, measure).depth == min(2, k - 1)
+                    assert screened == pytest.approx(exact, rel=1e-12, abs=1e-15), (trial, k)
+
+    @pytest.mark.parametrize("measure", [Measure.DEGREE, Measure.CLOSENESS])
+    def test_exact_screens_need_no_block_scorer(self, novice, monkeypatch, measure):
+        # From k = 2 a degree or closeness search unranks only its
+        # (k - 1)-parents with something below them, C(24, k - 1) of them
+        # on the novice fixture, and its screen's integers are final: the
+        # block scorer scores no subset (it once scored all C(25, 4) =
+        # 12,650 at k = 4, after unranking them).
+        from gcentral import optimize
+
+        blocks, build, unranked, scored = optimize._blocks, optimize._scorers, [], []
+
+        def count_blocks(k, leading, rows):
+            for block in blocks(k, leading, rows):
+                unranked.append((k, len(block)))
+                yield block
+
+        def counted(g, k, m):
+            s = build(g, k, m)
+
+            def block(subsets):
+                scored.append(len(subsets))
+                return s.block(subsets)
+
+            return s._replace(block=block)
+
+        monkeypatch.setattr(optimize, "_blocks", count_blocks)
+        monkeypatch.setattr(optimize, "_scorers", counted)
+        for k in (2, 3, 4):
+            assert optimumset(novice, k, measure).evaluated == math.comb(25, k)
+            assert sum(scored) == 0, k
+            assert {width for width, _ in unranked} == {k - 1}
+            assert sum(rows for _, rows in unranked) == math.comb(24, k - 1)
+            unranked.clear()
 
     @staticmethod
     def stress_graph(case):
